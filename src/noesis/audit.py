@@ -14,15 +14,14 @@ completion time.
 
 from __future__ import annotations
 
-import os
 from dataclasses import dataclass, field
 from typing import Iterator, Optional
 
 from .errors import CapExceededError, InformationLawError
 from .information import entropy_bits, mutual_information_bits
-from .reachability import enumerate_reachable, structural_distance
-from .signals import ParsedSignal, capacity, max_capacity, parse
-from .teaching import Scenario, StrategyKernel, emission_distribution, knowledge_update
+from .reachability import enumerate_reachable, env_cap, structural_distance
+from .signals import ParsedSignal, capacity_from_count, max_capacity
+from .teaching import Scenario, StrategyKernel, emission_laws
 
 __all__ = [
     "AUDIT_TOL",
@@ -44,16 +43,6 @@ AUDIT_TOL = 1e-9
 _EXACT_TOL = 1e-12
 
 DEFAULT_NODE_CAP = 200_000
-
-
-def default_node_cap() -> int:
-    raw = os.environ.get("NOESIS_NODE_CAP")
-    if raw:
-        try:
-            return int(raw)
-        except ValueError:
-            pass
-    return DEFAULT_NODE_CAP
 
 
 @dataclass(eq=False)
@@ -122,19 +111,23 @@ def build_history_tree(
     """
     if horizon < 0:
         raise ValueError("horizon must be nonnegative")
-    cap = default_node_cap() if node_cap is None else node_cap
-    mind, system = scenario.mind, scenario.system
-    tokens = system.tokens
-    n_targets = len(scenario.targets)
+    cap = env_cap(DEFAULT_NODE_CAP) if node_cap is None else node_cap
+    tokens = scenario.system.tokens
+    outcome_order = (*tokens, None)
+    zero_row = (0.0,) * len(tokens)
+    states: dict[int, frozenset[str]] = {}  # one label set per distinct state
     count = 0
 
-    def make_node(history: tuple[ParsedSignal, ...], state: frozenset[str], joint: list[float]) -> HistoryNode:
+    def make_node(history: tuple[ParsedSignal, ...], mask: int, joint: list[float]) -> HistoryNode:
         nonlocal count
         count += 1
         if count > cap:
             raise CapExceededError(f"history tree exceeds {cap} nodes")
         prob = sum(joint)
         belief = tuple(j / prob for j in joint)
+        state = states.get(mask)
+        if state is None:
+            state = states[mask] = scenario.mind.space.labels(mask)
         node = HistoryNode(
             history=history,
             prob=prob,
@@ -146,32 +139,19 @@ def build_history_tree(
         )
         if len(history) == horizon:
             return node
-        emission_rows: list[tuple[float, ...]] = []
-        child_joint: dict[ParsedSignal, list[float]] = {}
-        for i, target in enumerate(scenario.targets):
-            if joint[i] <= 0.0:
-                emission_rows.append(tuple(0.0 for _ in tokens))
-                continue
-            dist = emission_distribution(strategy, target, history)
-            emission_rows.append(tuple(belief[i] * dist.get(tok, 0.0) for tok in tokens))
-            for tok, p in dist.items():
-                if p <= 0.0:
-                    continue
-                parsed = parse(mind, system, tok, state)
-                row = child_joint.setdefault(parsed, [0.0] * n_targets)
-                row[i] += joint[i] * p
-        node.emission = tuple(emission_rows)
-        for parsed in list(tokens) + [None]:
-            if parsed not in child_joint:
-                continue
-            sub_joint = child_joint[parsed]
-            if sum(sub_joint) <= 0.0:
-                continue
-            child_state = knowledge_update(mind, system, state, parsed)
-            node.children[parsed] = make_node(history + (parsed,), child_state, sub_joint)
+        laws = emission_laws(scenario, strategy, history, joint)
+        node.emission = tuple(
+            zero_row if law is None else tuple(b * law.get(tok, 0.0) for tok in tokens)
+            for b, law in zip(belief, laws)
+        )
+        outcomes = scenario.step(mask, laws, joint)
+        for parsed in outcome_order:
+            if parsed in outcomes:
+                child_mask, child_joint = outcomes[parsed]
+                node.children[parsed] = make_node(history + (parsed,), child_mask, child_joint)
         return node
 
-    root = make_node((), frozenset(scenario.mind.axioms), list(scenario.prior))
+    root = make_node((), scenario.mind.axiom_mask, list(scenario.prior))
     return HistoryTree(scenario=scenario, horizon=horizon, root=root, node_count=count)
 
 
@@ -182,18 +162,26 @@ def _mi_entropy_drop(node: HistoryNode) -> float:
     return node.entropy_bits - expected_child
 
 
-def _parsed_joint_table(scenario: Scenario, node: HistoryNode) -> list[list[float]]:
-    """Conditional joint of (target, next parsed observation) at a node."""
-    tokens = scenario.system.tokens
-    outcomes: list[ParsedSignal] = list(tokens) + [None]
-    col = {y: j for j, y in enumerate(outcomes)}
-    table = [[0.0] * len(outcomes) for _ in scenario.targets]
+def _ordered_cols(scenario: Scenario, state: frozenset[str]) -> list[int]:
+    """Alphabet positions of the tokens that parse at ``state``."""
+    ordered = scenario.ordered_tokens(scenario.mind.space.mask(state))
+    return [j for j, tok in enumerate(scenario.system.tokens) if tok in ordered]
+
+
+def _parsed_joint_table(node: HistoryNode, ordered_cols: list[int]) -> list[list[float]]:
+    """Conditional joint of (target, next parsed observation) at a node.
+
+    Pushes the raw emission through the parser: an ordered token keeps
+    its column and every other token lands in the null column, the last.
+    """
     assert node.emission is not None
-    for i, row in enumerate(node.emission):
-        for tok, p in zip(tokens, row):
+    table = []
+    for row in node.emission:
+        out = [0.0] * (len(row) + 1)
+        for j, p in enumerate(row):
             if p > 0.0:
-                parsed = parse(scenario.mind, scenario.system, tok, node.state)
-                table[i][col[parsed]] += p
+                out[j if j in ordered_cols else -1] += p
+        table.append(out)
     return table
 
 
@@ -201,7 +189,9 @@ def round_mutual_info_from_joint(tree: HistoryTree, node: HistoryNode) -> float:
     """Next-round information about the target, from the joint table."""
     if node.is_leaf:
         raise ValueError("leaf node has no next round")
-    return mutual_information_bits(_parsed_joint_table(tree.scenario, node))
+    return mutual_information_bits(
+        _parsed_joint_table(node, _ordered_cols(tree.scenario, node.state))
+    )
 
 
 def round_mutual_info(tree: HistoryTree, node: HistoryNode) -> float:
@@ -276,15 +266,8 @@ def _restricted_mi(table: list[list[float]], keep_cols: list[int]) -> float:
 def audit_all(tree: HistoryTree, scenario: Optional[Scenario] = None) -> AuditReport:
     """Run all eight information-law checks over a built history tree."""
     scenario = tree.scenario if scenario is None else scenario
-    mind, system = scenario.mind, scenario.system
-    tokens = system.tokens
-
-    cap_cache: dict[frozenset[str], float] = {}
-
-    def state_capacity(state: frozenset[str]) -> float:
-        if state not in cap_cache:
-            cap_cache[state] = capacity(mind, system, state)
-        return cap_cache[state]
+    system = scenario.system
+    n_tokens = len(system.tokens)
 
     worst_drop = (0.0, None)
     worst_super = (0.0, None)
@@ -295,8 +278,10 @@ def audit_all(tree: HistoryTree, scenario: Optional[Scenario] = None) -> AuditRe
     budget_sum = 0.0
 
     for node in tree.internal_nodes():
+        ordered_cols = _ordered_cols(scenario, node.state)
+        state_capacity = capacity_from_count(len(ordered_cols), n_tokens)
         drop = _mi_entropy_drop(node)
-        table = _parsed_joint_table(scenario, node)
+        table = _parsed_joint_table(node, ordered_cols)
         mi = mutual_information_bits(table)
 
         gap = abs(drop - mi)
@@ -307,7 +292,7 @@ def audit_all(tree: HistoryTree, scenario: Optional[Scenario] = None) -> AuditRe
         if over > worst_super[0]:
             worst_super = (over, node.history)
 
-        excess = mi - state_capacity(node.state)
+        excess = mi - state_capacity
         if excess > worst_cap[0]:
             worst_cap = (excess, node.history)
 
@@ -318,37 +303,25 @@ def audit_all(tree: HistoryTree, scenario: Optional[Scenario] = None) -> AuditRe
         # constant and must carry nothing.  On the parseable event the
         # parser is the identity, so parsed and raw information agree.
         assert node.emission is not None
-        raw_table = [list(row) for row in node.emission]
-        ordered_cols = [
-            j for j, tok in enumerate(tokens)
-            if parse(mind, system, tok, node.state) is not None
-        ]
-        mi_erased = _restricted_mi(table, [len(tokens)])
+        mi_erased = _restricted_mi(table, [n_tokens])
         if mi_erased > worst_rel[0]:
             worst_rel = (mi_erased, node.history)
         mi_y = _restricted_mi(table, ordered_cols)
-        mi_z = _restricted_mi(raw_table, ordered_cols)
+        mi_z = _restricted_mi(node.emission, ordered_cols)
         gap = abs(mi_y - mi_z)
         if gap > worst_rel[0]:
             worst_rel = (gap, node.history)
 
-        support_targets = {
-            system.targets[j]
-            for row in raw_table
-            for j, p in enumerate(row)
-            if p > 0.0
-        }
-        if len(support_targets) == 1:
-            concept = next(iter(support_targets))
-            ordered_now = bool(
-                mind.expand_mask(mind.space.mask(node.state)) & mind.space.bit(concept)
-            )
-            if not ordered_now and mi > worst_reph[0]:
+        support = {j for row in node.emission for j, p in enumerate(row) if p > 0.0}
+        if len({system.targets[j] for j in support}) == 1:
+            # Every emitted token teaches the same concept, so any one of
+            # them tells whether that concept is ordered.
+            if next(iter(support)) not in ordered_cols and mi > worst_reph[0]:
                 worst_reph = (mi, node.history)
 
         if node.entropy_bits > _EXACT_TOL:
             chain_sum += node.prob * mi
-            budget_sum += node.prob * state_capacity(node.state)
+            budget_sum += node.prob * state_capacity
 
     identified_everywhere = all(leaf.entropy_bits <= _EXACT_TOL for leaf in tree.leaves())
 

@@ -10,7 +10,6 @@ error, 2 enumeration cap exceeded.
 from __future__ import annotations
 
 import argparse
-import os
 import sys
 from pathlib import Path
 from typing import Optional, Sequence
@@ -27,7 +26,8 @@ from .planner import (
     broadcast_min_length,
     value_envelope,
 )
-from .reachability import check_learning_space, enumerate_reachable, shortest_chain, structural_distance
+from .reachability import DEFAULT_STATE_CAP, check_learning_space, enumerate_reachable, env_cap
+from .reachability import shortest_chain, structural_distance
 from .signals import capacity, max_capacity
 from .teaching import run_episode
 
@@ -320,12 +320,8 @@ def _cmd_broadcast_gen(args) -> str:
 
 def _cmd_broadcast_min(args) -> str:
     instance = broadcast_construct(args.k, args.L)
-    cap = args.cap
-    if cap is None:
-        env = os.environ.get("NOESIS_NODE_CAP")
-        cap = int(env) if env and env.isdigit() else None
-    kwargs = {} if cap is None else {"cap": cap}
-    length = broadcast_min_length(instance, **kwargs)
+    cap = env_cap(DEFAULT_STATE_CAP) if args.cap is None else args.cap
+    length = broadcast_min_length(instance, cap=cap)
     return ("not-found" if length is None else str(length)) + "\n"
 
 

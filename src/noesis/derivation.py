@@ -73,12 +73,7 @@ def derive(mind: Mind, state: Iterable[str], concept: str) -> Optional[Derivatio
     base_mask = mind.require_state(state)
     target_bit = space.bit(concept)
 
-    layers = [base_mask]
-    while True:
-        nxt = mind.expand_mask(layers[-1])
-        if nxt == layers[-1]:
-            break
-        layers.append(nxt)
+    layers = mind.expansion_layers(base_mask)
     if not layers[-1] & target_bit:
         return None
 

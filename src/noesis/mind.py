@@ -179,6 +179,13 @@ class Mind:
                 out |= target_bit
         return out
 
+    def expansion_layers(self, mask: int) -> list[int]:
+        """Every distinct iterate of one-step expansion from ``mask``, the closure last."""
+        layers = [mask]
+        while (nxt := self.expand_mask(layers[-1])) != layers[-1]:
+            layers.append(nxt)
+        return layers
+
     def closure_mask(self, start: int) -> int:
         """Least fixed point of the expansion operator containing ``start``.
 
@@ -299,20 +306,11 @@ def closure(mind: Mind, state: Iterable[str]) -> frozenset[str]:
 def closure_iterates(mind: Mind, state: Iterable[str]) -> list[frozenset[str]]:
     """The strictly growing iteration sequence of one-step expansion.
 
-    Runs the naive pass-until-stable loop and returns every distinct
-    iterate, starting at ``state`` and ending at the closure.  The loop
-    stabilizes after at most ``len(space)`` strict steps and must agree
-    with the worklist computation used by :func:`closure`.
+    Returns every distinct iterate, starting at ``state`` and ending at
+    the closure; it must agree with the worklist computation used by
+    :func:`closure`.
     """
-    mask = mind.require_state(state)
-    seq = [mask]
-    while True:
-        nxt = mind.expand_mask(mask)
-        if nxt == mask:
-            break
-        seq.append(nxt)
-        mask = nxt
-    return [mind.space.labels(m) for m in seq]
+    return [mind.space.labels(m) for m in mind.expansion_layers(mind.require_state(state))]
 
 
 def understanding_horizon(mind: Mind) -> frozenset[str]:

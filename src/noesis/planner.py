@@ -21,7 +21,7 @@ from typing import Optional, Sequence
 from .errors import CapExceededError, MissingSignalError, UnreachableConceptError
 from .mind import ConceptSpace, ExpansionRule, Mind
 from .reachability import shortest_chain, structural_distance
-from .signals import SignalSystem, parse
+from .signals import SignalSystem
 from .teaching import Scenario
 
 __all__ = [
@@ -159,36 +159,34 @@ def exact_value_tiny(
     if t > _EXACT_MAX_HORIZON:
         raise CapExceededError(f"exact search caps the horizon at {_EXACT_MAX_HORIZON}")
 
-    mind, system = scenario.mind, scenario.system
-    tokens = system.tokens
+    space = scenario.mind.space
+    target_bits = [space.bit(target) for target in scenario.targets]
+    point_laws = [{tok: 1.0} for tok in scenario.system.tokens]
     ops = 0
 
-    def best(state: frozenset[str], joint: tuple[float, ...], depth: int) -> float:
+    def best(state_mask: int, joint: Sequence[float], depth: int) -> float:
         nonlocal ops
         live = [i for i, p in enumerate(joint) if p > 0.0]
         mass = sum(joint[i] for i in live)
-        if len(live) == 1 and scenario.targets[live[0]] in state:
+        if len(live) == 1 and target_bits[live[0]] & state_mask:
             return mass  # identified and acquired: completed at this depth
         if depth == t:
             return 0.0
         value = 0.0
-        for assignment in itertools.product(range(len(tokens)), repeat=len(live)):
+        laws: list[Optional[dict[str, float]]] = [None] * len(joint)
+        for assignment in itertools.product(point_laws, repeat=len(live)):
             ops += 1
             if ops > op_cap:
                 raise CapExceededError(f"exact search exceeded {op_cap} strategy evaluations")
-            groups: dict[Optional[str], list[float]] = {}
-            for i, tok_idx in zip(live, assignment):
-                parsed = parse(mind, system, tokens[tok_idx], state)
-                row = groups.setdefault(parsed, [0.0] * len(joint))
-                row[i] += joint[i]
+            for i, law in zip(live, assignment):
+                laws[i] = law
             total = 0.0
-            for parsed, sub in groups.items():
-                child_state = state if parsed is None else state | {system.concept_of(parsed)}
-                total += best(child_state, tuple(sub), depth + 1)
+            for child_mask, sub in scenario.step(state_mask, laws, joint).values():
+                total += best(child_mask, sub, depth + 1)
             value = max(value, total)
         return value
 
-    return best(frozenset(mind.axioms), scenario.prior, 0)
+    return best(scenario.mind.axiom_mask, scenario.prior, 0)
 
 
 @dataclass(frozen=True)

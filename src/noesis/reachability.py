@@ -32,15 +32,14 @@ __all__ = [
 DEFAULT_STATE_CAP = 1 << 20
 
 
-def default_state_cap() -> int:
-    """The enumeration cap, overridable through NOESIS_NODE_CAP."""
+def env_cap(default: int) -> int:
+    """NOESIS_NODE_CAP if set and non-empty, else ``default``; the variable's one reader."""
     raw = os.environ.get("NOESIS_NODE_CAP")
-    if raw:
-        try:
-            return int(raw)
-        except ValueError:
-            pass
-    return DEFAULT_STATE_CAP
+    if not raw:
+        return default
+    if not (raw.isascii() and raw.isdigit()):
+        raise ValueError(f"NOESIS_NODE_CAP must be a non-negative integer, got {raw!r}")
+    return int(raw)
 
 
 @dataclass(frozen=True, eq=False)
@@ -96,7 +95,7 @@ def enumerate_reachable(mind: Mind, *, cap: Optional[int] = None) -> ReachableFa
     Raises :class:`CapExceededError` once more than ``cap`` states are
     discovered (the family can be exponential in the concept count).
     """
-    limit = default_state_cap() if cap is None else cap
+    limit = env_cap(DEFAULT_STATE_CAP) if cap is None else cap
     start = mind.axiom_mask
     addable: dict[int, int] = {}
     queue = deque([start])

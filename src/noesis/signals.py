@@ -109,7 +109,7 @@ def ordered_signals(mind: Mind, system: SignalSystem, state: Iterable[str]) -> f
     )
 
 
-def _capacity_from_count(n_ordered: int, n_tokens: int) -> float:
+def capacity_from_count(n_ordered: int, n_tokens: int) -> float:
     if n_ordered < n_tokens:
         return math.log2(n_ordered + 1)
     return math.log2(n_tokens)
@@ -122,7 +122,7 @@ def capacity(mind: Mind, system: SignalSystem, state: Iterable[str]) -> float:
     observation is then a live outcome) and ``log2(|alphabet|)`` when
     every token parses.
     """
-    return _capacity_from_count(
+    return capacity_from_count(
         len(ordered_signals(mind, system, state)), len(system.tokens)
     )
 
@@ -134,12 +134,11 @@ def max_capacity(mind: Mind, system: SignalSystem, family: ReachableFamily) -> f
     evaluated so the function also serves as an oracle for that fact.
     """
     concept_bits = [mind.space.bit(c) for c in system.targets]
-    best = 0.0
+    most = 0  # capacity grows with the ordered count, so the largest count decides
     for state_mask in family.state_masks:
         expanded = mind.expand_mask(state_mask)
-        n_ord = sum(1 for b in concept_bits if expanded & b)
-        best = max(best, _capacity_from_count(n_ord, len(system.tokens)))
-    return best
+        most = max(most, sum(1 for b in concept_bits if expanded & b))
+    return capacity_from_count(most, len(system.tokens))
 
 
 def garbling_map(

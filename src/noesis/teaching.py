@@ -7,6 +7,9 @@ Episodes interleave teacher emission, prerequisite-gated parsing, the
 one-concept acquisition update, and exact Bayesian filtering of the
 belief; they record completion (target acquired and identified) and
 identification (belief a point mass) times.
+
+:meth:`Scenario.step` is the one place a round is computed, on state
+masks, for episodes, posteriors, history trees and the exact search.
 """
 
 from __future__ import annotations
@@ -20,12 +23,13 @@ from .errors import (
     MissingSignalError,
     ScenarioError,
     StrategyError,
+    UnknownConceptError,
     ZeroProbabilityError,
 )
 from .information import entropy_bits
 from .mind import Mind
 from .reachability import shortest_chain
-from .signals import ParsedSignal, SignalSystem, capacity, parse
+from .signals import ParsedSignal, SignalSystem, capacity_from_count
 
 __all__ = [
     "POINT_MASS_TOL",
@@ -96,6 +100,42 @@ class Scenario:
     def prior_of(self, target: str) -> float:
         return self.prior[self.target_index[target]]
 
+    @cached_property
+    def token_bits(self) -> dict[str, int]:
+        """The concept bit each token teaches, in alphabet order."""
+        return {tok: self.mind.space.bit(c) for tok, c in zip(self.system.tokens, self.system.targets)}
+
+    def ordered_tokens(self, state_mask: int) -> frozenset[str]:
+        """The tokens that parse at ``state_mask``: their concept is ordered there."""
+        expanded = self.mind.expand_mask(state_mask)
+        return frozenset(tok for tok, bit in self.token_bits.items() if expanded & bit)
+
+    def step(
+        self, state_mask: int, laws: Sequence[Optional[Mapping[str, float]]], weights: Sequence[float]
+    ) -> dict[ParsedSignal, tuple[int, list[float]]]:
+        """One teaching round on masks: parse every emission and group by outcome.
+
+        ``laws[i]`` is target ``i``'s next-token law; it is never read when
+        ``weights[i]`` is 0.  Maps each parsed outcome of positive mass to
+        the next state and the weights ``weights[i] * P(outcome | target i)``,
+        in order of first occurrence.
+        """
+        expanded = self.mind.expand_mask(state_mask)
+        bits = self.token_bits
+        out: dict[ParsedSignal, tuple[int, list[float]]] = {}
+        for i, w in enumerate(weights):
+            if w <= 0.0:
+                continue
+            for tok, p in laws[i].items():
+                if tok not in bits:
+                    raise UnknownConceptError(f"unknown signal token {tok!r}")
+                bit = bits[tok]
+                parsed = tok if expanded & bit else None
+                if parsed not in out:
+                    out[parsed] = (state_mask | bit if parsed else state_mask, [0.0] * len(weights))
+                out[parsed][1][i] += w * p
+        return {y: e for y, e in out.items() if sum(e[1]) > 0.0}
+
 
 def knowledge_update(
     mind: Mind, system: SignalSystem, state: Iterable[str], parsed: ParsedSignal
@@ -127,45 +167,38 @@ def emission_distribution(
     return dist
 
 
-def _parsed_likelihood(
-    scenario: Scenario,
-    strategy: StrategyKernel,
-    history: tuple[ParsedSignal, ...],
-    state: frozenset[str],
-    parsed: ParsedSignal,
-) -> list[float]:
-    """P(next parsed observation = parsed | target, history), per target."""
-    out = []
-    for target in scenario.targets:
-        dist = emission_distribution(strategy, target, history)
-        out.append(
-            sum(
-                p
-                for token, p in dist.items()
-                if parse(scenario.mind, scenario.system, token, state) == parsed
-            )
-        )
-    return out
+def emission_laws(
+    scenario: Scenario, strategy: StrategyKernel, history: tuple, weights: Sequence[float]
+) -> list[Optional[Mapping[str, float]]]:
+    """Each target's next-token law, or None where its weight is 0."""
+    return [
+        emission_distribution(strategy, t, history) if w > 0.0 else None
+        for t, w in zip(scenario.targets, weights)
+    ]
+
+
+def _observe(
+    scenario: Scenario, strategy: StrategyKernel, history: tuple, state_mask: int,
+    belief: Sequence[float], parsed: ParsedSignal,
+) -> tuple[int, list[float]]:
+    """Filter the belief through one parsed observation; returns (state mask, belief)."""
+    outcomes = scenario.step(state_mask, emission_laws(scenario, strategy, history, belief), belief)
+    if parsed not in outcomes:
+        raise ZeroProbabilityError(f"history {history + (parsed,)} has probability zero")
+    state_mask, joint = outcomes[parsed]
+    total = sum(joint)
+    return state_mask, [j / total for j in joint]
 
 
 def posterior_after(
     scenario: Scenario, strategy: StrategyKernel, history: Sequence[ParsedSignal]
 ) -> tuple[float, ...]:
     """Exact filtering of the belief along a parsed history."""
+    history = tuple(history)
     belief = list(scenario.prior)
-    prefix: tuple[ParsedSignal, ...] = ()
-    state = frozenset(scenario.mind.axioms)
-    for parsed in history:
-        like = _parsed_likelihood(scenario, strategy, prefix, state, parsed)
-        belief = [b * l for b, l in zip(belief, like)]
-        total = sum(belief)
-        if total <= 0.0:
-            raise ZeroProbabilityError(
-                f"history {tuple(prefix) + (parsed,)} has probability zero"
-            )
-        belief = [b / total for b in belief]
-        state = knowledge_update(scenario.mind, scenario.system, state, parsed)
-        prefix = prefix + (parsed,)
+    mask = scenario.mind.axiom_mask
+    for t, parsed in enumerate(history):
+        mask, belief = _observe(scenario, strategy, history[:t], mask, belief, parsed)
     return tuple(belief)
 
 
@@ -320,7 +353,10 @@ def run_episode(
         raise ScenarioError(f"pinned target {theta!r} is not among the scenario targets")
 
     theta_idx = scenario.target_index[theta]
-    state = frozenset(scenario.mind.axioms)
+    mind = scenario.mind
+    mask = mind.axiom_mask
+    state = mind.space.labels(mask)
+    ordered = scenario.ordered_tokens(mask) if horizon else frozenset()  # only rounds parse
     belief = list(scenario.prior)
     history: tuple[ParsedSignal, ...] = ()
     tau: Optional[int] = None
@@ -341,12 +377,14 @@ def run_episode(
         emitted = _sample(
             random.Random(f"{seed}:round:{t}"), tokens, [dist[tok] for tok in tokens]
         )
-        parsed = parse(scenario.mind, scenario.system, emitted, state)
-        like = _parsed_likelihood(scenario, strategy, history, state, parsed)
-        belief = [b * l for b, l in zip(belief, like)]
-        total = sum(belief)
-        belief = [b / total for b in belief]
-        state = knowledge_update(scenario.mind, scenario.system, state, parsed)
+        if emitted not in scenario.token_bits:
+            raise UnknownConceptError(f"unknown signal token {emitted!r}")
+        parsed = emitted if emitted in ordered else None
+        child_mask, belief = _observe(scenario, strategy, history, mask, belief, parsed)
+        if child_mask != mask:
+            mask = child_mask
+            state = mind.space.labels(mask)
+            ordered = scenario.ordered_tokens(mask)
         history = history + (parsed,)
         rounds.append(
             Round(
@@ -356,7 +394,7 @@ def run_episode(
                 state=state,
                 belief=tuple(belief),
                 entropy_bits=entropy_bits(belief),
-                capacity_bits=capacity(scenario.mind, scenario.system, state),
+                capacity_bits=capacity_from_count(len(ordered), len(scenario.system.tokens)),
             )
         )
         if tau_id is None and identified():

@@ -208,3 +208,28 @@ def random_script(
 
 def random_row(rng: random.Random, scenario: Scenario, horizon: int) -> tuple[str, ...]:
     return tuple(rng.choice(scenario.system.tokens) for _ in range(horizon))
+
+
+def random_kernel(seed: int, scenario: Scenario):
+    """A randomized, history-dependent strategy kernel.
+
+    The law depends on the target, the round and the last parsed
+    observation, and is drawn from a generator seeded by exactly those,
+    so it does not depend on the order in which the kernel is asked.
+    Some tokens carry probability 0, which must never become an outcome.
+    """
+    tokens = scenario.system.tokens
+    memo: dict[tuple, dict[str, float]] = {}
+
+    def kernel(target: str, history: tuple) -> dict[str, float]:
+        key = (target, len(history), history[-1] if history else "")
+        if key not in memo:
+            rng = random.Random(f"{seed}:{key}")
+            support = rng.sample(tokens, rng.randint(1, min(3, len(tokens))))
+            weights = [rng.randint(0, 3) for _ in support]
+            weights[0] += 1
+            total = sum(weights)
+            memo[key] = {tok: w / total for tok, w in zip(support, weights)}
+        return memo[key]
+
+    return kernel

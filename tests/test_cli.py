@@ -104,6 +104,30 @@ class TestReach:
         assert code == 2
 
 
+_CAPPED_COMMANDS = {
+    "reach": ("reach", "--mind", "diamond.mind"),
+    "audit": ("audit", "--scenario", "star.scenario", "--horizon", "2"),
+    "broadcast-min": ("broadcast-min", "--k", "2", "--L", "2"),
+}
+
+
+@pytest.mark.parametrize("value, exit_code", [(" 3", 1), ("-1", 1), ("abc", 1), ("2", 2)])
+@pytest.mark.parametrize("command", sorted(_CAPPED_COMMANDS))
+def test_env_cap_is_read_alike_by_every_command(
+    capsys, fixtures_dir, monkeypatch, command, value, exit_code
+):
+    monkeypatch.setenv("NOESIS_NODE_CAP", value)
+    argv = [
+        str(fixtures_dir / arg) if arg.endswith((".mind", ".scenario")) else arg
+        for arg in _CAPPED_COMMANDS[command]
+    ]
+    code, out, err = _run(capsys, *argv)
+    assert code == exit_code
+    assert out == ""
+    if exit_code == 1:
+        assert "NOESIS_NODE_CAP" in err
+
+
 class TestQueries:
     def test_closure(self, capsys, fixtures_dir):
         code, out, _ = _run(

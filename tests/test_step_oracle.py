@@ -1,0 +1,117 @@
+"""Differential tests: the mask-level teaching round against the per-token oracle."""
+
+from __future__ import annotations
+
+import dataclasses
+import random
+
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+import helpers
+import oracle
+from noesis import (
+    ZeroProbabilityError,
+    build_history_tree,
+    direct_strategy,
+    exact_value_tiny,
+    posterior_after,
+    run_episode,
+)
+
+TOL = 1e-12
+
+
+def _some_zero_prior(rng: random.Random, scenario):
+    """Zero the prior of some targets (never all) about half the time."""
+    if len(scenario.targets) < 2 or rng.random() < 0.5:
+        return scenario
+    weights = [p if rng.random() < 0.6 else 0.0 for p in scenario.prior]
+    if not any(weights):
+        weights[rng.randrange(len(weights))] = 1.0
+    total = sum(weights)
+    return dataclasses.replace(scenario, prior=tuple(w / total for w in weights))
+
+
+def _case(rng: random.Random):
+    scenario = _some_zero_prior(rng, helpers.random_scenario(rng, max_tokens=5))
+    if rng.random() < 0.75:
+        strategy = helpers.random_kernel(rng.randrange(1 << 30), scenario)
+    else:
+        strategy = direct_strategy(scenario)
+    return scenario, strategy, rng.randint(0, 3)
+
+
+def _assert_same_tree(got, want):
+    assert got.node_count == want.node_count
+    pairs = list(zip(got.iter_nodes(), want.iter_nodes()))
+    assert len(pairs) == want.node_count
+    for g, w in pairs:
+        assert g.history == w.history
+        assert g.state == w.state
+        assert list(g.children) == list(w.children)
+        assert g.prob == pytest.approx(w.prob, abs=TOL)
+        assert g.joint == pytest.approx(w.joint, abs=TOL)
+        assert g.belief == pytest.approx(w.belief, abs=TOL)
+        assert (g.emission is None) == (w.emission is None)
+        if w.emission is not None:
+            for g_row, w_row in zip(g.emission, w.emission):
+                assert g_row == pytest.approx(w_row, abs=TOL)
+
+
+class TestStepMatchesOracle:
+    @given(st.randoms(use_true_random=False))
+    @settings(max_examples=60, deadline=None)
+    def test_history_tree(self, rng):
+        scenario, strategy, horizon = _case(rng)
+        _assert_same_tree(
+            build_history_tree(scenario, strategy, horizon),
+            oracle.build_history_tree(scenario, strategy, horizon),
+        )
+
+    @given(st.randoms(use_true_random=False))
+    @settings(max_examples=60, deadline=None)
+    def test_posterior_along_every_history(self, rng):
+        scenario, strategy, horizon = _case(rng)
+        tree = oracle.build_history_tree(scenario, strategy, horizon)
+        for node in tree.iter_nodes():
+            got = posterior_after(scenario, strategy, node.history)
+            assert got == pytest.approx(oracle.posterior_after(scenario, strategy, node.history), abs=TOL)
+            assert got == pytest.approx(node.belief, abs=TOL)
+        # an outcome the tree never produced has probability zero on both routes
+        for node in tree.internal_nodes():
+            missing = [y for y in (*scenario.system.tokens, None) if y not in node.children]
+            if missing:
+                history = node.history + (missing[0],)
+                with pytest.raises(ZeroProbabilityError):
+                    posterior_after(scenario, strategy, history)
+                with pytest.raises(ZeroProbabilityError):
+                    oracle.posterior_after(scenario, strategy, history)
+                break
+
+    @given(st.randoms(use_true_random=False))
+    @settings(max_examples=60, deadline=None)
+    def test_episode_trace(self, rng):
+        scenario, strategy, horizon = _case(rng)
+        seed = rng.randrange(1000)
+        got = run_episode(scenario, strategy, horizon + 2, seed)
+        want = oracle.run_episode(scenario, strategy, horizon + 2, seed)
+        assert (got.theta, got.seed, got.horizon, got.tau, got.tau_id) == (
+            want.theta, want.seed, want.horizon, want.tau, want.tau_id
+        )
+        assert len(got.rounds) == len(want.rounds)
+        for g, w in zip(got.rounds, want.rounds):
+            assert (g.t, g.emitted, g.parsed, g.state) == (w.t, w.emitted, w.parsed, w.state)
+            assert g.belief == pytest.approx(w.belief, abs=TOL)
+            assert g.entropy_bits == pytest.approx(w.entropy_bits, abs=TOL)
+            assert g.capacity_bits == w.capacity_bits
+
+    @given(st.randoms(use_true_random=False))
+    @settings(max_examples=60, deadline=None)
+    def test_exact_value(self, rng):
+        scenario = _some_zero_prior(rng, helpers.random_tiny_scenario(rng))
+        for t in range(4):
+            assert exact_value_tiny(scenario, t) == pytest.approx(
+                oracle.exact_value_tiny(scenario, t), abs=TOL
+            )

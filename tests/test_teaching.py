@@ -12,7 +12,9 @@ from noesis import (
     SignalSystem,
     StrategyError,
     ZeroProbabilityError,
+    audit_all,
     broadcast_strategy,
+    build_history_tree,
     direct_strategy,
     enumerate_reachable,
     knowledge_update,
@@ -187,3 +189,26 @@ class TestRunEpisode:
     def test_pinned_theta_must_be_a_target(self, star_scenario):
         with pytest.raises(ScenarioError):
             run_episode(star_scenario, direct_strategy(star_scenario), 1, seed=0, theta="b")
+
+
+def _fork_scenario() -> Scenario:
+    """Two targets unlocked straight from the axiom; all prior mass on ``b``."""
+    mind = helpers.make_mind("abc", "a", [("a", "b"), ("a", "c")])
+    system = SignalSystem.from_pairs([("z_b", "b"), ("z_c", "c")])
+    return Scenario(mind=mind, system=system, targets=("b", "c"), prior=(1.0, 0.0))
+
+
+class TestZeroWeightTargets:
+    def test_pinned_target_with_zero_prior(self):
+        scenario = _fork_scenario()
+        with pytest.raises(ZeroProbabilityError):
+            run_episode(scenario, direct_strategy(scenario), 2, seed=0, theta="c")
+
+    def test_zero_weight_kernel_is_never_consulted(self):
+        # the row for 'c' runs out after one round, but 'c' has prior 0
+        scenario = _fork_scenario()
+        strategy = scripted_strategy({"b": ("z_b", "z_b", "z_b"), "c": ("z_c",)})
+        trace = run_episode(scenario, strategy, 3, seed=0)
+        assert trace.theta == "b" and trace.tau == 1
+        assert posterior_after(scenario, strategy, ("z_b",) * 3) == (1.0, 0.0)
+        assert audit_all(build_history_tree(scenario, strategy, 3)).passed
