@@ -19,8 +19,9 @@ from typing import Iterator, Optional
 
 from .errors import CapExceededError, InformationLawError
 from .information import entropy_bits, mutual_information_bits
-from .reachability import enumerate_reachable, env_cap, structural_distance
-from .signals import ParsedSignal, capacity_from_count, max_capacity
+from .mind import understanding_horizon
+from .reachability import env_cap, structural_distance
+from .signals import ParsedSignal, capacity, capacity_from_count
 from .teaching import Scenario, StrategyKernel, emission_laws
 
 __all__ = [
@@ -392,8 +393,8 @@ def _global_bound_verdict(tree: HistoryTree, scenario: Scenario) -> LawVerdict:
             dist = structural_distance(scenario.mind, target)
             assert dist is not None  # targets are constrained to the horizon
             expected_depth += weight * dist
-    family = enumerate_reachable(scenario.mind)
-    cap_max = max_capacity(scenario.mind, scenario.system, family)
+    # Capacity is monotone in the state, so its maximum sits at the horizon.
+    cap_max = capacity(scenario.mind, scenario.system, understanding_horizon(scenario.mind))
     floor = expected_depth
     if cap_max > 0.0:
         floor = max(floor, entropy_bits(scenario.prior) / cap_max)

@@ -169,7 +169,7 @@ def _cmd_derive(args) -> str:
 def _cmd_reach(args) -> str:
     mind = fileio.load_mind(args.mind)
     family = enumerate_reachable(mind, cap=args.cap)
-    states = [sorted(s) for s in family.states()]
+    states = family.sorted_label_tuples()
     if args.format == "csv":
         lines = ["state"] + ["|".join(s) for s in states]
         return "\n".join(lines) + "\n"

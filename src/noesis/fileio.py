@@ -159,6 +159,8 @@ def load_scenario_bundle(path: str | Path) -> LoadedScenario:
             raise FormatError(f"{where}: signals[{i}] must be an object")
         token = _need(entry, "token", str, f"{where}: signals[{i}]")
         target = _need(entry, "target", str, f"{where}: signals[{i}]")
+        if target not in mind.space:
+            raise FormatError(f"{where}: signals[{i}]: unknown concept {target!r}")
         pairs.append((token, target))
     targets = _need(data, "targets", list, where)
     raw_prior = _need(data, "prior", list, where)

@@ -10,6 +10,7 @@ with those properties is the reachable family of a canonical mind.
 
 from __future__ import annotations
 
+import itertools
 import os
 from collections import deque
 from dataclasses import dataclass, field
@@ -78,8 +79,12 @@ class ReachableFamily:
 
     def states(self) -> list[frozenset[str]]:
         """All states as label sets, sorted by size then by sorted labels."""
-        out = [self.space.labels(m) for m in self.state_masks]
-        out.sort(key=lambda s: (len(s), tuple(sorted(s))))
+        return [frozenset(t) for t in self.sorted_label_tuples()]
+
+    def sorted_label_tuples(self) -> list[tuple[str, ...]]:
+        """All states as tuples of sorted labels, in the order of :meth:`states`."""
+        out = [tuple(sorted(self.space.sorted_labels(m))) for m in self.state_masks]
+        out.sort(key=lambda t: (len(t), t))
         return out
 
     def addable(self, state: Iterable[str]) -> frozenset[str]:
@@ -145,37 +150,77 @@ def _family_sets(family: FamilyLike) -> list[frozenset[str]]:
     return [frozenset(s) for s in family]
 
 
+def _family_masks(family: FamilyLike, axioms: AbstractSet[str]) -> tuple[AbstractSet[int], int]:
+    """The family's states and the axioms as masks over one label index.
+
+    A :class:`ReachableFamily` keeps its own masks; labels outside its
+    space (only axioms can be) take the bits above it.
+    """
+    if isinstance(family, ReachableFamily):
+        index, sets = dict(family.space.index), []
+    else:
+        index, sets = {}, [frozenset(s) for s in family]
+    axioms = frozenset(axioms)
+    for label in itertools.chain(axioms, *sets):
+        index.setdefault(label, len(index))
+
+    def mask(labels: frozenset[str]) -> int:
+        return sum(1 << index[label] for label in labels)
+
+    states = family.state_masks if isinstance(family, ReachableFamily) else {mask(s) for s in sets}
+    return states, mask(axioms)
+
+
+def _accessible_union_closed(states: AbstractSet[int], base: int) -> tuple[bool, bool]:
+    """Accessibility above ``base`` and union closure of a family of masks.
+
+    Accessible: every state other than ``base`` loses some non-base
+    concept and stays in the family.  An accessible family is union-closed
+    iff ``S, S+x, S+y`` in the family implies ``S+x+y`` is, so it is
+    checked on each state's one-step extensions in O(|F|·n²); an
+    inaccessible family falls back to the O(|F|²) pairwise test.
+    """
+    up = dict.fromkeys(states, 0)  # up[s]: the bits x with s + x in the family
+    accessible = True
+    for s in states:
+        lower = False
+        for bit in iter_bits(s & ~base):
+            if s ^ bit in states:
+                up[s ^ bit] |= bit
+                lower = True
+        if not lower and s != base:
+            accessible = False
+    if not accessible:
+        return False, all(a | b in states for a in states for b in states)
+    return True, all(
+        s | x | y in states
+        for s, ups in up.items()
+        for x, y in itertools.combinations(iter_bits(ups), 2)
+    )
+
+
 def check_learning_space(family: FamilyLike, axioms: AbstractSet[str]) -> LearningSpaceReport:
     """Verify the learning-space axioms on an arbitrary state family.
 
     The family need not come from a mind; degenerate inputs are accepted
     so negative examples (union-closed but inaccessible) can be tested.
+    Union closure of an accessible family uses the local characterization
+    of antimatroids (Korte, Lovász and Schrader, *Greedoids*, 1991;
+    Doignon and Falmagne, *Knowledge Spaces*, 1999): it holds iff
+    ``S, S+x, S+y`` in the family always gives ``S+x+y`` in the family.
     The shifted-antimatroid verdict re-runs the antimatroid axioms on the
     family with the axioms removed from every state, rather than being
     inferred from the other three flags.
     """
-    states = set(_family_sets(family))
-    base = frozenset(axioms)
-
-    floor = base in states and all(base <= s for s in states)
-    accessible = all(
-        any(s - {x} in states for x in s - base) for s in states if s != base
-    )
-    union_closed = all(a | b in states for a in states for b in states)
-
-    shifted = {s - base for s in states}
-    shifted_ok = (
-        frozenset() in shifted
-        and all(
-            any(s - {x} in shifted for x in s) for s in shifted if s
-        )
-        and all(a | b in shifted for a in shifted for b in shifted)
-    )
+    states, base = _family_masks(family, axioms)
+    floor = base in states and all(s & base == base for s in states)
+    accessible, union_closed = _accessible_union_closed(states, base)
+    shifted = {s & ~base for s in states}
     return LearningSpaceReport(
         has_axiom_floor=floor,
         accessible=accessible,
         union_closed=union_closed,
-        shifted_antimatroid=shifted_ok,
+        shifted_antimatroid=0 in shifted and all(_accessible_union_closed(shifted, 0)),
     )
 
 

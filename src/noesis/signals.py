@@ -130,15 +130,12 @@ def capacity(mind: Mind, system: SignalSystem, state: Iterable[str]) -> float:
 def max_capacity(mind: Mind, system: SignalSystem, family: ReachableFamily) -> float:
     """Largest per-state capacity across a reachable family.
 
-    Monotonicity puts the maximum at the horizon, but every state is
-    evaluated so the function also serves as an oracle for that fact.
+    Capacity is monotone in the state (a larger state only refines the
+    experiment, see :func:`garbling_map`), so the maximum is read at the
+    family's maximum, the understanding horizon.  The tests check this
+    against a scan of every state of the family.
     """
-    concept_bits = [mind.space.bit(c) for c in system.targets]
-    most = 0  # capacity grows with the ordered count, so the largest count decides
-    for state_mask in family.state_masks:
-        expanded = mind.expand_mask(state_mask)
-        most = max(most, sum(1 for b in concept_bits if expanded & b))
-    return capacity_from_count(most, len(system.tokens))
+    return capacity(mind, system, family.maximum)
 
 
 def garbling_map(

@@ -1,28 +1,35 @@
-"""Token-by-token reference for the teaching round, kept only for tests.
+"""Slow reference implementations, kept only for tests.
 
-These are the per-token implementations that :meth:`Scenario.step`
-replaced: every emitted token is parsed against the frozenset state
-with :func:`parse`, grouped by parsed outcome by hand, and the state is
-advanced with :func:`knowledge_update`.  They are slow and written out
-once per caller on purpose; the differential tests compare the
-mask-level step against them.
+The first part is the per-token teaching round that
+:meth:`Scenario.step` replaced: every emitted token is parsed against
+the frozenset state with :func:`parse`, grouped by parsed outcome by
+hand, and the state is advanced with :func:`knowledge_update`.  They are
+slow and written out once per caller on purpose; the differential tests
+compare the mask-level step against them.
+
+The second part is the frozenset learning-space check (pairwise unions,
+twice) and the per-state capacity scan that the mask-level local check
+and the horizon-state capacity replaced.
 """
 
 from __future__ import annotations
 
 import itertools
 import random
-from typing import Optional
+from typing import AbstractSet, Optional
 
 from noesis import (
     HistoryNode,
     HistoryTree,
+    Mind,
     ZeroProbabilityError,
     capacity,
     entropy_bits,
     knowledge_update,
     parse,
 )
+from noesis.reachability import FamilyLike, LearningSpaceReport, ReachableFamily
+from noesis.signals import SignalSystem, capacity_from_count
 from noesis.teaching import POINT_MASS_TOL, EpisodeTrace, Round, emission_distribution
 
 
@@ -192,3 +199,60 @@ def exact_value_tiny(scenario, t: int) -> float:
         return value
 
     return best(frozenset(mind.axioms), scenario.prior, 0)
+
+
+# --- learning-space check and capacity -------------------------------------
+
+
+def _family_sets(family: FamilyLike) -> list[frozenset[str]]:
+    if isinstance(family, ReachableFamily):
+        return [family.space.labels(m) for m in family.state_masks]
+    return [frozenset(s) for s in family]
+
+
+def check_learning_space(family: FamilyLike, axioms: AbstractSet[str]) -> LearningSpaceReport:
+    """Verify the learning-space axioms on an arbitrary state family.
+
+    The family need not come from a mind; degenerate inputs are accepted
+    so negative examples (union-closed but inaccessible) can be tested.
+    The shifted-antimatroid verdict re-runs the antimatroid axioms on the
+    family with the axioms removed from every state, rather than being
+    inferred from the other three flags.
+    """
+    states = set(_family_sets(family))
+    base = frozenset(axioms)
+
+    floor = base in states and all(base <= s for s in states)
+    accessible = all(
+        any(s - {x} in states for x in s - base) for s in states if s != base
+    )
+    union_closed = all(a | b in states for a in states for b in states)
+
+    shifted = {s - base for s in states}
+    shifted_ok = (
+        frozenset() in shifted
+        and all(
+            any(s - {x} in shifted for x in s) for s in shifted if s
+        )
+        and all(a | b in shifted for a in shifted for b in shifted)
+    )
+    return LearningSpaceReport(
+        has_axiom_floor=floor,
+        accessible=accessible,
+        union_closed=union_closed,
+        shifted_antimatroid=shifted_ok,
+    )
+
+
+def max_capacity(mind: Mind, system: SignalSystem, family: ReachableFamily) -> float:
+    """Largest per-state capacity across a reachable family.
+
+    Monotonicity puts the maximum at the horizon, but every state is
+    evaluated so the function also serves as an oracle for that fact.
+    """
+    concept_bits = [mind.space.bit(c) for c in system.targets]
+    most = 0  # capacity grows with the ordered count, so the largest count decides
+    for state_mask in family.state_masks:
+        expanded = mind.expand_mask(state_mask)
+        most = max(most, sum(1 for b in concept_bits if expanded & b))
+    return capacity_from_count(most, len(system.tokens))

@@ -128,6 +128,20 @@ def test_env_cap_is_read_alike_by_every_command(
         assert "NOESIS_NODE_CAP" in err
 
 
+def test_env_cap_leaves_audit_global_bound_alone(capsys, fixtures_dir, monkeypatch):
+    # The 6-node tree fits --cap; the global bound enumerates no family.
+    monkeypatch.setenv("NOESIS_NODE_CAP", "3")
+    code, out, _ = _run(
+        capsys,
+        "audit",
+        "--scenario", str(fixtures_dir / "star.scenario"),
+        "--horizon", "2",
+        "--cap", "100",
+    )
+    assert code == 0
+    assert json.loads(out)["passed"] is True
+
+
 class TestQueries:
     def test_closure(self, capsys, fixtures_dir):
         code, out, _ = _run(

@@ -85,6 +85,14 @@ class TestLoadScenario:
         with pytest.raises(FormatError, match="horizon"):
             load_scenario(path)
 
+    def test_signal_outside_concept_space_named(self, tmp_path, fixtures_dir):
+        data = json.loads((fixtures_dir / "star.scenario").read_text())
+        data["signals"].append({"token": "z_x", "target": "x"})
+        path = tmp_path / "s.scenario"
+        path.write_text(json.dumps(data))
+        with pytest.raises(FormatError, match=r"signals\[5\]: unknown concept 'x'"):
+            load_scenario_bundle(path)
+
     def test_unknown_strategy_kind(self, tmp_path, fixtures_dir):
         data = json.loads((fixtures_dir / "star.scenario").read_text())
         data["strategy"] = {"kind": "telepathy"}
