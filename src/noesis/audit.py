@@ -20,7 +20,7 @@ from typing import Iterator, Optional
 from .errors import CapExceededError, InformationLawError
 from .information import entropy_bits, mutual_information_bits
 from .mind import understanding_horizon
-from .reachability import env_cap, structural_distance
+from .reachability import env_cap
 from .signals import ParsedSignal, capacity, capacity_from_count
 from .teaching import Scenario, StrategyKernel, emission_laws
 
@@ -387,12 +387,11 @@ def _global_bound_verdict(tree: HistoryTree, scenario: Scenario) -> LawVerdict:
     expected_tau = _expected_completion_time(tree, scenario)
     if expected_tau is None:
         return LawVerdict("global_bound", "not applicable", 0.0, None)
+    chains = scenario.target_chains
     expected_depth = 0.0
     for target, weight in zip(scenario.targets, scenario.prior):
         if weight > 0.0:
-            dist = structural_distance(scenario.mind, target)
-            assert dist is not None  # targets are constrained to the horizon
-            expected_depth += weight * dist
+            expected_depth += weight * (len(chains[target]) - 1)
     # Capacity is monotone in the state, so its maximum sits at the horizon.
     cap_max = capacity(scenario.mind, scenario.system, understanding_horizon(scenario.mind))
     floor = expected_depth

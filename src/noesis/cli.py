@@ -17,7 +17,7 @@ from typing import Optional, Sequence
 from . import fileio
 from .audit import audit_all, build_history_tree
 from .derivation import curriculum_from_derivation, derive
-from .errors import CapExceededError, NoesisError
+from .errors import CapExceededError, NoesisError, UnreachableConceptError
 from .mind import closure_iterates
 from .planner import (
     allocate,
@@ -27,7 +27,7 @@ from .planner import (
     value_envelope,
 )
 from .reachability import DEFAULT_STATE_CAP, check_learning_space, enumerate_reachable, env_cap
-from .reachability import shortest_chain, structural_distance
+from .reachability import shortest_chain
 from .signals import capacity, max_capacity
 from .teaching import run_episode
 
@@ -192,15 +192,15 @@ def _cmd_reach(args) -> str:
 
 def _cmd_distance(args) -> str:
     mind = fileio.load_mind(args.mind)
-    dist = structural_distance(mind, args.target)
-    if dist is None:
+    try:
+        chain = shortest_chain(mind, args.target)
+    except UnreachableConceptError:
         return fileio.dump_json({"target": args.target, "reachable": False})
-    chain = shortest_chain(mind, args.target)
     return fileio.dump_json(
         {
             "target": args.target,
             "reachable": True,
-            "distance": dist,
+            "distance": len(chain) - 1,
             "chain": [sorted(s) for s in chain],
         }
     )

@@ -12,6 +12,7 @@ import csv
 import hashlib
 import io
 import json
+import math
 from dataclasses import dataclass
 from pathlib import Path
 from typing import Any, Mapping, Optional, Sequence
@@ -75,15 +76,22 @@ def _need(data: Mapping[str, Any], field: str, kind: type, where: str) -> Any:
     return value
 
 
+def _need_strings(data: Mapping[str, Any], field: str, where: str) -> list[str]:
+    values = _need(data, field, list, where)
+    if not all(isinstance(v, str) for v in values):
+        raise FormatError(f"{where}: field {field!r} must hold only strings")
+    return values
+
+
 def _mind_from_dict(data: Mapping[str, Any], where: str) -> Mind:
-    concepts = _need(data, "concepts", list, where)
-    axioms = _need(data, "axioms", list, where)
+    concepts = _need_strings(data, "concepts", where)
+    axioms = _need_strings(data, "axioms", where)
     raw_rules = _need(data, "rules", list, where)
     rules = []
     for i, entry in enumerate(raw_rules):
         if not isinstance(entry, dict):
             raise FormatError(f"{where}: rules[{i}] must be an object")
-        prereqs = _need(entry, "prereqs", list, f"{where}: rules[{i}]")
+        prereqs = _need_strings(entry, "prereqs", f"{where}: rules[{i}]")
         target = _need(entry, "target", str, f"{where}: rules[{i}]")
         rules.append(ExpansionRule(frozenset(prereqs), target))
     try:
@@ -121,7 +129,19 @@ class LoadedScenario:
     digest: str
 
 
-def _strategy_from_dict(data: Any, where: str) -> StrategySpec:
+def _token_row(row: Any, alphabet: Mapping[str, str], where: str) -> tuple[str, ...]:
+    """A strategy row whose entries are all tokens of the alphabet."""
+    if not isinstance(row, list):
+        raise FormatError(f"{where} must be a token list")
+    for j, tok in enumerate(row):
+        if not isinstance(tok, str):
+            raise FormatError(f"{where}[{j}] must be a token string, got {tok!r}")
+        if tok not in alphabet:
+            raise FormatError(f"{where}[{j}]: unknown signal token {tok!r}")
+    return tuple(row)
+
+
+def _strategy_from_dict(data: Any, where: str, alphabet: Mapping[str, str]) -> StrategySpec:
     if not isinstance(data, dict):
         raise FormatError(f"{where}: field 'strategy' must be an object")
     kind = _need(data, "kind", str, where)
@@ -129,16 +149,27 @@ def _strategy_from_dict(data: Any, where: str) -> StrategySpec:
         return StrategySpec(kind="direct")
     if kind == "scripted":
         rows = _need(data, "rows", dict, f"{where}: strategy")
-        fixed = {}
-        for target, row in rows.items():
-            if not isinstance(row, list) or not all(isinstance(tok, str) for tok in row):
-                raise FormatError(f"{where}: strategy row for {target!r} must be a token list")
-            fixed[target] = tuple(row)
+        fixed = {
+            target: _token_row(row, alphabet, f"{where}: strategy.rows[{target!r}]")
+            for target, row in rows.items()
+        }
         return StrategySpec(kind="scripted", rows=fixed)
     if kind == "broadcast":
         row = _need(data, "row", list, f"{where}: strategy")
-        return StrategySpec(kind="broadcast", row=tuple(row))
+        return StrategySpec(kind="broadcast", row=_token_row(row, alphabet, f"{where}: strategy.row"))
     raise FormatError(f"{where}: unknown strategy kind {kind!r}")
+
+
+def _finite_weight(value: Any, where: str) -> float:
+    """A prior weight: a finite JSON number (not a string, not a boolean)."""
+    if isinstance(value, (int, float)) and not isinstance(value, bool):
+        try:
+            weight = float(value)
+        except OverflowError:
+            weight = math.inf
+        if math.isfinite(weight):
+            return weight
+    raise FormatError(f"{where}: field 'prior' must be a list of finite numbers, got {value!r}")
 
 
 def load_scenario_bundle(path: str | Path) -> LoadedScenario:
@@ -165,10 +196,7 @@ def load_scenario_bundle(path: str | Path) -> LoadedScenario:
     targets = _need(data, "targets", list, where)
     raw_prior = _need(data, "prior", list, where)
     notes: list[str] = []
-    try:
-        weights = [float(w) for w in raw_prior]
-    except (TypeError, ValueError) as exc:
-        raise FormatError(f"{where}: field 'prior' must be a list of numbers") from exc
+    weights = [_finite_weight(w, where) for w in raw_prior]
     if any(w < 0 for w in weights):
         raise FormatError(f"{where}: field 'prior' has a negative weight")
     total = sum(weights)
@@ -182,7 +210,7 @@ def load_scenario_bundle(path: str | Path) -> LoadedScenario:
         scenario = Scenario(mind=mind, system=system, targets=tuple(targets), prior=prior)
     except NoesisError as exc:
         raise FormatError(f"{where}: {exc}") from exc
-    strategy = _strategy_from_dict(data.get("strategy", {"kind": "direct"}), where)
+    strategy = _strategy_from_dict(data.get("strategy", {"kind": "direct"}), where, system.target_of)
     return LoadedScenario(
         scenario=scenario,
         strategy=strategy,

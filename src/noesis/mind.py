@@ -8,7 +8,10 @@ primitives everything else in the package is built on.
 
 Concept sets are manipulated internally as bit masks over the space's
 concept ordering; the public functions accept and return plain
-``frozenset`` values of concept labels.
+``frozenset`` values of concept labels.  A mind compiles its rules once,
+with two indexes built on first use: by target, for testing whether one
+concept is ordered, and by prerequisite, for growing an expansion one
+acquired concept at a time.
 """
 
 from __future__ import annotations
@@ -179,6 +182,27 @@ class Mind:
                 out |= target_bit
         return out
 
+    def is_ordered_mask(self, mask: int, bit: int) -> bool:
+        """Whether concept ``bit`` is in ``expand_mask(mask)``, read from its own rules only."""
+        if mask & bit:
+            return True
+        for prereq_mask in self._compiled.prereqs_of.get(bit, ()):
+            if prereq_mask & ~mask == 0:
+                return True
+        return False
+
+    def expand_add(self, expanded: int, mask: int, bit: int) -> int:
+        """``expand_mask(mask | bit)``, given ``expanded == expand_mask(mask)``.
+
+        Only the rules with ``bit`` among their prerequisites can newly fire.
+        """
+        grown = mask | bit
+        out = expanded | bit
+        for prereq_mask, target_bit in self._compiled.rules_needing.get(bit, ()):
+            if prereq_mask & ~grown == 0:
+                out |= target_bit
+        return out
+
     def expansion_layers(self, mask: int) -> list[int]:
         """Every distinct iterate of one-step expansion from ``mask``, the closure last."""
         layers = [mask]
@@ -225,6 +249,23 @@ class _CompiledMind:
     axiom_mask: int
     rules: tuple[tuple[int, int], ...]  # (prerequisite mask, target bit)
     rule_objects: tuple[ExpansionRule, ...]
+
+    @cached_property
+    def prereqs_of(self) -> dict[int, list[int]]:
+        """Target bit -> the prerequisite masks of the rules unlocking it."""
+        out: dict[int, list[int]] = defaultdict(list)
+        for prereq_mask, target_bit in self.rules:
+            out[target_bit].append(prereq_mask)
+        return dict(out)
+
+    @cached_property
+    def rules_needing(self) -> dict[int, list[tuple[int, int]]]:
+        """Prerequisite bit -> the rules with that bit among their prerequisites."""
+        out: dict[int, list[tuple[int, int]]] = defaultdict(list)
+        for rule in self.rules:
+            for bit in iter_bits(rule[0]):
+                out[bit].append(rule)
+        return dict(out)
 
 
 @dataclass(frozen=True)
@@ -320,8 +361,7 @@ def understanding_horizon(mind: Mind) -> frozenset[str]:
 
 def is_ordered(mind: Mind, state: Iterable[str], concept: str) -> bool:
     """True iff ``concept`` is known or unlocked by one rule firing at ``state``."""
-    mask = mind.require_state(state)
-    return bool(mind.expand_mask(mask) & mind.space.bit(concept))
+    return mind.is_ordered_mask(mind.require_state(state), mind.space.bit(concept))
 
 
 _ORACLE_SPACE_CAP = 12

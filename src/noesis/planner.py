@@ -20,7 +20,7 @@ from typing import Optional, Sequence
 
 from .errors import CapExceededError, MissingSignalError, UnreachableConceptError
 from .mind import ConceptSpace, ExpansionRule, Mind
-from .reachability import shortest_chain, structural_distance
+from .reachability import _chain_masks
 from .signals import SignalSystem
 from .teaching import Scenario
 
@@ -41,12 +41,8 @@ __all__ = [
 
 
 def _distances(scenario: Scenario) -> list[int]:
-    out = []
-    for target in scenario.targets:
-        dist = structural_distance(scenario.mind, target)
-        assert dist is not None  # scenario targets are confined to the horizon
-        out.append(dist)
-    return out
+    chains = scenario.target_chains
+    return [len(chains[target]) - 1 for target in scenario.targets]
 
 
 def value_upper(scenario: Scenario, t: int) -> float:
@@ -57,16 +53,24 @@ def value_upper(scenario: Scenario, t: int) -> float:
     return sum(p for p, d in zip(scenario.prior, dists) if d <= t)
 
 
+def _untaught(mind: Mind, system: SignalSystem, chain: Sequence[int]) -> Optional[str]:
+    """The first concept added along ``chain`` that no token teaches, if any."""
+    concepts = mind.space.concepts
+    for before, after in zip(chain, chain[1:]):
+        concept = concepts[(after ^ before).bit_length() - 1]
+        if concept not in system.fibers:
+            return concept
+    return None
+
+
 def _direct_feasible(scenario: Scenario) -> bool:
     """Whether every prior-positive target's chain can be signaled."""
-    for target, weight in zip(scenario.targets, scenario.prior):
-        if weight <= 0.0:
-            continue
-        chain = shortest_chain(scenario.mind, target)
-        for before, after in zip(chain, chain[1:]):
-            if not scenario.system.fiber(next(iter(after - before))):
-                return False
-    return True
+    mind, system = scenario.mind, scenario.system
+    return all(
+        _untaught(mind, system, scenario.target_chains[target]) is None
+        for target, weight in zip(scenario.targets, scenario.prior)
+        if weight > 0.0
+    )
 
 
 def value_lower(scenario: Scenario, t: int) -> float:
@@ -121,13 +125,12 @@ def value_envelope(scenario: Scenario, t: int, *, exact: bool = False) -> ValueE
 
 def deterministic_value(mind: Mind, system: SignalSystem, goal: str, t: int) -> int:
     """Fixed-horizon acquisition value for a known target: 0 below its depth, else 1."""
-    if not mind.closure_mask(mind.axiom_mask) & mind.space.bit(goal):
+    chain = _chain_masks(mind, goal)
+    if chain is None:
         raise UnreachableConceptError(f"target {goal!r} is outside the understanding horizon")
-    chain = shortest_chain(mind, goal)
-    for before, after in zip(chain, chain[1:]):
-        concept = next(iter(after - before))
-        if not system.fiber(concept):
-            raise MissingSignalError(f"no signal token teaches chain concept {concept!r}")
+    concept = _untaught(mind, system, chain)
+    if concept is not None:
+        raise MissingSignalError(f"no signal token teaches chain concept {concept!r}")
     return 0 if t < len(chain) - 1 else 1
 
 

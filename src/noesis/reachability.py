@@ -6,6 +6,12 @@ such states is union-closed, accessible above the axioms, and spans from
 the axiom set up to the understanding horizon; shifting every state by
 the axioms yields an antimatroid.  The converse also holds: any family
 with those properties is the reachable family of a canonical mind.
+
+Shortest acquisition chains come from one breadth-first search that
+serves many wanted concepts at once (``_first_hit_chains``).
+:func:`structural_distance` and :func:`shortest_chain` run it for one
+concept per call and cache nothing; a scenario runs it once for all its
+targets and caches the chains (``Scenario.target_chains``).
 """
 
 from __future__ import annotations
@@ -250,33 +256,51 @@ def canonical_rules(
     return tuple(rules)
 
 
-def _bfs_to_concept(mind: Mind, concept: str):
-    """BFS over reachable states; stops at the first state containing ``concept``.
+def _first_hit_chains(mind: Mind, wanted: int) -> dict[int, tuple[int, ...]]:
+    """Shortest acquisition chains, as masks, to every wanted concept bit at once.
 
-    Expansion follows concept order, so the discovered chain is the
-    deterministic tie-break choice.  Returns the chain of masks or None.
+    One BFS over reachable states, expanding in concept order, records
+    the first state that holds each wanted bit and stops once all are
+    hit; each chain follows the parent pointers back to the axioms.  The
+    first state holding a concept is discovered by adding that concept,
+    and parent pointers do not depend on when the search stops, so every
+    chain is the one a search for that concept alone would find.  Wanted
+    bits outside the understanding horizon are absent from the result.
     """
-    target_bit = mind.space.bit(concept)
     start = mind.axiom_mask
-    if start & target_bit:
-        return [start]
+    first = {bit: start for bit in iter_bits(wanted & start)}
+    remaining = wanted & ~start
     parent: dict[int, int] = {start: -1}
     queue = deque([start])
-    while queue:
+    while remaining and queue:
         state = queue.popleft()
         for bit in iter_bits(mind.expand_mask(state) & ~state):
             nxt = state | bit
             if nxt in parent:
                 continue
             parent[nxt] = state
-            if bit == target_bit:
-                chain = [nxt]
-                while parent[chain[-1]] != -1:
-                    chain.append(parent[chain[-1]])
-                chain.reverse()
-                return chain
+            if bit & remaining:
+                first[bit] = nxt
+                remaining ^= bit
+                if not remaining:
+                    break
             queue.append(nxt)
-    return None
+    chains = {}
+    for bit, state in first.items():
+        chain = [state]
+        while parent[chain[-1]] != -1:
+            chain.append(parent[chain[-1]])
+        chains[bit] = tuple(reversed(chain))
+    return chains
+
+
+def _chain_masks(mind: Mind, concept: str) -> Optional[tuple[int, ...]]:
+    """The shortest chain to ``concept`` as masks, or None outside the horizon."""
+    horizon = mind.closure_mask(mind.axiom_mask)
+    bit = mind.space.bit(concept)
+    if not horizon & bit:
+        return None
+    return _first_hit_chains(mind, bit)[bit]
 
 
 def structural_distance(mind: Mind, concept: str) -> Optional[int]:
@@ -285,11 +309,8 @@ def structural_distance(mind: Mind, concept: str) -> Optional[int]:
     Zero when the concept is an axiom; None when it lies outside the
     understanding horizon and no chain can reach it.
     """
-    if not mind.closure_mask(mind.axiom_mask) & mind.space.bit(concept):
-        return None
-    chain = _bfs_to_concept(mind, concept)
-    assert chain is not None  # concept is in the horizon, so BFS must reach it
-    return len(chain) - 1
+    chain = _chain_masks(mind, concept)
+    return None if chain is None else len(chain) - 1
 
 
 def shortest_chain(mind: Mind, concept: str) -> tuple[frozenset[str], ...]:
@@ -298,8 +319,7 @@ def shortest_chain(mind: Mind, concept: str) -> tuple[frozenset[str], ...]:
     Deterministic: ties are broken by concept order at every step.
     Raises :class:`UnreachableConceptError` outside the horizon.
     """
-    if not mind.closure_mask(mind.axiom_mask) & mind.space.bit(concept):
+    chain = _chain_masks(mind, concept)
+    if chain is None:
         raise UnreachableConceptError(f"concept {concept!r} is outside the understanding horizon")
-    chain = _bfs_to_concept(mind, concept)
-    assert chain is not None
     return tuple(mind.space.labels(m) for m in chain)

@@ -86,18 +86,24 @@ class SignalSystem:
         except KeyError:
             raise UnknownConceptError(f"unknown signal token {token!r}") from None
 
+    @cached_property
+    def fibers(self) -> dict[str, tuple[str, ...]]:
+        """Concept -> every token teaching it, in alphabet order; built once."""
+        out: dict[str, list[str]] = {}
+        for tok, concept in zip(self.tokens, self.targets):
+            out.setdefault(concept, []).append(tok)
+        return {concept: tuple(toks) for concept, toks in out.items()}
+
     def fiber(self, concept: str) -> tuple[str, ...]:
         """All tokens teaching ``concept``, in alphabet order."""
-        return tuple(t for t, c in zip(self.tokens, self.targets) if c == concept)
+        return self.fibers.get(concept, ())
 
 
 def parse(mind: Mind, system: SignalSystem, token: str, state: Iterable[str]) -> ParsedSignal:
     """The token itself when its concept is ordered at ``state``, else None."""
     concept = system.concept_of(token)
     mask = mind.require_state(state)
-    if mind.expand_mask(mask) & mind.space.bit(concept):
-        return token
-    return None
+    return token if mind.is_ordered_mask(mask, mind.space.bit(concept)) else None
 
 
 def ordered_signals(mind: Mind, system: SignalSystem, state: Iterable[str]) -> frozenset[str]:

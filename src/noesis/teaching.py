@@ -9,7 +9,14 @@ belief; they record completion (target acquired and identified) and
 identification (belief a point mass) times.
 
 :meth:`Scenario.step` is the one place a round is computed, on state
-masks, for episodes, posteriors, history trees and the exact search.
+masks, for episodes, posteriors, history trees and the exact search; it
+tests whether a token parses through the rules that target its concept
+only.  :func:`run_episode` keeps its state's expansion current one
+acquired concept at a time (:meth:`Mind.expand_add`).  Shortest
+acquisition chains to the targets are computed once per scenario, by
+one breadth-first search, and cached as
+:attr:`Scenario.target_chains`; the direct strategy, the value bounds
+and the audit's global bound read them from there.
 """
 
 from __future__ import annotations
@@ -27,8 +34,8 @@ from .errors import (
     ZeroProbabilityError,
 )
 from .information import entropy_bits
-from .mind import Mind
-from .reachability import shortest_chain
+from .mind import Mind, iter_bits
+from .reachability import _first_hit_chains
 from .signals import ParsedSignal, SignalSystem, capacity_from_count
 
 __all__ = [
@@ -105,6 +112,18 @@ class Scenario:
         """The concept bit each token teaches, in alphabet order."""
         return {tok: self.mind.space.bit(c) for tok, c in zip(self.system.tokens, self.system.targets)}
 
+    @cached_property
+    def target_chains(self) -> dict[str, tuple[int, ...]]:
+        """Each target's shortest acquisition chain as state masks, axioms first.
+
+        One breadth-first search serves every target.  The chains are
+        built once and never changed, so a scenario shared across threads
+        needs no lock.
+        """
+        space = self.mind.space
+        chains = _first_hit_chains(self.mind, space.mask(self.targets))
+        return {t: chains[space.bit(t)] for t in self.targets}
+
     def ordered_tokens(self, state_mask: int) -> frozenset[str]:
         """The tokens that parse at ``state_mask``: their concept is ordered there."""
         expanded = self.mind.expand_mask(state_mask)
@@ -115,25 +134,29 @@ class Scenario:
     ) -> dict[ParsedSignal, tuple[int, list[float]]]:
         """One teaching round on masks: parse every emission and group by outcome.
 
+        A token parses when its concept is ordered, tested through the
+        rules that target that concept only.
+
         ``laws[i]`` is target ``i``'s next-token law; it is never read when
         ``weights[i]`` is 0.  Maps each parsed outcome of positive mass to
         the next state and the weights ``weights[i] * P(outcome | target i)``,
         in order of first occurrence.
         """
-        expanded = self.mind.expand_mask(state_mask)
+        ordered = self.mind.is_ordered_mask
         bits = self.token_bits
         out: dict[ParsedSignal, tuple[int, list[float]]] = {}
         for i, w in enumerate(weights):
             if w <= 0.0:
                 continue
             for tok, p in laws[i].items():
-                if tok not in bits:
+                bit = bits.get(tok)
+                if bit is None:
                     raise UnknownConceptError(f"unknown signal token {tok!r}")
-                bit = bits[tok]
-                parsed = tok if expanded & bit else None
-                if parsed not in out:
-                    out[parsed] = (state_mask | bit if parsed else state_mask, [0.0] * len(weights))
-                out[parsed][1][i] += w * p
+                parsed = tok if ordered(state_mask, bit) else None
+                entry = out.get(parsed)
+                if entry is None:
+                    entry = out[parsed] = (state_mask | bit if parsed else state_mask, [0.0] * len(weights))
+                entry[1][i] += w * p
         return {y: e for y, e in out.items() if sum(e[1]) > 0.0}
 
 
@@ -221,19 +244,16 @@ def direct_strategy(scenario: Scenario) -> StrategyKernel:
     non-axiom concept in the understanding horizon must carry at least
     one token; axioms are never taught, so they need none.
     """
-    mind, system = scenario.mind, scenario.system
+    fibers = scenario.system.fibers
     # Axioms are never acquired along a chain, so they need no token.
     for concept in sorted(scenario.horizon - scenario.mind.axioms):
-        if not system.fiber(concept):
+        if concept not in fibers:
             raise MissingSignalError(f"no signal token teaches horizon concept {concept!r}")
+    concepts = scenario.mind.space.concepts
     plans: dict[str, tuple[str, ...]] = {}
-    for target in scenario.targets:
-        chain = shortest_chain(mind, target)
-        added = [
-            next(iter(after - before))
-            for before, after in zip(chain, chain[1:])
-        ]
-        plans[target] = tuple(system.fiber(c)[0] for c in added) + (system.fiber(target)[0],)
+    for target, chain in scenario.target_chains.items():
+        added = [concepts[(after ^ before).bit_length() - 1] for before, after in zip(chain, chain[1:])]
+        plans[target] = tuple(fibers[c][0] for c in added) + (fibers[target][0],)
 
     def kernel(target: str, history: tuple[ParsedSignal, ...]) -> Mapping[str, float]:
         plan = plans[target]
@@ -354,9 +374,15 @@ def run_episode(
 
     theta_idx = scenario.target_index[theta]
     mind = scenario.mind
+    concepts = mind.space.concepts
+    bits, fibers = scenario.token_bits, scenario.system.fibers
+    n_tokens = len(bits)
     mask = mind.axiom_mask
     state = mind.space.labels(mask)
-    ordered = scenario.ordered_tokens(mask) if horizon else frozenset()  # only rounds parse
+    # The state's expansion and its ordered-token count, kept current one
+    # acquired concept at a time; only rounds read them.
+    expanded = mind.expand_mask(mask) if horizon else mask
+    n_ordered = sum(1 for bit in bits.values() if expanded & bit)
     belief = list(scenario.prior)
     history: tuple[ParsedSignal, ...] = ()
     tau: Optional[int] = None
@@ -377,14 +403,18 @@ def run_episode(
         emitted = _sample(
             random.Random(f"{seed}:round:{t}"), tokens, [dist[tok] for tok in tokens]
         )
-        if emitted not in scenario.token_bits:
+        if emitted not in bits:
             raise UnknownConceptError(f"unknown signal token {emitted!r}")
-        parsed = emitted if emitted in ordered else None
+        parsed = emitted if expanded & bits[emitted] else None
         child_mask, belief = _observe(scenario, strategy, history, mask, belief, parsed)
         if child_mask != mask:
-            mask = child_mask
-            state = mind.space.labels(mask)
-            ordered = scenario.ordered_tokens(mask)
+            bit = child_mask ^ mask
+            grown = mind.expand_add(expanded, mask, bit)
+            n_ordered += sum(
+                len(fibers.get(concepts[b.bit_length() - 1], ())) for b in iter_bits(grown & ~expanded)
+            )
+            mask, expanded = child_mask, grown
+            state = state | {concepts[bit.bit_length() - 1]}
         history = history + (parsed,)
         rounds.append(
             Round(
@@ -394,7 +424,7 @@ def run_episode(
                 state=state,
                 belief=tuple(belief),
                 entropy_bits=entropy_bits(belief),
-                capacity_bits=capacity_from_count(len(ordered), len(scenario.system.tokens)),
+                capacity_bits=capacity_from_count(n_ordered, n_tokens),
             )
         )
         if tau_id is None and identified():

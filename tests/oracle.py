@@ -10,24 +10,33 @@ compare the mask-level step against them.
 The second part is the frozenset learning-space check (pairwise unions,
 twice) and the per-state capacity scan that the mask-level local check
 and the horizon-state capacity replaced.
+
+The third part is the one-BFS-per-target shortest chain and its callers
+(the direct strategy, the value bounds, the deterministic value), which
+the scenario's cached chains replaced; the alphabet scan for a fiber
+comes with them.
 """
 
 from __future__ import annotations
 
 import itertools
 import random
-from typing import AbstractSet, Optional
+from collections import deque
+from typing import AbstractSet, Mapping, Optional
 
 from noesis import (
     HistoryNode,
     HistoryTree,
+    MissingSignalError,
     Mind,
+    UnreachableConceptError,
     ZeroProbabilityError,
     capacity,
     entropy_bits,
     knowledge_update,
     parse,
 )
+from noesis.mind import iter_bits
 from noesis.reachability import FamilyLike, LearningSpaceReport, ReachableFamily
 from noesis.signals import SignalSystem, capacity_from_count
 from noesis.teaching import POINT_MASS_TOL, EpisodeTrace, Round, emission_distribution
@@ -256,3 +265,128 @@ def max_capacity(mind: Mind, system: SignalSystem, family: ReachableFamily) -> f
         expanded = mind.expand_mask(state_mask)
         most = max(most, sum(1 for b in concept_bits if expanded & b))
     return capacity_from_count(most, len(system.tokens))
+
+
+# --- shortest chains and their callers --------------------------------------
+
+
+def fiber(system: SignalSystem, concept: str) -> tuple[str, ...]:
+    """All tokens teaching ``concept``, in alphabet order."""
+    return tuple(t for t, c in zip(system.tokens, system.targets) if c == concept)
+
+
+def _bfs_to_concept(mind: Mind, concept: str):
+    """BFS over reachable states; stops at the first state containing ``concept``.
+
+    Expansion follows concept order, so the discovered chain is the
+    deterministic tie-break choice.  Returns the chain of masks or None.
+    """
+    target_bit = mind.space.bit(concept)
+    start = mind.axiom_mask
+    if start & target_bit:
+        return [start]
+    parent: dict[int, int] = {start: -1}
+    queue = deque([start])
+    while queue:
+        state = queue.popleft()
+        for bit in iter_bits(mind.expand_mask(state) & ~state):
+            nxt = state | bit
+            if nxt in parent:
+                continue
+            parent[nxt] = state
+            if bit == target_bit:
+                chain = [nxt]
+                while parent[chain[-1]] != -1:
+                    chain.append(parent[chain[-1]])
+                chain.reverse()
+                return chain
+            queue.append(nxt)
+    return None
+
+
+def structural_distance(mind: Mind, concept: str) -> Optional[int]:
+    if not mind.closure_mask(mind.axiom_mask) & mind.space.bit(concept):
+        return None
+    chain = _bfs_to_concept(mind, concept)
+    assert chain is not None  # concept is in the horizon, so BFS must reach it
+    return len(chain) - 1
+
+
+def shortest_chain(mind: Mind, concept: str) -> tuple[frozenset[str], ...]:
+    if not mind.closure_mask(mind.axiom_mask) & mind.space.bit(concept):
+        raise UnreachableConceptError(f"concept {concept!r} is outside the understanding horizon")
+    chain = _bfs_to_concept(mind, concept)
+    assert chain is not None
+    return tuple(mind.space.labels(m) for m in chain)
+
+
+def direct_strategy(scenario):
+    mind, system = scenario.mind, scenario.system
+    # Axioms are never acquired along a chain, so they need no token.
+    for concept in sorted(scenario.horizon - scenario.mind.axioms):
+        if not fiber(system, concept):
+            raise MissingSignalError(f"no signal token teaches horizon concept {concept!r}")
+    plans: dict[str, tuple[str, ...]] = {}
+    for target in scenario.targets:
+        chain = shortest_chain(mind, target)
+        added = [
+            next(iter(after - before))
+            for before, after in zip(chain, chain[1:])
+        ]
+        plans[target] = tuple(fiber(system, c)[0] for c in added) + (fiber(system, target)[0],)
+
+    def kernel(target: str, history: tuple) -> Mapping[str, float]:
+        plan = plans[target]
+        return {plan[min(len(history), len(plan) - 1)]: 1.0}
+
+    return kernel
+
+
+def _distances(scenario) -> list[int]:
+    out = []
+    for target in scenario.targets:
+        dist = structural_distance(scenario.mind, target)
+        assert dist is not None  # scenario targets are confined to the horizon
+        out.append(dist)
+    return out
+
+
+def value_upper(scenario, t: int) -> float:
+    if t < 0:
+        raise ValueError("horizon must be nonnegative")
+    dists = _distances(scenario)
+    return sum(p for p, d in zip(scenario.prior, dists) if d <= t)
+
+
+def _direct_feasible(scenario) -> bool:
+    for target, weight in zip(scenario.targets, scenario.prior):
+        if weight <= 0.0:
+            continue
+        chain = shortest_chain(scenario.mind, target)
+        for before, after in zip(chain, chain[1:]):
+            if not fiber(scenario.system, next(iter(after - before))):
+                return False
+    return True
+
+
+def value_lower(scenario, t: int) -> float:
+    if t < 1:
+        raise ValueError("horizon must be at least 1")
+    if not _direct_feasible(scenario):
+        return 0.0
+    dists = _distances(scenario)
+    expected_direct = sum(p * (d + 1) for p, d in zip(scenario.prior, dists))
+    markov = max(0.0, 1.0 - expected_direct / t)
+    exact_direct = sum(p for p, d in zip(scenario.prior, dists) if d + 1 <= t)
+    return max(markov, exact_direct)
+
+
+def deterministic_value(mind: Mind, system: SignalSystem, goal: str, t: int) -> int:
+    if not mind.closure_mask(mind.axiom_mask) & mind.space.bit(goal):
+        raise UnreachableConceptError(f"target {goal!r} is outside the understanding horizon")
+    chain = shortest_chain(mind, goal)
+    for before, after in zip(chain, chain[1:]):
+        concept = next(iter(after - before))
+        if not fiber(system, concept):
+            raise MissingSignalError(f"no signal token teaches chain concept {concept!r}")
+    return 0 if t < len(chain) - 1 else 1

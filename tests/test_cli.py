@@ -234,3 +234,24 @@ class TestErrors:
         )
         assert code == 1
         assert "line" in err
+
+    @pytest.mark.parametrize("command", ["simulate", "audit", "value"])
+    @pytest.mark.parametrize("bad", ["nan", "inf"])
+    def test_non_finite_prior_exit_one(self, capsys, fixtures_dir, tmp_path, command, bad):
+        data = json.loads((fixtures_dir / "star.scenario").read_text())
+        data["prior"] = [bad, 1, 1, 1]
+        path = tmp_path / "s.scenario"
+        path.write_text(json.dumps(data))
+        argv = [command, "--scenario", str(path), "--horizon", "2"]
+        code, out, err = _run(capsys, *(argv + ["--seed", "1"] if command == "simulate" else argv))
+        assert (code, out) == (1, "")
+        assert "field 'prior'" in err and "Traceback" not in err
+
+    def test_unknown_row_token_exit_one(self, capsys, fixtures_dir, tmp_path):
+        data = json.loads((fixtures_dir / "star.scenario").read_text())
+        data["strategy"] = {"kind": "broadcast", "row": ["z_b", "nope"]}
+        path = tmp_path / "s.scenario"
+        path.write_text(json.dumps(data))
+        code, out, err = _run(capsys, "value", "--scenario", str(path), "--horizon", "2")
+        assert (code, out) == (1, "")
+        assert "strategy.row[1]" in err

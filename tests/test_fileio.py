@@ -51,6 +51,31 @@ class TestLoadMind:
         with pytest.raises(FormatError, match="degenerate"):
             load_mind(path)
 
+    @pytest.mark.parametrize(
+        "change, field",
+        [
+            ({"concepts": ["a", ["b"]]}, "concepts"),
+            ({"axioms": [["a"]]}, "axioms"),
+            ({"rules": [{"prereqs": [["a"]], "target": "b"}]}, r"rules\[0\]: field 'prereqs'"),
+            ({"rules": [{"prereqs": ["a"], "target": "b"}, {"prereqs": [1], "target": "b"}]},
+             r"rules\[1\]: field 'prereqs'"),
+        ],
+    )
+    def test_non_string_labels_named(self, tmp_path, change, field):
+        data = {"concepts": ["a", "b"], "axioms": ["a"], "rules": [{"prereqs": ["a"], "target": "b"}]}
+        path = tmp_path / "m.mind"
+        path.write_text(json.dumps({**data, **change}))
+        with pytest.raises(FormatError, match=field):
+            load_mind(path)
+
+
+def _star_with(tmp_path, fixtures_dir, **fields):
+    data = json.loads((fixtures_dir / "star.scenario").read_text())
+    data.update(fields)
+    path = tmp_path / "s.scenario"
+    path.write_text(json.dumps(data))
+    return path
+
 
 class TestLoadScenario:
     def test_star_fixture(self, fixtures_dir):
@@ -100,6 +125,46 @@ class TestLoadScenario:
         path.write_text(json.dumps(data))
         with pytest.raises(FormatError, match="telepathy"):
             load_scenario_bundle(path)
+
+    @pytest.mark.parametrize(
+        "bad",
+        ["nan", "inf", "0.25", float("nan"), float("inf"), -float("inf"), True, None, 10**400],
+        ids=["nan-str", "inf-str", "num-str", "nan", "inf", "-inf", "bool", "null", "huge-int"],
+    )
+    def test_prior_must_be_finite_numbers(self, tmp_path, fixtures_dir, bad):
+        path = _star_with(tmp_path, fixtures_dir, prior=[bad, 1, 1, 1])
+        with pytest.raises(FormatError, match="field 'prior'"):
+            load_scenario_bundle(path)
+
+    def test_prior_accepts_ints_and_floats(self, tmp_path, fixtures_dir):
+        path = _star_with(tmp_path, fixtures_dir, prior=[1, 1.0, 2, 0])
+        assert load_scenario_bundle(path).scenario.prior == (0.25, 0.25, 0.5, 0.0)
+
+    @pytest.mark.parametrize(
+        "strategy, field",
+        [
+            ({"kind": "broadcast", "row": [1, 2, 3]}, r"strategy\.row\[0\]"),
+            ({"kind": "broadcast", "row": ["z_b", "nope"]}, r"strategy\.row\[1\]: unknown signal token 'nope'"),
+            ({"kind": "broadcast", "row": "z_b"}, "field 'row'"),
+            (
+                {"kind": "scripted", "rows": {"d1": ["z_b", "z_1"], "d2": ["z_b", 2]}},
+                r"strategy\.rows\['d2'\]\[1\]",
+            ),
+            (
+                {"kind": "scripted", "rows": {"d1": ["nope"]}},
+                r"strategy\.rows\['d1'\]\[0\]: unknown signal token 'nope'",
+            ),
+            ({"kind": "scripted", "rows": {"d1": "z_b"}}, r"strategy\.rows\['d1'\] must be a token list"),
+        ],
+    )
+    def test_strategy_rows_checked_against_alphabet(self, tmp_path, fixtures_dir, strategy, field):
+        path = _star_with(tmp_path, fixtures_dir, strategy=strategy)
+        with pytest.raises(FormatError, match=field):
+            load_scenario_bundle(path)
+
+    def test_valid_rows_load(self, tmp_path, fixtures_dir):
+        path = _star_with(tmp_path, fixtures_dir, strategy={"kind": "broadcast", "row": ["z_b", "z_1"]})
+        assert load_scenario_bundle(path).strategy.row == ("z_b", "z_1")
 
 
 class TestDigest:

@@ -12,6 +12,7 @@ from hypothesis import strategies as st
 import helpers
 import oracle
 from noesis import (
+    SignalSystem,
     ZeroProbabilityError,
     build_history_tree,
     direct_strategy,
@@ -41,6 +42,54 @@ def _case(rng: random.Random):
     else:
         strategy = direct_strategy(scenario)
     return scenario, strategy, rng.randint(0, 3)
+
+
+def _rephrased(rng: random.Random, scenario):
+    """The scenario with one to three tokens for every concept, axioms included."""
+    pairs = list(zip(scenario.system.tokens, scenario.system.targets))
+    for c in scenario.mind.space.concepts:
+        for _ in range(rng.randint(0, 2)):
+            pairs.append((f"r{len(pairs)}_{c}", c))
+    rng.shuffle(pairs)
+    return dataclasses.replace(scenario, system=SignalSystem.from_pairs(pairs))
+
+
+def _known_heavy_kernel(seed: int, scenario):
+    """A stochastic kernel that mostly emits tokens of concepts the learner may already know.
+
+    Its support mixes rephrasings of the axioms and of the target's chain
+    with random tokens, and depends only on the target, the round and the
+    last parsed observation.
+    """
+    system, axioms = scenario.system, scenario.mind.axioms
+    memo: dict[tuple, dict[str, float]] = {}
+
+    def kernel(target: str, history: tuple) -> dict[str, float]:
+        key = (target, len(history), history[-1] if history else "")
+        if key not in memo:
+            rng = random.Random(f"{seed}:{key}")
+            near = [t for t, c in zip(system.tokens, system.targets) if c in axioms or c == target]
+            support = rng.sample(near, min(2, len(near))) + rng.sample(system.tokens, 1)
+            weights = [rng.randint(1, 3) for _ in support]
+            law: dict[str, float] = {}
+            for tok, w in zip(support, weights):
+                law[tok] = law.get(tok, 0.0) + w / sum(weights)
+            memo[key] = law
+        return memo[key]
+
+    return kernel
+
+
+def _assert_same_episode(got, want):
+    assert (got.theta, got.seed, got.horizon, got.tau, got.tau_id) == (
+        want.theta, want.seed, want.horizon, want.tau, want.tau_id
+    )
+    assert len(got.rounds) == len(want.rounds)
+    for g, w in zip(got.rounds, want.rounds):
+        assert (g.t, g.emitted, g.parsed, g.state) == (w.t, w.emitted, w.parsed, w.state)
+        assert g.belief == pytest.approx(w.belief, abs=TOL)
+        assert g.entropy_bits == pytest.approx(w.entropy_bits, abs=TOL)
+        assert g.capacity_bits == w.capacity_bits
 
 
 def _assert_same_tree(got, want):
@@ -95,17 +144,34 @@ class TestStepMatchesOracle:
     def test_episode_trace(self, rng):
         scenario, strategy, horizon = _case(rng)
         seed = rng.randrange(1000)
-        got = run_episode(scenario, strategy, horizon + 2, seed)
-        want = oracle.run_episode(scenario, strategy, horizon + 2, seed)
-        assert (got.theta, got.seed, got.horizon, got.tau, got.tau_id) == (
-            want.theta, want.seed, want.horizon, want.tau, want.tau_id
+        _assert_same_episode(
+            run_episode(scenario, strategy, horizon + 2, seed),
+            oracle.run_episode(scenario, strategy, horizon + 2, seed),
         )
-        assert len(got.rounds) == len(want.rounds)
-        for g, w in zip(got.rounds, want.rounds):
-            assert (g.t, g.emitted, g.parsed, g.state) == (w.t, w.emitted, w.parsed, w.state)
-            assert g.belief == pytest.approx(w.belief, abs=TOL)
-            assert g.entropy_bits == pytest.approx(w.entropy_bits, abs=TOL)
-            assert g.capacity_bits == w.capacity_bits
+
+    @given(st.randoms(use_true_random=False))
+    @settings(max_examples=80, deadline=None)
+    def test_episode_trace_with_rephrasings_and_known_concepts(self, rng):
+        # Several tokens per concept, and kernels that keep teaching known
+        # concepts, exercise the ordered-token count the episode keeps.
+        scenario = _some_zero_prior(rng, _rephrased(rng, helpers.random_scenario(rng, max_concepts=7)))
+        kind = rng.randrange(3)
+        if kind == 0:
+            strategy = _known_heavy_kernel(rng.randrange(1 << 30), scenario)
+        elif kind == 1:
+            strategy = helpers.random_kernel(rng.randrange(1 << 30), scenario)
+        else:
+            strategy = direct_strategy(scenario)
+        horizon, seed = rng.randint(0, 9), rng.randrange(1000)
+        _assert_same_episode(
+            run_episode(scenario, strategy, horizon, seed),
+            oracle.run_episode(scenario, strategy, horizon, seed),
+        )
+        if horizon <= 3:
+            _assert_same_tree(
+                build_history_tree(scenario, strategy, horizon),
+                oracle.build_history_tree(scenario, strategy, horizon),
+            )
 
     @given(st.randoms(use_true_random=False))
     @settings(max_examples=60, deadline=None)

@@ -22,7 +22,6 @@ from noesis import (
     entropy_bits,
     enumerate_reachable,
     max_capacity,
-    structural_distance,
 )
 from noesis.audit import _expected_completion_time
 
@@ -149,7 +148,7 @@ def _assert_global_bound_matches_oracle(scenario, horizon: int) -> None:
         return
     mind = scenario.mind
     floor = sum(
-        w * structural_distance(mind, t) for t, w in zip(scenario.targets, scenario.prior)
+        w * oracle.structural_distance(mind, t) for t, w in zip(scenario.targets, scenario.prior)
     )
     cap = oracle.max_capacity(mind, scenario.system, enumerate_reachable(mind))
     if cap > 0.0:
