@@ -20,7 +20,6 @@ from typing import Iterator, Optional
 from .errors import CapExceededError, InformationLawError
 from .information import entropy_bits, mutual_information_bits
 from .mind import understanding_horizon
-from .reachability import env_cap
 from .signals import ParsedSignal, capacity, capacity_from_count
 from .teaching import Scenario, StrategyKernel, emission_laws
 
@@ -102,7 +101,7 @@ def build_history_tree(
     strategy: StrategyKernel,
     horizon: int,
     *,
-    node_cap: Optional[int] = None,
+    node_cap: int = DEFAULT_NODE_CAP,
 ) -> HistoryTree:
     """Enumerate every positive-probability parsed history up to ``horizon``.
 
@@ -112,7 +111,6 @@ def build_history_tree(
     """
     if horizon < 0:
         raise ValueError("horizon must be nonnegative")
-    cap = env_cap(DEFAULT_NODE_CAP) if node_cap is None else node_cap
     tokens = scenario.system.tokens
     outcome_order = (*tokens, None)
     zero_row = (0.0,) * len(tokens)
@@ -122,8 +120,8 @@ def build_history_tree(
     def make_node(history: tuple[ParsedSignal, ...], mask: int, joint: list[float]) -> HistoryNode:
         nonlocal count
         count += 1
-        if count > cap:
-            raise CapExceededError(f"history tree exceeds {cap} nodes")
+        if count > node_cap:
+            raise CapExceededError(f"history tree exceeds {node_cap} nodes")
         prob = sum(joint)
         belief = tuple(j / prob for j in joint)
         state = states.get(mask)

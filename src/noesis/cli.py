@@ -4,21 +4,23 @@ Subcommands cover closure and derivation queries, reachable-family
 export, structural distance, capacity, episode simulation, the
 information-law audit, value bounds, budget allocation, and the
 broadcast constructions.  Exit codes: 0 success, 1 validation or usage
-error, 2 enumeration cap exceeded.
+error, 2 enumeration cap exceeded or input nested too deep.  Only the
+command line reads the ``NOESIS_NODE_CAP`` environment variable.
 """
 
 from __future__ import annotations
 
 import argparse
+import os
 import sys
 from pathlib import Path
 from typing import Optional, Sequence
 
 from . import fileio
-from .audit import audit_all, build_history_tree
+from .audit import DEFAULT_NODE_CAP, audit_all, build_history_tree
 from .derivation import curriculum_from_derivation, derive
 from .errors import CapExceededError, NoesisError, UnreachableConceptError
-from .mind import closure_iterates
+from .mind import closure_iterates, understanding_horizon
 from .planner import (
     allocate,
     broadcast_check,
@@ -26,9 +28,9 @@ from .planner import (
     broadcast_min_length,
     value_envelope,
 )
-from .reachability import DEFAULT_STATE_CAP, check_learning_space, enumerate_reachable, env_cap
+from .reachability import DEFAULT_STATE_CAP, check_learning_space, enumerate_reachable
 from .reachability import shortest_chain
-from .signals import capacity, max_capacity
+from .signals import capacity
 from .teaching import run_episode
 
 __all__ = ["run_cli", "main"]
@@ -41,6 +43,22 @@ class _CliError(Exception):
 class _Parser(argparse.ArgumentParser):
     def error(self, message: str):  # argparse would exit(2); bad usage is exit 1 here
         raise _CliError(message)
+
+
+# The cap each --cap command pays: family states, tree nodes, product states.
+_CAP_DEFAULTS = {
+    "reach": DEFAULT_STATE_CAP, "audit": DEFAULT_NODE_CAP, "broadcast-min": DEFAULT_STATE_CAP
+}
+
+
+def _env_cap(default: int) -> int:
+    """NOESIS_NODE_CAP if set and non-empty, else ``default``; the variable's one reader."""
+    raw = os.environ.get("NOESIS_NODE_CAP")
+    if not raw:
+        return default
+    if not (raw.isascii() and raw.isdigit()):
+        raise _CliError(f"NOESIS_NODE_CAP must be a non-negative integer, got {raw!r}")
+    return int(raw)
 
 
 def _build_parser() -> _Parser:
@@ -73,7 +91,6 @@ def _build_parser() -> _Parser:
     p = add("capacity", "per-state and maximal parsed-observation capacity")
     p.add_argument("--scenario", type=Path, required=True)
     p.add_argument("--state", default=None, help="comma-separated concepts; default: the axioms")
-    p.add_argument("--cap", type=int, default=None)
 
     p = add("simulate", "run teaching episodes and export traces")
     p.add_argument("--scenario", type=Path, required=True)
@@ -118,8 +135,11 @@ def _split_concepts(text: Optional[str]) -> Optional[list[str]]:
 def _emit(text: str, out: Optional[Path]) -> None:
     if out is None:
         sys.stdout.write(text)
-    else:
+        return
+    try:
         out.write_text(text)
+    except OSError as exc:
+        raise _CliError(f"cannot write {out}: {exc.strerror or exc}") from exc
 
 
 def _cmd_closure(args) -> str:
@@ -211,12 +231,13 @@ def _cmd_capacity(args) -> str:
     scenario = bundle.scenario
     state = _split_concepts(args.state)
     state_set = frozenset(state) if state is not None else scenario.mind.axioms
-    family = enumerate_reachable(scenario.mind, cap=args.cap)
+    # Capacity is monotone in the state, so its maximum sits at the horizon.
+    horizon = understanding_horizon(scenario.mind)
     return fileio.dump_json(
         {
             "state": sorted(state_set),
             "capacity_bits": capacity(scenario.mind, scenario.system, state_set),
-            "max_capacity_bits": max_capacity(scenario.mind, scenario.system, family),
+            "max_capacity_bits": capacity(scenario.mind, scenario.system, horizon),
         }
     )
 
@@ -320,8 +341,7 @@ def _cmd_broadcast_gen(args) -> str:
 
 def _cmd_broadcast_min(args) -> str:
     instance = broadcast_construct(args.k, args.L)
-    cap = env_cap(DEFAULT_STATE_CAP) if args.cap is None else args.cap
-    length = broadcast_min_length(instance, cap=cap)
+    length = broadcast_min_length(instance, cap=args.cap)
     return ("not-found" if length is None else str(length)) + "\n"
 
 
@@ -344,19 +364,18 @@ def run_cli(argv: Sequence[str]) -> int:
     parser = _build_parser()
     try:
         args = parser.parse_args(list(argv))
+        if args.command in _CAP_DEFAULTS and args.cap is None:
+            args.cap = _env_cap(_CAP_DEFAULTS[args.command])
         text = _COMMANDS[args.command](args)
         _emit(text, args.out)
         return 0
-    except _CliError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
     except CapExceededError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    except NoesisError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
-    except ValueError as exc:
+    except RecursionError:
+        print("error: input nests too deep for this command (recursion limit)", file=sys.stderr)
+        return 2
+    except (_CliError, NoesisError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
 

@@ -27,7 +27,6 @@ __all__ = [
     "load_mind",
     "load_scenario",
     "load_scenario_bundle",
-    "mind_to_dict",
     "scenario_digest",
     "trace_to_dict",
     "trace_from_dict",
@@ -103,17 +102,6 @@ def _mind_from_dict(data: Mapping[str, Any], where: str) -> Mind:
     return mind
 
 
-def mind_to_dict(mind: Mind) -> dict[str, Any]:
-    return {
-        "concepts": list(mind.space.concepts),
-        "axioms": list(mind.space.sorted_labels(mind.axiom_mask)),
-        "rules": [
-            {"prereqs": sorted(rule.prereqs, key=mind.space.index.__getitem__), "target": rule.target}
-            for rule in mind.effective_rules
-        ],
-    }
-
-
 def load_mind(path: str | Path) -> Mind:
     """Read and validate a mind file (concepts, axioms, rules)."""
     return _mind_from_dict(_read_json(path), str(path))
@@ -160,16 +148,16 @@ def _strategy_from_dict(data: Any, where: str, alphabet: Mapping[str, str]) -> S
     raise FormatError(f"{where}: unknown strategy kind {kind!r}")
 
 
-def _finite_weight(value: Any, where: str) -> float:
-    """A prior weight: a finite JSON number (not a string, not a boolean)."""
+def _finite(value: Any, field: str, where: str) -> float:
+    """A number read from ``field``: a finite JSON number (not a string, not a boolean)."""
     if isinstance(value, (int, float)) and not isinstance(value, bool):
         try:
-            weight = float(value)
+            number = float(value)
         except OverflowError:
-            weight = math.inf
-        if math.isfinite(weight):
-            return weight
-    raise FormatError(f"{where}: field 'prior' must be a list of finite numbers, got {value!r}")
+            number = math.inf
+        if math.isfinite(number):
+            return number
+    raise FormatError(f"{where}: field {field!r} needs finite numbers, got {value!r}")
 
 
 def load_scenario_bundle(path: str | Path) -> LoadedScenario:
@@ -196,7 +184,7 @@ def load_scenario_bundle(path: str | Path) -> LoadedScenario:
     targets = _need(data, "targets", list, where)
     raw_prior = _need(data, "prior", list, where)
     notes: list[str] = []
-    weights = [_finite_weight(w, where) for w in raw_prior]
+    weights = [_finite(w, "prior", where) for w in raw_prior]
     if any(w < 0 for w in weights):
         raise FormatError(f"{where}: field 'prior' has a negative weight")
     total = sum(weights)
@@ -284,28 +272,49 @@ def trace_to_dict(trace: EpisodeTrace, digest: str = "") -> dict[str, Any]:
     }
 
 
-def trace_from_dict(data: Mapping[str, Any]) -> tuple[EpisodeTrace, str]:
-    rounds = tuple(
-        Round(
-            t=r["t"],
-            emitted=r["z"],
-            parsed=_parsed_from_json(r["y"]),
-            state=frozenset(r["state"]),
-            belief=tuple(r["belief"]),
-            entropy_bits=r["entropy_bits"],
-            capacity_bits=r["capacity_bits"],
-        )
-        for r in data["rounds"]
+def _need_int(
+    data: Mapping[str, Any], field: str, where: str, *, or_null: bool = False
+) -> Optional[int]:
+    value = _need(data, field, object, where)
+    if value is None and or_null:
+        return None
+    if not isinstance(value, int) or isinstance(value, bool):
+        kind = "an integer or null" if or_null else "an integer"
+        raise FormatError(f"{where}: field {field!r} must be {kind}, got {value!r}")
+    return value
+
+
+def _round_from_dict(data: Any, where: str) -> Round:
+    if not isinstance(data, dict):
+        raise FormatError(f"{where} must be an object")
+    return Round(
+        t=_need_int(data, "t", where),
+        emitted=_need(data, "z", str, where),
+        parsed=_parsed_from_json(_need(data, "y", str, where)),
+        state=frozenset(_need_strings(data, "state", where)),
+        belief=tuple(_finite(p, "belief", where) for p in _need(data, "belief", list, where)),
+        entropy_bits=_finite(_need(data, "entropy_bits", object, where), "entropy_bits", where),
+        capacity_bits=_finite(_need(data, "capacity_bits", object, where), "capacity_bits", where),
     )
+
+
+def trace_from_dict(data: Any, where: str = "trace") -> tuple[EpisodeTrace, str]:
+    """An episode trace and its scenario digest; any malformed field is a :class:`FormatError`."""
+    if not isinstance(data, dict):
+        raise FormatError(f"{where}: top level must be an object")
+    rounds = _need(data, "rounds", list, where)
     trace = EpisodeTrace(
-        theta=data["theta"],
-        seed=data["seed"],
-        horizon=data["horizon"],
-        rounds=rounds,
-        tau=data["tau"],
-        tau_id=data["tau_id"],
+        theta=_need(data, "theta", str, where),
+        seed=_need_int(data, "seed", where),
+        horizon=_need_int(data, "horizon", where),
+        rounds=tuple(_round_from_dict(r, f"{where}: rounds[{i}]") for i, r in enumerate(rounds)),
+        tau=_need_int(data, "tau", where, or_null=True),
+        tau_id=_need_int(data, "tau_id", where, or_null=True),
     )
-    return trace, data.get("scenario_digest", "")
+    digest = data.get("scenario_digest", "")
+    if not isinstance(digest, str):
+        raise FormatError(f"{where}: field 'scenario_digest' must be str")
+    return trace, digest
 
 
 def trace_to_csv(traces: Sequence[EpisodeTrace]) -> str:
@@ -336,8 +345,4 @@ def write_trace(trace: EpisodeTrace, path: str | Path, digest: str = "") -> None
 
 
 def read_trace(path: str | Path) -> tuple[EpisodeTrace, str]:
-    data = _read_json(path)
-    try:
-        return trace_from_dict(data)
-    except (KeyError, TypeError) as exc:
-        raise FormatError(f"{path}: malformed trace: {exc}") from exc
+    return trace_from_dict(_read_json(path), str(path))

@@ -368,10 +368,7 @@ _ORACLE_SPACE_CAP = 12
 
 
 def rules_from_closure(
-    space: ConceptSpace,
-    closure_oracle: Callable[[frozenset[str]], AbstractSet[str]],
-    *,
-    max_concepts: int = _ORACLE_SPACE_CAP,
+    space: ConceptSpace, closure_oracle: Callable[[frozenset[str]], AbstractSet[str]]
 ) -> tuple[ExpansionRule, ...]:
     """Present an abstract closure operator as an expansion-rule set.
 
@@ -383,8 +380,8 @@ def rules_from_closure(
     every subset.
     """
     n = len(space)
-    if n > max_concepts:
-        raise CapExceededError(f"oracle tabulation needs 2^{n} subsets, cap is 2^{max_concepts}")
+    if n > _ORACLE_SPACE_CAP:
+        raise CapExceededError(f"oracle tabulation needs 2^{n} subsets, cap is 2^{_ORACLE_SPACE_CAP}")
     table: list[int] = []
     for m in range(1 << n):
         out = closure_oracle(space.labels(m))

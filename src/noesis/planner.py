@@ -20,7 +20,7 @@ from typing import Optional, Sequence
 
 from .errors import CapExceededError, MissingSignalError, UnreachableConceptError
 from .mind import ConceptSpace, ExpansionRule, Mind
-from .reachability import _chain_masks
+from .reachability import DEFAULT_STATE_CAP, _chain_masks
 from .signals import SignalSystem
 from .teaching import Scenario
 
@@ -140,12 +140,7 @@ _EXACT_MAX_HORIZON = 3
 _EXACT_OP_CAP = 10_000_000
 
 
-def exact_value_tiny(
-    scenario: Scenario,
-    t: int,
-    *,
-    op_cap: int = _EXACT_OP_CAP,
-) -> float:
+def exact_value_tiny(scenario: Scenario, t: int) -> float:
     """Exact optimal success probability on a tiny instance.
 
     Searches all deterministic history-dependent strategies by
@@ -179,8 +174,8 @@ def exact_value_tiny(
         laws: list[Optional[dict[str, float]]] = [None] * len(joint)
         for assignment in itertools.product(point_laws, repeat=len(live)):
             ops += 1
-            if ops > op_cap:
-                raise CapExceededError(f"exact search exceeded {op_cap} strategy evaluations")
+            if ops > _EXACT_OP_CAP:
+                raise CapExceededError(f"exact search exceeded {_EXACT_OP_CAP} strategy evaluations")
             for i, law in zip(live, assignment):
                 laws[i] = law
             total = 0.0
@@ -306,7 +301,7 @@ def broadcast_check(instance: BroadcastInstance, sequence: Sequence[str]) -> tup
 
 
 def broadcast_min_length(
-    instance: BroadcastInstance, *, cap: int = 1 << 20
+    instance: BroadcastInstance, *, cap: int = DEFAULT_STATE_CAP
 ) -> Optional[int]:
     """Length of the shortest shared sequence teaching the target to every mind.
 

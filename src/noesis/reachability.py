@@ -17,7 +17,6 @@ targets and caches the chains (``Scenario.target_chains``).
 from __future__ import annotations
 
 import itertools
-import os
 from collections import deque
 from dataclasses import dataclass, field
 from typing import AbstractSet, Iterable, Mapping, Optional, Union
@@ -37,16 +36,6 @@ __all__ = [
 ]
 
 DEFAULT_STATE_CAP = 1 << 20
-
-
-def env_cap(default: int) -> int:
-    """NOESIS_NODE_CAP if set and non-empty, else ``default``; the variable's one reader."""
-    raw = os.environ.get("NOESIS_NODE_CAP")
-    if not raw:
-        return default
-    if not (raw.isascii() and raw.isdigit()):
-        raise ValueError(f"NOESIS_NODE_CAP must be a non-negative integer, got {raw!r}")
-    return int(raw)
 
 
 @dataclass(frozen=True, eq=False)
@@ -100,13 +89,12 @@ class ReachableFamily:
         return self.space.labels(self.addable_masks[mask])
 
 
-def enumerate_reachable(mind: Mind, *, cap: Optional[int] = None) -> ReachableFamily:
+def enumerate_reachable(mind: Mind, *, cap: int = DEFAULT_STATE_CAP) -> ReachableFamily:
     """Breadth-first enumeration of every reachable state of ``mind``.
 
     Raises :class:`CapExceededError` once more than ``cap`` states are
     discovered (the family can be exponential in the concept count).
     """
-    limit = env_cap(DEFAULT_STATE_CAP) if cap is None else cap
     start = mind.axiom_mask
     addable: dict[int, int] = {}
     queue = deque([start])
@@ -119,9 +107,9 @@ def enumerate_reachable(mind: Mind, *, cap: Optional[int] = None) -> ReachableFa
             nxt = state | bit
             if nxt not in seen:
                 seen.add(nxt)
-                if len(seen) > limit:
+                if len(seen) > cap:
                     raise CapExceededError(
-                        f"reachable family exceeds {limit} states; raise the cap to continue"
+                        f"reachable family exceeds {cap} states; raise the cap to continue"
                     )
                 queue.append(nxt)
     return ReachableFamily(

@@ -72,6 +72,12 @@ class TestBuildHistoryTree:
         with pytest.raises(CapExceededError):
             build_history_tree(star_scenario, strategy, 2, node_cap=3)
 
+    def test_environment_cap_ignored(self, star_scenario, monkeypatch):
+        # Only the command line reads NOESIS_NODE_CAP.
+        monkeypatch.setenv("NOESIS_NODE_CAP", "2")
+        tree = build_history_tree(star_scenario, direct_strategy(star_scenario), 2)
+        assert tree.node_count == 6
+
 
 class TestRoundMutualInfo:
     def test_first_signal_carries_nothing(self, arithmetic_scenario):

@@ -142,6 +142,72 @@ def test_env_cap_leaves_audit_global_bound_alone(capsys, fixtures_dir, monkeypat
     assert json.loads(out)["passed"] is True
 
 
+def test_capacity_reads_no_cap(capsys, fixtures_dir, monkeypatch):
+    argv = ["capacity", "--scenario", str(fixtures_dir / "star.scenario")]
+    plain = _run(capsys, *argv)
+    monkeypatch.setenv("NOESIS_NODE_CAP", "3")
+    assert _run(capsys, *argv) == plain
+    assert plain[0] == 0
+
+
+def test_capacity_has_no_cap_flag(capsys, fixtures_dir):
+    code, out, err = _run(
+        capsys, "capacity", "--scenario", str(fixtures_dir / "star.scenario"), "--cap", "5"
+    )
+    assert (code, out) == (1, "")
+    assert "--cap" in err
+
+
+_HORIZON_CAPACITY = 2.32192809489  # log2(5): all five tokens parse at the horizon
+
+
+@pytest.mark.parametrize(
+    "state, expected",
+    [
+        (None, {"state": ["a"], "capacity_bits": 1.0, "max_capacity_bits": _HORIZON_CAPACITY}),
+        ("a,b", {"state": ["a", "b"], "capacity_bits": _HORIZON_CAPACITY,
+                 "max_capacity_bits": _HORIZON_CAPACITY}),
+    ],
+)
+def test_capacity_output_unchanged(capsys, fixtures_dir, state, expected):
+    argv = ["capacity", "--scenario", str(fixtures_dir / "star.scenario")]
+    code, out, _ = _run(capsys, *(argv if state is None else argv + ["--state", state]))
+    assert code == 0
+    assert out == json.dumps(expected, indent=2) + "\n"
+
+
+def _chain(n: int) -> dict:
+    concepts = [f"c{i}" for i in range(n)]
+    return {
+        "concepts": concepts,
+        "axioms": ["c0"],
+        "rules": [{"prereqs": [a], "target": b} for a, b in zip(concepts, concepts[1:])],
+    }
+
+
+def _assert_too_deep(code, out, err):
+    assert (code, out) == (2, "")
+    assert err.startswith("error: input nests too deep")
+    assert err.count("\n") == 1 and "Traceback" not in err
+
+
+def test_deep_derivation_exit_two(capsys, tmp_path):
+    path = tmp_path / "chain.mind"
+    path.write_text(json.dumps(_chain(300)))
+    _assert_too_deep(*_run(capsys, "derive", "--mind", str(path), "--target", "c299"))
+
+
+def test_deep_history_tree_exit_two(capsys, tmp_path):
+    # The history tree is built depth first, one frame per round.
+    n = 990
+    data = _chain(n)
+    data["signals"] = [{"token": f"z{i}", "target": f"c{i}"} for i in range(n)]
+    data["targets"], data["prior"] = [f"c{n - 1}"], [1]
+    path = tmp_path / "chain.scenario"
+    path.write_text(json.dumps(data))
+    _assert_too_deep(*_run(capsys, "audit", "--scenario", str(path), "--horizon", str(n)))
+
+
 class TestQueries:
     def test_closure(self, capsys, fixtures_dir):
         code, out, _ = _run(
@@ -246,6 +312,15 @@ class TestErrors:
         code, out, err = _run(capsys, *(argv + ["--seed", "1"] if command == "simulate" else argv))
         assert (code, out) == (1, "")
         assert "field 'prior'" in err and "Traceback" not in err
+
+    def test_unwritable_out_exit_one(self, capsys, fixtures_dir, tmp_path):
+        target = tmp_path / "missing" / "x.json"
+        code, out, err = _run(
+            capsys, "closure", "--mind", str(fixtures_dir / "arithmetic.mind"), "--out", str(target)
+        )
+        assert (code, out) == (1, "")
+        assert err.startswith("error: ") and str(target) in err
+        assert err.count("\n") == 1 and "Traceback" not in err
 
     def test_unknown_row_token_exit_one(self, capsys, fixtures_dir, tmp_path):
         data = json.loads((fixtures_dir / "star.scenario").read_text())

@@ -228,3 +228,78 @@ class TestTraces:
     def test_dump_json_rounds_floats(self):
         text = dump_json({"p": 0.1 + 0.2})
         assert json.loads(text)["p"] == 0.3
+
+
+def _star_trace_dict(star_scenario) -> dict:
+    trace = run_episode(star_scenario, direct_strategy(star_scenario), 2, seed=7)
+    return json.loads(dump_json(trace_to_dict(trace, "abc123")))
+
+
+@pytest.mark.parametrize(
+    "field, value",
+    [
+        ("state", "ab"),
+        ("state", ["a", 1]),
+        ("belief", "xy"),
+        ("belief", [0.5, "0.5", 0.0, 0.0]),
+        ("belief", [float("nan"), 0.5, 0.0, 0.0]),
+        ("t", "1"),
+        ("t", True),
+        ("t", None),
+        ("z", 3),
+        ("y", 3),
+        ("y", None),
+        ("entropy_bits", "2"),
+        ("capacity_bits", float("inf")),
+        ("capacity_bits", None),
+    ],
+)
+def test_read_trace_rejects_malformed_round_field(tmp_path, star_scenario, field, value):
+    data = _star_trace_dict(star_scenario)
+    data["rounds"][1][field] = value
+    path = tmp_path / "trace.json"
+    path.write_text(json.dumps(data))
+    with pytest.raises(FormatError, match=rf"rounds\[1\]: field '{field}'"):
+        read_trace(path)
+
+
+@pytest.mark.parametrize(
+    "field, value",
+    [
+        ("tau", "two"),
+        ("tau", 2.0),
+        ("tau_id", "1"),
+        ("seed", "7"),
+        ("seed", None),
+        ("horizon", 2.5),
+        ("theta", 3),
+        ("rounds", {}),
+        ("scenario_digest", 5),
+    ],
+)
+def test_read_trace_rejects_malformed_trace_field(tmp_path, star_scenario, field, value):
+    data = _star_trace_dict(star_scenario)
+    data[field] = value
+    path = tmp_path / "trace.json"
+    path.write_text(json.dumps(data))
+    with pytest.raises(FormatError, match=f"field '{field}'"):
+        read_trace(path)
+
+
+@pytest.mark.parametrize("drop", ["t", "state", "belief"])
+def test_read_trace_names_missing_round_field(tmp_path, star_scenario, drop):
+    data = _star_trace_dict(star_scenario)
+    del data["rounds"][0][drop]
+    path = tmp_path / "trace.json"
+    path.write_text(json.dumps(data))
+    with pytest.raises(FormatError, match=rf"rounds\[0\]: missing field '{drop}'"):
+        read_trace(path)
+
+
+def test_read_trace_accepts_null_tau(tmp_path, star_scenario):
+    data = _star_trace_dict(star_scenario)
+    data["tau"] = data["tau_id"] = None
+    path = tmp_path / "trace.json"
+    path.write_text(json.dumps(data))
+    trace, digest = read_trace(path)
+    assert (trace.tau, trace.tau_id, digest) == (None, None, "abc123")

@@ -58,6 +58,11 @@ class TestEnumerateReachable:
         with pytest.raises(CapExceededError):
             enumerate_reachable(diamond, cap=3)
 
+    def test_environment_cap_ignored(self, diamond, monkeypatch):
+        # Only the command line reads NOESIS_NODE_CAP.
+        monkeypatch.setenv("NOESIS_NODE_CAP", "2")
+        assert len(enumerate_reachable(diamond)) == 5
+
     def test_maximum_is_horizon_property(self):
         rng = random.Random(31)
         for _ in range(80):
