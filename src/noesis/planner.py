@@ -143,10 +143,13 @@ _EXACT_OP_CAP = 10_000_000
 def exact_value_tiny(scenario: Scenario, t: int) -> float:
     """Exact optimal success probability on a tiny instance.
 
-    Searches all deterministic history-dependent strategies by
-    maximizing independently over the teacher's choice at every reachable
-    history (one token per live target).  Hard caps keep the search
-    tractable; exceeding them raises :class:`CapExceededError`.
+    Searches all deterministic history-dependent strategies: at each
+    search node the teacher picks one token per live target, and the
+    best choice is found once per ``(state, live targets, depth)``.
+    Under point laws the weights passed down are the prior restricted to
+    the live targets, so that key fixes the node's value and a node
+    reached along several histories is searched once.  Hard caps keep the
+    search tractable; exceeding them raises :class:`CapExceededError`.
     """
     if t < 0:
         raise ValueError("horizon must be nonnegative")
@@ -160,11 +163,15 @@ def exact_value_tiny(scenario: Scenario, t: int) -> float:
     space = scenario.mind.space
     target_bits = [space.bit(target) for target in scenario.targets]
     point_laws = [{tok: 1.0} for tok in scenario.system.tokens]
+    memo: dict[tuple[int, tuple[int, ...], int], float] = {}
     ops = 0
 
     def best(state_mask: int, joint: Sequence[float], depth: int) -> float:
         nonlocal ops
-        live = [i for i, p in enumerate(joint) if p > 0.0]
+        live = tuple(i for i, p in enumerate(joint) if p > 0.0)
+        key = (state_mask, live, depth)
+        if key in memo:
+            return memo[key]
         mass = sum(joint[i] for i in live)
         if len(live) == 1 and target_bits[live[0]] & state_mask:
             return mass  # identified and acquired: completed at this depth
@@ -182,6 +189,7 @@ def exact_value_tiny(scenario: Scenario, t: int) -> float:
             for child_mask, sub in scenario.step(state_mask, laws, joint).values():
                 total += best(child_mask, sub, depth + 1)
             value = max(value, total)
+        memo[key] = value
         return value
 
     return best(scenario.mind.axiom_mask, scenario.prior, 0)
@@ -300,6 +308,44 @@ def broadcast_check(instance: BroadcastInstance, sequence: Sequence[str]) -> tup
     return tuple(bool(s & target_bit) for s in states)
 
 
+class _CompiledType:
+    """One learner type's states under a token alphabet, compiled on first visit.
+
+    States are numbered in discovery order from the axioms (index 0).
+    ``moves(j)`` lists the tokens that change state ``j``, by alphabet
+    index and in alphabet order, with the successor's index; it expands
+    state ``j`` once, the first time it is asked.
+    """
+
+    def __init__(self, mind: Mind, token_bits: Sequence[int], target_bit: int) -> None:
+        self.mind = mind
+        self.token_bits = token_bits
+        self.target_bit = target_bit
+        self.masks = [mind.axiom_mask]
+        self.index = {mind.axiom_mask: 0}
+        self.held = [bool(mind.axiom_mask & target_bit)]
+        self._moves: list[Optional[dict[int, int]]] = [None]
+
+    def moves(self, j: int) -> dict[int, int]:
+        out = self._moves[j]
+        if out is None:
+            mask = self.masks[j]
+            fresh = self.mind.expand_mask(mask) & ~mask
+            out = {}
+            for tok, bit in enumerate(self.token_bits):
+                if fresh & bit:
+                    nxt = mask | bit
+                    succ = self.index.get(nxt)
+                    if succ is None:
+                        succ = self.index[nxt] = len(self.masks)
+                        self.masks.append(nxt)
+                        self.held.append(bool(nxt & self.target_bit))
+                        self._moves.append(None)
+                    out[tok] = succ
+            self._moves[j] = out
+        return out
+
+
 def broadcast_min_length(
     instance: BroadcastInstance, *, cap: int = DEFAULT_STATE_CAP
 ) -> Optional[int]:
@@ -307,28 +353,39 @@ def broadcast_min_length(
 
     Breadth-first search over tuples of per-mind states, one transition
     per token; the shared sequence is recovered implicitly as the path
-    depth.  Returns None when no sequence works, and raises
+    depth.  Each mind is compiled once: every state of it the search
+    meets is expanded one time, into the tokens that move it and their
+    successors.  The cost is then the number of product states visited.
+    A token that moves no mind leads back to the state it left, which is
+    already seen, so only the moving tokens are tried, in alphabet order;
+    the visit order and the cap count are those of trying every token.
+    Returns None when no sequence works, and raises
     :class:`CapExceededError` past ``cap`` visited product states.
     """
     space = instance.space
     target_bit = space.bit(instance.target)
     token_bits = [space.bit(c) for c in instance.system.targets]
+    types = [_CompiledType(mind, token_bits, target_bit) for mind in instance.minds]
 
     def done(states: tuple[int, ...]) -> bool:
-        return all(s & target_bit for s in states)
+        return all(ct.held[j] for ct, j in zip(types, states))
 
-    start = tuple(mind.axiom_mask for mind in instance.minds)
+    start = (0,) * len(types)
     if done(start):
         return 0
     seen = {start}
     frontier = deque([(start, 0)])
     while frontier:
         states, depth = frontier.popleft()
-        for bit in token_bits:
-            nxt = tuple(
-                s | bit if mind.expand_mask(s) & bit else s
-                for s, mind in zip(states, instance.minds)
-            )
+        movers: dict[int, list[tuple[int, int]]] = {}
+        for i, (ct, j) in enumerate(zip(types, states)):
+            for tok, succ in ct.moves(j).items():
+                movers.setdefault(tok, []).append((i, succ))
+        for tok in sorted(movers):
+            moved = list(states)
+            for i, succ in movers[tok]:
+                moved[i] = succ
+            nxt = tuple(moved)
             if nxt in seen:
                 continue
             if done(nxt):

@@ -2,8 +2,9 @@
 
 from __future__ import annotations
 
+import dataclasses
 import random
-from typing import Iterable, Sequence
+from typing import Iterable, Optional, Sequence
 
 from noesis import (
     ConceptSpace,
@@ -89,16 +90,22 @@ def random_mind(
     max_concepts: int = 6,
     max_rules: int = 10,
     nonempty_axioms: bool = False,
+    space: Optional[ConceptSpace] = None,
 ) -> Mind:
     """A random mind biased toward real prerequisite structure.
 
     A scaffold pass wires most non-axiom concepts to prerequisites that
     are already derivable, producing deep chains and branching families;
     a second pass sprinkles unconstrained rules (including empty-premise
-    and dead-end ones) so degenerate shapes stay represented.
+    and dead-end ones) so degenerate shapes stay represented.  The mind
+    lives on ``space`` when one is given, else on a fresh space of at
+    most ``max_concepts`` concepts.
     """
-    n = rng.randint(1, max_concepts)
-    labels = [f"c{i}" for i in range(n)]
+    if space is None:
+        n = rng.randint(1, max_concepts)
+        space = ConceptSpace(tuple(f"c{i}" for i in range(n)))
+    labels = list(space.concepts)
+    n = len(labels)
     order = labels[:]
     rng.shuffle(order)
     low = 1 if nonempty_axioms else 0
@@ -117,7 +124,7 @@ def random_mind(
         prereqs = rng.sample(rest, rng.randint(0, min(3, len(rest))))
         rules.add(ExpansionRule(frozenset(prereqs), target))
     return Mind(
-        space=ConceptSpace(tuple(labels)),
+        space=space,
         axioms=frozenset(axioms),
         rules=tuple(sorted(rules, key=lambda r: (sorted(r.prereqs), r.target))),
     )
@@ -172,6 +179,17 @@ def random_scenario(
         targets=targets,
         prior=tuple(w / total for w in weights),
     )
+
+
+def some_zero_prior(rng: random.Random, scenario: Scenario) -> Scenario:
+    """Zero the prior of some targets (never all) about half the time."""
+    if len(scenario.targets) < 2 or rng.random() < 0.5:
+        return scenario
+    weights = [p if rng.random() < 0.6 else 0.0 for p in scenario.prior]
+    if not any(weights):
+        weights[rng.randrange(len(weights))] = 1.0
+    total = sum(weights)
+    return dataclasses.replace(scenario, prior=tuple(w / total for w in weights))
 
 
 def random_tiny_scenario(rng: random.Random) -> Scenario:

@@ -15,6 +15,11 @@ The third part is the one-BFS-per-target shortest chain and its callers
 (the direct strategy, the value bounds, the deterministic value), which
 the scenario's cached chains replaced; the alphabet scan for a fiber
 comes with them.
+
+The fourth part is the planner's two searches before they memoized
+their nodes: the exact value, maximized afresh at every history through
+:meth:`Scenario.step`, and the broadcast search, which expands every
+mind at every product state for every token.
 """
 
 from __future__ import annotations
@@ -22,13 +27,15 @@ from __future__ import annotations
 import itertools
 import random
 from collections import deque
-from typing import AbstractSet, Mapping, Optional
+from typing import AbstractSet, Mapping, Optional, Sequence
 
 from noesis import (
+    CapExceededError,
     HistoryNode,
     HistoryTree,
     MissingSignalError,
     Mind,
+    Scenario,
     UnreachableConceptError,
     ZeroProbabilityError,
     capacity,
@@ -37,7 +44,14 @@ from noesis import (
     parse,
 )
 from noesis.mind import iter_bits
-from noesis.reachability import FamilyLike, LearningSpaceReport, ReachableFamily
+from noesis.planner import (
+    _EXACT_MAX_HORIZON,
+    _EXACT_MAX_TARGETS,
+    _EXACT_MAX_TOKENS,
+    _EXACT_OP_CAP,
+    BroadcastInstance,
+)
+from noesis.reachability import DEFAULT_STATE_CAP, FamilyLike, LearningSpaceReport, ReachableFamily
 from noesis.signals import SignalSystem, capacity_from_count
 from noesis.teaching import POINT_MASS_TOL, EpisodeTrace, Round, emission_distribution
 
@@ -390,3 +404,93 @@ def deterministic_value(mind: Mind, system: SignalSystem, goal: str, t: int) -> 
         if not fiber(system, concept):
             raise MissingSignalError(f"no signal token teaches chain concept {concept!r}")
     return 0 if t < len(chain) - 1 else 1
+
+
+# --- the planner's searches, one expansion per history ---------------------
+
+
+def exact_value_per_history(scenario: Scenario, t: int) -> float:
+    """Exact optimal success probability on a tiny instance.
+
+    Searches all deterministic history-dependent strategies by
+    maximizing independently over the teacher's choice at every reachable
+    history (one token per live target).  Hard caps keep the search
+    tractable; exceeding them raises :class:`CapExceededError`.
+    """
+    if t < 0:
+        raise ValueError("horizon must be nonnegative")
+    if len(scenario.targets) > _EXACT_MAX_TARGETS:
+        raise CapExceededError(f"exact search caps targets at {_EXACT_MAX_TARGETS}")
+    if len(scenario.system.tokens) > _EXACT_MAX_TOKENS:
+        raise CapExceededError(f"exact search caps the alphabet at {_EXACT_MAX_TOKENS}")
+    if t > _EXACT_MAX_HORIZON:
+        raise CapExceededError(f"exact search caps the horizon at {_EXACT_MAX_HORIZON}")
+
+    space = scenario.mind.space
+    target_bits = [space.bit(target) for target in scenario.targets]
+    point_laws = [{tok: 1.0} for tok in scenario.system.tokens]
+    ops = 0
+
+    def best(state_mask: int, joint: Sequence[float], depth: int) -> float:
+        nonlocal ops
+        live = [i for i, p in enumerate(joint) if p > 0.0]
+        mass = sum(joint[i] for i in live)
+        if len(live) == 1 and target_bits[live[0]] & state_mask:
+            return mass  # identified and acquired: completed at this depth
+        if depth == t:
+            return 0.0
+        value = 0.0
+        laws: list[Optional[dict[str, float]]] = [None] * len(joint)
+        for assignment in itertools.product(point_laws, repeat=len(live)):
+            ops += 1
+            if ops > _EXACT_OP_CAP:
+                raise CapExceededError(f"exact search exceeded {_EXACT_OP_CAP} strategy evaluations")
+            for i, law in zip(live, assignment):
+                laws[i] = law
+            total = 0.0
+            for child_mask, sub in scenario.step(state_mask, laws, joint).values():
+                total += best(child_mask, sub, depth + 1)
+            value = max(value, total)
+        return value
+
+    return best(scenario.mind.axiom_mask, scenario.prior, 0)
+
+
+def broadcast_min_length(
+    instance: BroadcastInstance, *, cap: int = DEFAULT_STATE_CAP
+) -> Optional[int]:
+    """Length of the shortest shared sequence teaching the target to every mind.
+
+    Breadth-first search over tuples of per-mind states, one transition
+    per token; the shared sequence is recovered implicitly as the path
+    depth.  Returns None when no sequence works, and raises
+    :class:`CapExceededError` past ``cap`` visited product states.
+    """
+    space = instance.space
+    target_bit = space.bit(instance.target)
+    token_bits = [space.bit(c) for c in instance.system.targets]
+
+    def done(states: tuple[int, ...]) -> bool:
+        return all(s & target_bit for s in states)
+
+    start = tuple(mind.axiom_mask for mind in instance.minds)
+    if done(start):
+        return 0
+    seen = {start}
+    frontier = deque([(start, 0)])
+    while frontier:
+        states, depth = frontier.popleft()
+        for bit in token_bits:
+            nxt = tuple(
+                s | bit if mind.expand_mask(s) & bit else s
+                for s, mind in zip(states, instance.minds)
+            )
+            if nxt in seen:
+                continue
+            if done(nxt):
+                return depth + 1
+            seen.add(nxt)
+            if len(seen) > cap:
+                raise CapExceededError(f"product-state search exceeded {cap} states")
+            frontier.append((nxt, depth + 1))
+    return None

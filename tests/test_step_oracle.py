@@ -24,19 +24,8 @@ from noesis import (
 TOL = 1e-12
 
 
-def _some_zero_prior(rng: random.Random, scenario):
-    """Zero the prior of some targets (never all) about half the time."""
-    if len(scenario.targets) < 2 or rng.random() < 0.5:
-        return scenario
-    weights = [p if rng.random() < 0.6 else 0.0 for p in scenario.prior]
-    if not any(weights):
-        weights[rng.randrange(len(weights))] = 1.0
-    total = sum(weights)
-    return dataclasses.replace(scenario, prior=tuple(w / total for w in weights))
-
-
 def _case(rng: random.Random):
-    scenario = _some_zero_prior(rng, helpers.random_scenario(rng, max_tokens=5))
+    scenario = helpers.some_zero_prior(rng, helpers.random_scenario(rng, max_tokens=5))
     if rng.random() < 0.75:
         strategy = helpers.random_kernel(rng.randrange(1 << 30), scenario)
     else:
@@ -154,7 +143,7 @@ class TestStepMatchesOracle:
     def test_episode_trace_with_rephrasings_and_known_concepts(self, rng):
         # Several tokens per concept, and kernels that keep teaching known
         # concepts, exercise the ordered-token count the episode keeps.
-        scenario = _some_zero_prior(rng, _rephrased(rng, helpers.random_scenario(rng, max_concepts=7)))
+        scenario = helpers.some_zero_prior(rng, _rephrased(rng, helpers.random_scenario(rng, max_concepts=7)))
         kind = rng.randrange(3)
         if kind == 0:
             strategy = _known_heavy_kernel(rng.randrange(1 << 30), scenario)
@@ -176,7 +165,7 @@ class TestStepMatchesOracle:
     @given(st.randoms(use_true_random=False))
     @settings(max_examples=60, deadline=None)
     def test_exact_value(self, rng):
-        scenario = _some_zero_prior(rng, helpers.random_tiny_scenario(rng))
+        scenario = helpers.some_zero_prior(rng, helpers.random_tiny_scenario(rng))
         for t in range(4):
             assert exact_value_tiny(scenario, t) == pytest.approx(
                 oracle.exact_value_tiny(scenario, t), abs=TOL
