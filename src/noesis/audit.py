@@ -10,15 +10,23 @@ erasure/informative dichotomy of parsing, the futility of rephrasing
 unordered concepts, the total-information identity at identification,
 the trajectory capacity budget, and the global floor on expected
 completion time.
+
+Both walks use an explicit stack, so a tree's depth is bounded by its
+node cap alone.  The audit reads each node's joint tables from their
+nonzero cells only.  A table is then a list of rows, each row a list of
+``(column, p)`` cells in column order; the dense sums skip only zero
+cells, which add nothing exactly, so every float equals the one the
+dense table gives.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Iterator, Optional
+from itertools import compress, count
+from typing import Iterator, Optional, Sequence
 
 from .errors import CapExceededError, InformationLawError
-from .information import entropy_bits, mutual_information_bits
+from .information import entropy_bits, mutual_information_cells
 from .mind import understanding_horizon
 from .signals import ParsedSignal, capacity, capacity_from_count
 from .teaching import Scenario, StrategyKernel, emission_laws
@@ -44,8 +52,10 @@ _EXACT_TOL = 1e-12
 
 DEFAULT_NODE_CAP = 200_000
 
+_Cells = list[list[tuple[int, float]]]  # per row, its nonzero (column, p) in column order
 
-@dataclass(eq=False)
+
+@dataclass(eq=False, slots=True)
 class HistoryNode:
     """One positive-probability parsed history.
 
@@ -106,27 +116,32 @@ def build_history_tree(
     """Enumerate every positive-probability parsed history up to ``horizon``.
 
     Joint probabilities are propagated exactly; only outcomes with
-    positive probability become children.  Raises
+    positive probability become children.  Nodes are made depth first,
+    children in alphabet order with the null observation last.  Raises
     :class:`CapExceededError` when the tree would exceed ``node_cap``.
     """
     if horizon < 0:
         raise ValueError("horizon must be nonnegative")
     tokens = scenario.system.tokens
-    outcome_order = (*tokens, None)
+    column = {tok: j for j, tok in enumerate(tokens)}
+    null_column = len(tokens)
     zero_row = (0.0,) * len(tokens)
+    labels = scenario.mind.space.labels
     states: dict[int, frozenset[str]] = {}  # one label set per distinct state
-    count = 0
-
-    def make_node(history: tuple[ParsedSignal, ...], mask: int, joint: list[float]) -> HistoryNode:
-        nonlocal count
-        count += 1
-        if count > node_cap:
+    root = None
+    made = 0
+    # (parent, parsed outcome, history, state mask, joint), popped in pre-order
+    stack: list = [(None, None, (), scenario.mind.axiom_mask, list(scenario.prior))]
+    while stack:
+        parent, parsed, history, mask, joint = stack.pop()
+        made += 1
+        if made > node_cap:
             raise CapExceededError(f"history tree exceeds {node_cap} nodes")
         prob = sum(joint)
-        belief = tuple(j / prob for j in joint)
+        belief = tuple([j / prob for j in joint])
         state = states.get(mask)
         if state is None:
-            state = states[mask] = scenario.mind.space.labels(mask)
+            state = states[mask] = labels(mask)
         node = HistoryNode(
             history=history,
             prob=prob,
@@ -136,22 +151,32 @@ def build_history_tree(
             entropy_bits=entropy_bits(belief),
             emission=None,
         )
+        if parent is None:
+            root = node
+        else:
+            parent.children[parsed] = node
         if len(history) == horizon:
-            return node
+            continue
         laws = emission_laws(scenario, strategy, history, joint)
-        node.emission = tuple(
-            zero_row if law is None else tuple(b * law.get(tok, 0.0) for tok in tokens)
+        node.emission = tuple([
+            zero_row if law is None else _emission_row(b, law, column, zero_row)
             for b, law in zip(belief, laws)
-        )
+        ])
         outcomes = scenario.step(mask, laws, joint)
-        for parsed in outcome_order:
-            if parsed in outcomes:
-                child_mask, child_joint = outcomes[parsed]
-                node.children[parsed] = make_node(history + (parsed,), child_mask, child_joint)
-        return node
+        for y in sorted(outcomes, key=lambda y: column.get(y, null_column), reverse=True):
+            child_mask, child_joint = outcomes[y]
+            stack.append((node, y, history + (y,), child_mask, child_joint))
+    return HistoryTree(scenario=scenario, horizon=horizon, root=root, node_count=made)
 
-    root = make_node((), scenario.mind.axiom_mask, list(scenario.prior))
-    return HistoryTree(scenario=scenario, horizon=horizon, root=root, node_count=count)
+
+def _emission_row(b: float, law, column: dict[str, int], zero_row: tuple) -> tuple[float, ...]:
+    """``b * law[token]`` in alphabet order; tokens outside the alphabet are left to the step."""
+    row = list(zero_row)
+    for tok, p in law.items():
+        j = column.get(tok)
+        if j is not None:
+            row[j] = b * p
+    return tuple(row)
 
 
 def _mi_entropy_drop(node: HistoryNode) -> float:
@@ -161,36 +186,63 @@ def _mi_entropy_drop(node: HistoryNode) -> float:
     return node.entropy_bits - expected_child
 
 
-def _ordered_cols(scenario: Scenario, state: frozenset[str]) -> list[int]:
-    """Alphabet positions of the tokens that parse at ``state``."""
-    ordered = scenario.ordered_tokens(scenario.mind.space.mask(state))
-    return [j for j, tok in enumerate(scenario.system.tokens) if tok in ordered]
+def _state_columns(scenario: Scenario, state: frozenset[str]) -> tuple[bytes, float]:
+    """Which parsed columns keep their token at ``state``, and the state's capacity.
+
+    ``ordered[j]`` is 1 when token ``j`` parses at ``state``; the null
+    column, last, is 0.  One byte per column keeps a long chain's
+    per-state cache small.
+    """
+    parses = scenario.ordered_tokens(scenario.mind.space.mask(state))
+    tokens = scenario.system.tokens
+    ordered = bytes([tok in parses for tok in tokens] + [False])
+    return ordered, capacity_from_count(ordered.count(1), len(tokens))
 
 
-def _parsed_joint_table(node: HistoryNode, ordered_cols: list[int]) -> list[list[float]]:
+def _emission_cells(emission: Sequence[Sequence[float]]) -> _Cells:
+    """Each emission row's nonzero cells ``(column, p)``, in column order."""
+    return [list(zip(compress(count(), row), compress(row, row))) for row in emission]
+
+
+def _parsed_cells(cells: _Cells, ordered: bytes) -> _Cells:
     """Conditional joint of (target, next parsed observation) at a node.
 
     Pushes the raw emission through the parser: an ordered token keeps
     its column and every other token lands in the null column, the last.
+    Only positive cells are pushed.
     """
-    assert node.emission is not None
     table = []
-    for row in node.emission:
-        out = [0.0] * (len(row) + 1)
-        for j, p in enumerate(row):
+    for row in cells:
+        out = []
+        null = 0.0
+        for j, p in row:
             if p > 0.0:
-                out[j if j in ordered_cols else -1] += p
+                if ordered[j]:
+                    out.append((j, p))
+                else:
+                    null += p
+        if null > 0.0:
+            out.append((len(ordered) - 1, null))
         table.append(out)
     return table
+
+
+def _restricted_mi(table: _Cells, keep: bytes) -> float:
+    """Mutual information of a joint table restricted to the columns ``j`` with ``keep[j]``, renormalized."""
+    sub = [[(j, p) for j, p in row if keep[j]] for row in table]
+    mass = sum([sum([p for _, p in row]) for row in sub])
+    if mass <= 0.0:
+        return 0.0
+    return mutual_information_cells([[(j, p / mass) for j, p in row] for row in sub])
 
 
 def round_mutual_info_from_joint(tree: HistoryTree, node: HistoryNode) -> float:
     """Next-round information about the target, from the joint table."""
     if node.is_leaf:
         raise ValueError("leaf node has no next round")
-    return mutual_information_bits(
-        _parsed_joint_table(node, _ordered_cols(tree.scenario, node.state))
-    )
+    ordered, _ = _state_columns(tree.scenario, node.state)
+    table = _parsed_cells(_emission_cells(node.emission), ordered)
+    return mutual_information_cells(table)
 
 
 def round_mutual_info(tree: HistoryTree, node: HistoryNode) -> float:
@@ -253,20 +305,21 @@ def _verdict(law: str, worst: float, witness) -> LawVerdict:
     return LawVerdict(law, "pass", worst, None)
 
 
-def _restricted_mi(table: list[list[float]], keep_cols: list[int]) -> float:
-    """Mutual information of a joint table restricted to columns and renormalized."""
-    sub = [[row[j] for j in keep_cols] for row in table]
-    mass = sum(sum(row) for row in sub)
-    if mass <= 0.0:
-        return 0.0
-    return mutual_information_bits([[p / mass for p in row] for row in sub])
-
-
 def audit_all(tree: HistoryTree, scenario: Optional[Scenario] = None) -> AuditReport:
-    """Run all eight information-law checks over a built history tree."""
+    """Run all eight information-law checks over a built history tree.
+
+    One depth-first pass visits every node once, in the order of
+    :meth:`HistoryTree.iter_nodes`, and also walks the expected
+    completion time.  Each distinct state's ordered columns and capacity
+    are computed once.  Past one scan of the node's dense emission rows
+    for their nonzero cells, the work per node is linear in those cells.
+    """
     scenario = tree.scenario if scenario is None else scenario
     system = scenario.system
     n_tokens = len(system.tokens)
+    targets = scenario.targets
+    null_only = bytes(n_tokens) + b"\x01"  # keeps the null column alone
+    columns: dict[frozenset[str], tuple[bytes, float]] = {}
 
     worst_drop = (0.0, None)
     worst_super = (0.0, None)
@@ -275,13 +328,48 @@ def audit_all(tree: HistoryTree, scenario: Optional[Scenario] = None) -> AuditRe
     worst_reph = (0.0, None)
     chain_sum = 0.0
     budget_sum = 0.0
+    identified_everywhere = True
+    # Expected completion time: each target adds its mass times the depth
+    # at the first node where it is known and believed; a target still
+    # alive at a leaf never completes.
+    expected_tau = 0.0
+    incomplete = False
 
-    for node in tree.internal_nodes():
-        ordered_cols = _ordered_cols(scenario, node.state)
-        state_capacity = capacity_from_count(len(ordered_cols), n_tokens)
+    stack = [(tree.root, list(range(len(targets))))]
+    while stack:
+        node, alive = stack.pop()
+        if alive and not incomplete:
+            still = []
+            for i in alive:
+                if node.joint[i] <= 0.0:
+                    continue
+                done = (
+                    targets[i] in node.state
+                    and node.joint[i] >= node.prob * (1.0 - _EXACT_TOL)
+                )
+                if done:
+                    expected_tau += node.joint[i] * node.depth
+                else:
+                    still.append(i)
+            if still and node.is_leaf:
+                incomplete = True
+            alive = still
+
+        if not node.children:
+            if node.entropy_bits > _EXACT_TOL:
+                identified_everywhere = False
+            continue
+        stack.extend((child, alive) for child in reversed(node.children.values()))
+
+        state_columns = columns.get(node.state)
+        if state_columns is None:
+            state_columns = columns[node.state] = _state_columns(scenario, node.state)
+        ordered, state_capacity = state_columns
         drop = _mi_entropy_drop(node)
-        table = _parsed_joint_table(node, ordered_cols)
-        mi = mutual_information_bits(table)
+        assert node.emission is not None
+        cells = _emission_cells(node.emission)
+        table = _parsed_cells(cells, ordered)
+        mi = mutual_information_cells(table)
 
         gap = abs(drop - mi)
         if gap > worst_drop[0]:
@@ -301,28 +389,28 @@ def audit_all(tree: HistoryTree, scenario: Optional[Scenario] = None) -> AuditRe
         # it conditions on the event; within it the observation is
         # constant and must carry nothing.  On the parseable event the
         # parser is the identity, so parsed and raw information agree.
-        assert node.emission is not None
-        mi_erased = _restricted_mi(table, [n_tokens])
+        mi_erased = _restricted_mi(table, null_only)
         if mi_erased > worst_rel[0]:
             worst_rel = (mi_erased, node.history)
-        mi_y = _restricted_mi(table, ordered_cols)
-        mi_z = _restricted_mi(node.emission, ordered_cols)
-        gap = abs(mi_y - mi_z)
-        if gap > worst_rel[0]:
-            worst_rel = (gap, node.history)
+        # The parsed table keeps the emission's positive cells at ordered
+        # columns as they are, so the two restrictions to the ordered
+        # columns are one table and agree exactly; only a negative or NaN
+        # emission cell can separate them.
+        positive = [(j, p) for row in cells for j, p in row if p > 0.0]
+        if len(positive) != sum(map(len, cells)):
+            gap = abs(_restricted_mi(table, ordered) - _restricted_mi(cells, ordered))
+            if gap > worst_rel[0]:
+                worst_rel = (gap, node.history)
 
-        support = {j for row in node.emission for j, p in enumerate(row) if p > 0.0}
-        if len({system.targets[j] for j in support}) == 1:
+        if len({system.targets[j] for j, _ in positive}) == 1:
             # Every emitted token teaches the same concept, so any one of
             # them tells whether that concept is ordered.
-            if next(iter(support)) not in ordered_cols and mi > worst_reph[0]:
+            if not ordered[positive[0][0]] and mi > worst_reph[0]:
                 worst_reph = (mi, node.history)
 
         if node.entropy_bits > _EXACT_TOL:
             chain_sum += node.prob * mi
             budget_sum += node.prob * state_capacity
-
-    identified_everywhere = all(leaf.entropy_bits <= _EXACT_TOL for leaf in tree.leaves())
 
     verdicts = [
         _verdict("entropy_drop", *worst_drop),
@@ -344,45 +432,11 @@ def audit_all(tree: HistoryTree, scenario: Optional[Scenario] = None) -> AuditRe
         verdicts.append(LawVerdict("chain_identity", "not applicable", 0.0, None))
         verdicts.append(LawVerdict("trajectory_budget", "not applicable", 0.0, None))
 
-    verdicts.append(_global_bound_verdict(tree, scenario))
+    verdicts.append(_global_bound_verdict(None if incomplete else expected_tau, scenario))
     return AuditReport(tuple(verdicts))
 
 
-def _expected_completion_time(tree: HistoryTree, scenario: Scenario) -> Optional[float]:
-    """Exact expected completion time, or None when some path never completes."""
-    total = 0.0
-    incomplete = False
-
-    def walk(node: HistoryNode, alive: list[int]) -> None:
-        nonlocal total, incomplete
-        if incomplete:
-            return
-        still = []
-        for i in alive:
-            if node.joint[i] <= 0.0:
-                continue
-            done = (
-                scenario.targets[i] in node.state
-                and node.joint[i] >= node.prob * (1.0 - _EXACT_TOL)
-            )
-            if done:
-                total += node.joint[i] * node.depth
-            else:
-                still.append(i)
-        if not still:
-            return
-        if node.is_leaf:
-            incomplete = True
-            return
-        for child in node.children.values():
-            walk(child, still)
-
-    walk(tree.root, list(range(len(scenario.targets))))
-    return None if incomplete else total
-
-
-def _global_bound_verdict(tree: HistoryTree, scenario: Scenario) -> LawVerdict:
-    expected_tau = _expected_completion_time(tree, scenario)
+def _global_bound_verdict(expected_tau: Optional[float], scenario: Scenario) -> LawVerdict:
     if expected_tau is None:
         return LawVerdict("global_bound", "not applicable", 0.0, None)
     chains = scenario.target_chains

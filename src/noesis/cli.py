@@ -11,6 +11,7 @@ command line reads the ``NOESIS_NODE_CAP`` environment variable.
 from __future__ import annotations
 
 import argparse
+import functools
 import os
 import sys
 from pathlib import Path
@@ -61,7 +62,9 @@ def _env_cap(default: int) -> int:
     return int(raw)
 
 
+@functools.cache
 def _build_parser() -> _Parser:
+    """The command-line parser, built once per process: parsing leaves it unchanged."""
     parser = _Parser(prog="noesis", description=__doc__)
     sub = parser.add_subparsers(dest="command", required=True)
 

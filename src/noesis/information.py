@@ -5,7 +5,7 @@ from __future__ import annotations
 import math
 from typing import Iterable, Sequence
 
-__all__ = ["entropy_bits", "mutual_information_bits"]
+__all__ = ["entropy_bits", "mutual_information_bits", "mutual_information_cells"]
 
 
 def entropy_bits(probs: Iterable[float]) -> float:
@@ -23,11 +23,28 @@ def mutual_information_bits(joint: Sequence[Sequence[float]]) -> float:
     The table must hold nonnegative entries summing to one; zero cells
     contribute nothing.
     """
-    row_marg = [sum(row) for row in joint]
-    col_marg = [sum(col) for col in zip(*joint)]
+    return mutual_information_cells(
+        [[(j, p) for j, p in enumerate(row) if p != 0.0] for row in joint]
+    )
+
+
+def mutual_information_cells(table: Sequence[Sequence[tuple[int, float]]]) -> float:
+    """:func:`mutual_information_bits` of a table given by its nonzero cells.
+
+    ``table[i]`` lists row ``i``'s nonzero entries as ``(column, p)`` in
+    column order.  Each marginal sums the same entries in the same order
+    as the dense table, less its zeros, which add nothing exactly, so the
+    result is the dense one bit for bit.
+    """
+    by_column: dict[int, list[float]] = {}
+    for row in table:
+        for j, p in row:
+            by_column.setdefault(j, []).append(p)
+    col_marg = {j: sum(ps) for j, ps in by_column.items()}
     total = 0.0
-    for i, row in enumerate(joint):
-        for j, p in enumerate(row):
+    for row in table:
+        row_marg = sum([p for _, p in row])
+        for j, p in row:
             if p > 0.0:
-                total += p * math.log2(p / (row_marg[i] * col_marg[j]))
+                total += p * math.log2(p / (row_marg * col_marg[j]))
     return total

@@ -20,11 +20,18 @@ The fourth part is the planner's two searches before they memoized
 their nodes: the exact value, maximized afresh at every history through
 :meth:`Scenario.step`, and the broadcast search, which expands every
 mind at every product state for every token.
+
+The fifth part is the recursive history tree and the dense audit that
+the explicit-stack walks replaced: every internal node builds its
+targets x (tokens + 1) parsed table, rebuilds its state mask from the
+frozenset, and runs four dense mutual-information passes; the expected
+completion time is a second, recursive walk.
 """
 
 from __future__ import annotations
 
 import itertools
+import math
 import random
 from collections import deque
 from typing import AbstractSet, Mapping, Optional, Sequence
@@ -43,7 +50,8 @@ from noesis import (
     knowledge_update,
     parse,
 )
-from noesis.mind import iter_bits
+from noesis.audit import _EXACT_TOL, AUDIT_TOL, DEFAULT_NODE_CAP, AuditReport, LawVerdict
+from noesis.mind import iter_bits, understanding_horizon
 from noesis.planner import (
     _EXACT_MAX_HORIZON,
     _EXACT_MAX_TARGETS,
@@ -53,7 +61,7 @@ from noesis.planner import (
 )
 from noesis.reachability import DEFAULT_STATE_CAP, FamilyLike, LearningSpaceReport, ReachableFamily
 from noesis.signals import SignalSystem, capacity_from_count
-from noesis.teaching import POINT_MASS_TOL, EpisodeTrace, Round, emission_distribution
+from noesis.teaching import POINT_MASS_TOL, EpisodeTrace, Round, emission_distribution, emission_laws
 
 
 def parsed_likelihood(scenario, strategy, history, state, parsed) -> list[float]:
@@ -494,3 +502,241 @@ def broadcast_min_length(
                 raise CapExceededError(f"product-state search exceeded {cap} states")
             frontier.append((nxt, depth + 1))
     return None
+
+
+# --- the recursive history tree and the dense audit -------------------------
+
+
+def build_history_tree_recursive(
+    scenario: Scenario,
+    strategy,
+    horizon: int,
+    *,
+    node_cap: int = DEFAULT_NODE_CAP,
+) -> HistoryTree:
+    if horizon < 0:
+        raise ValueError("horizon must be nonnegative")
+    tokens = scenario.system.tokens
+    outcome_order = (*tokens, None)
+    zero_row = (0.0,) * len(tokens)
+    states: dict[int, frozenset[str]] = {}  # one label set per distinct state
+    count = 0
+
+    def make_node(history: tuple, mask: int, joint: list[float]) -> HistoryNode:
+        nonlocal count
+        count += 1
+        if count > node_cap:
+            raise CapExceededError(f"history tree exceeds {node_cap} nodes")
+        prob = sum(joint)
+        belief = tuple(j / prob for j in joint)
+        state = states.get(mask)
+        if state is None:
+            state = states[mask] = scenario.mind.space.labels(mask)
+        node = HistoryNode(
+            history=history,
+            prob=prob,
+            state=state,
+            joint=tuple(joint),
+            belief=belief,
+            entropy_bits=entropy_bits(belief),
+            emission=None,
+        )
+        if len(history) == horizon:
+            return node
+        laws = emission_laws(scenario, strategy, history, joint)
+        node.emission = tuple(
+            zero_row if law is None else tuple(b * law.get(tok, 0.0) for tok in tokens)
+            for b, law in zip(belief, laws)
+        )
+        outcomes = scenario.step(mask, laws, joint)
+        for parsed in outcome_order:
+            if parsed in outcomes:
+                child_mask, child_joint = outcomes[parsed]
+                node.children[parsed] = make_node(history + (parsed,), child_mask, child_joint)
+        return node
+
+    root = make_node((), scenario.mind.axiom_mask, list(scenario.prior))
+    return HistoryTree(scenario=scenario, horizon=horizon, root=root, node_count=count)
+
+
+def mutual_information_dense(joint: Sequence[Sequence[float]]) -> float:
+    row_marg = [sum(row) for row in joint]
+    col_marg = [sum(col) for col in zip(*joint)]
+    total = 0.0
+    for i, row in enumerate(joint):
+        for j, p in enumerate(row):
+            if p > 0.0:
+                total += p * math.log2(p / (row_marg[i] * col_marg[j]))
+    return total
+
+
+def _dense_mi_entropy_drop(node: HistoryNode) -> float:
+    expected_child = sum(
+        (child.prob / node.prob) * child.entropy_bits for child in node.children.values()
+    )
+    return node.entropy_bits - expected_child
+
+
+def _dense_ordered_cols(scenario: Scenario, state: frozenset[str]) -> list[int]:
+    ordered = scenario.ordered_tokens(scenario.mind.space.mask(state))
+    return [j for j, tok in enumerate(scenario.system.tokens) if tok in ordered]
+
+
+def _dense_parsed_joint_table(node: HistoryNode, ordered_cols: list[int]) -> list[list[float]]:
+    assert node.emission is not None
+    table = []
+    for row in node.emission:
+        out = [0.0] * (len(row) + 1)
+        for j, p in enumerate(row):
+            if p > 0.0:
+                out[j if j in ordered_cols else -1] += p
+        table.append(out)
+    return table
+
+
+def round_mutual_info_from_joint_dense(tree: HistoryTree, node: HistoryNode) -> float:
+    if node.is_leaf:
+        raise ValueError("leaf node has no next round")
+    return mutual_information_dense(
+        _dense_parsed_joint_table(node, _dense_ordered_cols(tree.scenario, node.state))
+    )
+
+
+def _dense_verdict(law: str, worst: float, witness) -> LawVerdict:
+    if worst > AUDIT_TOL:
+        return LawVerdict(law, "fail", worst, witness)
+    return LawVerdict(law, "pass", worst, None)
+
+
+def _dense_restricted_mi(table: list[list[float]], keep_cols: list[int]) -> float:
+    sub = [[row[j] for j in keep_cols] for row in table]
+    mass = sum(sum(row) for row in sub)
+    if mass <= 0.0:
+        return 0.0
+    return mutual_information_dense([[p / mass for p in row] for row in sub])
+
+
+def audit_all_dense(tree: HistoryTree, scenario: Optional[Scenario] = None) -> AuditReport:
+    scenario = tree.scenario if scenario is None else scenario
+    system = scenario.system
+    n_tokens = len(system.tokens)
+
+    worst_drop = (0.0, None)
+    worst_super = (0.0, None)
+    worst_cap = (0.0, None)
+    worst_rel = (0.0, None)
+    worst_reph = (0.0, None)
+    chain_sum = 0.0
+    budget_sum = 0.0
+
+    for node in tree.internal_nodes():
+        ordered_cols = _dense_ordered_cols(scenario, node.state)
+        state_capacity = capacity_from_count(len(ordered_cols), n_tokens)
+        drop = _dense_mi_entropy_drop(node)
+        table = _dense_parsed_joint_table(node, ordered_cols)
+        mi = mutual_information_dense(table)
+
+        gap = abs(drop - mi)
+        if gap > worst_drop[0]:
+            worst_drop = (gap, node.history)
+
+        over = -drop  # expected child entropy above the node entropy
+        if over > worst_super[0]:
+            worst_super = (over, node.history)
+
+        excess = mi - state_capacity
+        if excess > worst_cap[0]:
+            worst_cap = (excess, node.history)
+
+        assert node.emission is not None
+        mi_erased = _dense_restricted_mi(table, [n_tokens])
+        if mi_erased > worst_rel[0]:
+            worst_rel = (mi_erased, node.history)
+        mi_y = _dense_restricted_mi(table, ordered_cols)
+        mi_z = _dense_restricted_mi(node.emission, ordered_cols)
+        gap = abs(mi_y - mi_z)
+        if gap > worst_rel[0]:
+            worst_rel = (gap, node.history)
+
+        support = {j for row in node.emission for j, p in enumerate(row) if p > 0.0}
+        if len({system.targets[j] for j in support}) == 1:
+            if next(iter(support)) not in ordered_cols and mi > worst_reph[0]:
+                worst_reph = (mi, node.history)
+
+        if node.entropy_bits > _EXACT_TOL:
+            chain_sum += node.prob * mi
+            budget_sum += node.prob * state_capacity
+
+    identified_everywhere = all(leaf.entropy_bits <= _EXACT_TOL for leaf in tree.leaves())
+
+    verdicts = [
+        _dense_verdict("entropy_drop", *worst_drop),
+        _dense_verdict("supermartingale", *worst_super),
+        _dense_verdict("statewise_bound", *worst_cap),
+        _dense_verdict("relativity", *worst_rel),
+        _dense_verdict("rephrasing", *worst_reph),
+    ]
+
+    prior_entropy = entropy_bits(scenario.prior)
+    if identified_everywhere:
+        verdicts.append(
+            _dense_verdict("chain_identity", abs(chain_sum - prior_entropy), None)
+        )
+        verdicts.append(
+            _dense_verdict("trajectory_budget", prior_entropy - budget_sum, None)
+        )
+    else:
+        verdicts.append(LawVerdict("chain_identity", "not applicable", 0.0, None))
+        verdicts.append(LawVerdict("trajectory_budget", "not applicable", 0.0, None))
+
+    verdicts.append(_dense_global_bound_verdict(tree, scenario))
+    return AuditReport(tuple(verdicts))
+
+
+def expected_completion_time_recursive(tree: HistoryTree, scenario: Scenario) -> Optional[float]:
+    """Exact expected completion time, or None when some path never completes."""
+    total = 0.0
+    incomplete = False
+
+    def walk(node: HistoryNode, alive: list[int]) -> None:
+        nonlocal total, incomplete
+        if incomplete:
+            return
+        still = []
+        for i in alive:
+            if node.joint[i] <= 0.0:
+                continue
+            done = (
+                scenario.targets[i] in node.state
+                and node.joint[i] >= node.prob * (1.0 - _EXACT_TOL)
+            )
+            if done:
+                total += node.joint[i] * node.depth
+            else:
+                still.append(i)
+        if not still:
+            return
+        if node.is_leaf:
+            incomplete = True
+            return
+        for child in node.children.values():
+            walk(child, still)
+
+    walk(tree.root, list(range(len(scenario.targets))))
+    return None if incomplete else total
+
+
+def _dense_global_bound_verdict(tree: HistoryTree, scenario: Scenario) -> LawVerdict:
+    expected_tau = expected_completion_time_recursive(tree, scenario)
+    if expected_tau is None:
+        return LawVerdict("global_bound", "not applicable", 0.0, None)
+    chains = scenario.target_chains
+    expected_depth = 0.0
+    for target, weight in zip(scenario.targets, scenario.prior):
+        if weight > 0.0:
+            expected_depth += weight * (len(chains[target]) - 1)
+    cap_max = capacity(scenario.mind, scenario.system, understanding_horizon(scenario.mind))
+    floor = expected_depth
+    if cap_max > 0.0:
+        floor = max(floor, entropy_bits(scenario.prior) / cap_max)
+    return _dense_verdict("global_bound", floor - expected_tau, None)

@@ -197,15 +197,51 @@ def test_deep_derivation_exit_two(capsys, tmp_path):
     _assert_too_deep(*_run(capsys, "derive", "--mind", str(path), "--target", "c299"))
 
 
-def test_deep_history_tree_exit_two(capsys, tmp_path):
-    # The history tree is built depth first, one frame per round.
-    n = 990
+@pytest.mark.parametrize("n", [990, 1500])
+def test_deep_history_tree_passes(capsys, tmp_path, n):
+    # Both tree walks keep their own stack, so depth is bounded by the node cap.
     data = _chain(n)
     data["signals"] = [{"token": f"z{i}", "target": f"c{i}"} for i in range(n)]
     data["targets"], data["prior"] = [f"c{n - 1}"], [1]
     path = tmp_path / "chain.scenario"
     path.write_text(json.dumps(data))
-    _assert_too_deep(*_run(capsys, "audit", "--scenario", str(path), "--horizon", str(n)))
+    code, out, err = _run(capsys, "audit", "--scenario", str(path), "--horizon", str(n))
+    assert (code, err) == (0, "")
+    report = json.loads(out)
+    assert report["passed"] is True
+    assert report["nodes"] == n + 1
+
+
+class TestRepeatedCalls:
+    """The parser is built once per process; no call may see another's arguments."""
+
+    def test_bad_usage_after_a_good_call(self, capsys, fixtures_dir):
+        mind = str(fixtures_dir / "arithmetic.mind")
+        assert _run(capsys, "closure", "--mind", mind)[0] == 0
+        code, out, err = _run(capsys, "closure")
+        assert (code, out) == (1, "")
+        assert "--mind" in err
+        assert _run(capsys, "closure", "--mind", mind, "--bogus")[0] == 1
+        assert _run(capsys, "closure", "--mind", mind)[0] == 0
+
+    def test_cap_default_returns_when_omitted(self, capsys, fixtures_dir, monkeypatch):
+        monkeypatch.delenv("NOESIS_NODE_CAP", raising=False)
+        argv = ["audit", "--scenario", str(fixtures_dir / "star.scenario"), "--horizon", "2"]
+        code, _, err = _run(capsys, *argv, "--cap", "3")
+        assert code == 2 and "3 nodes" in err
+        code, out, _ = _run(capsys, *argv)
+        assert code == 0 and json.loads(out)["nodes"] == 6
+
+    def test_environment_cap_read_on_each_call(self, capsys, fixtures_dir, monkeypatch):
+        argv = ["audit", "--scenario", str(fixtures_dir / "star.scenario"), "--horizon", "2"]
+        monkeypatch.setenv("NOESIS_NODE_CAP", "3")
+        assert _run(capsys, *argv)[0] == 2
+        monkeypatch.setenv("NOESIS_NODE_CAP", "6")
+        assert _run(capsys, *argv)[0] == 0
+        monkeypatch.setenv("NOESIS_NODE_CAP", "5")
+        assert _run(capsys, *argv)[0] == 2
+        monkeypatch.delenv("NOESIS_NODE_CAP")
+        assert _run(capsys, *argv)[0] == 0
 
 
 class TestQueries:

@@ -23,7 +23,6 @@ from noesis import (
     enumerate_reachable,
     max_capacity,
 )
-from noesis.audit import _expected_completion_time
 
 LABELS = tuple("abcdef")
 
@@ -142,7 +141,7 @@ def _assert_global_bound_matches_oracle(scenario, horizon: int) -> None:
     """The audit's global floor equals the one built on the per-state capacity scan."""
     tree = build_history_tree(scenario, direct_strategy(scenario), horizon)
     verdict = audit_all(tree)["global_bound"]
-    tau = _expected_completion_time(tree, scenario)
+    tau = oracle.expected_completion_time_recursive(tree, scenario)
     if tau is None:
         assert verdict.verdict == "not applicable"
         return
