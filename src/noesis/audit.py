@@ -305,7 +305,7 @@ def _verdict(law: str, worst: float, witness) -> LawVerdict:
     return LawVerdict(law, "pass", worst, None)
 
 
-def audit_all(tree: HistoryTree, scenario: Optional[Scenario] = None) -> AuditReport:
+def audit_all(tree: HistoryTree) -> AuditReport:
     """Run all eight information-law checks over a built history tree.
 
     One depth-first pass visits every node once, in the order of
@@ -314,7 +314,7 @@ def audit_all(tree: HistoryTree, scenario: Optional[Scenario] = None) -> AuditRe
     are computed once.  Past one scan of the node's dense emission rows
     for their nonzero cells, the work per node is linear in those cells.
     """
-    scenario = tree.scenario if scenario is None else scenario
+    scenario = tree.scenario
     system = scenario.system
     n_tokens = len(system.tokens)
     targets = scenario.targets

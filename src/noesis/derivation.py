@@ -5,6 +5,10 @@ the closure of a base set: leaves are base concepts, internal nodes apply
 one expansion rule to children that supply its prerequisites.  Flattening
 a derivation in child-before-parent order yields an ordered curriculum
 whose every step has its prerequisites already acquired.
+
+:func:`derive` shares one node per concept, so the expanded tree can be
+exponentially larger than the DAG; every walk here visits each distinct
+node once, with an explicit stack rather than recursion.
 """
 
 from __future__ import annotations
@@ -37,7 +41,11 @@ class DerivationTree:
         return self.rule is None
 
     def size(self) -> int:
-        return 1 + sum(child.size() for child in self.children)
+        """The node count of the expanded tree, each shared subtree counted per occurrence."""
+        sizes: dict[int, int] = {}
+        for node in _distinct_nodes(self):
+            sizes[id(node)] = 1 + sum(sizes[id(child)] for child in node.children)
+        return sizes[id(self)]
 
 
 @dataclass(frozen=True)
@@ -60,56 +68,49 @@ class Curriculum:
         return iter(self.steps)
 
 
+def _distinct_nodes(tree: DerivationTree) -> list[DerivationTree]:
+    """Each distinct node object of ``tree`` once, in post-order of first visit."""
+    seen = {id(tree)}
+    out: list[DerivationTree] = []
+    stack = [(tree, iter(tree.children))]
+    while stack:
+        node, children = stack[-1]
+        for child in children:
+            if id(child) not in seen:
+                seen.add(id(child))
+                stack.append((child, iter(child.children)))
+                break
+        else:
+            stack.pop()
+            out.append(node)
+    return out
+
+
 def derive(mind: Mind, state: Iterable[str], concept: str) -> Optional[DerivationTree]:
     """Build a derivation of ``concept`` from ``state``, or None if underivable.
 
-    Deterministic construction: concepts are assigned the first expansion
-    layer in which they appear, and each derived concept is justified by
-    the lowest-index rule that fires at the previous layer.  Recursion is
-    on layer number, so the result is always finite; shallow trees come
-    out of the layer-minimal choice.
+    One pass, layer by layer, stopping once ``concept`` appears: a concept
+    is justified in the first expansion layer in which it appears, by the
+    first rule in rule order that fires at the previous layer, and its
+    node is built there from its prerequisites' nodes.
     """
     space = mind.space
-    base_mask = mind.require_state(state)
+    known = space.mask(state)
     target_bit = space.bit(concept)
+    compiled = mind._compiled.rules
 
-    layers = mind.expansion_layers(base_mask)
-    if not layers[-1] & target_bit:
-        return None
-
-    layer_of: dict[int, int] = {}
-    for depth, mask in enumerate(layers):
-        fresh = mask if depth == 0 else mask & ~layers[depth - 1]
-        for bit in iter_bits(fresh):
-            layer_of[bit] = depth
-
-    rule_for: dict[int, ExpansionRule] = {}
-    masked_rules = [(space.mask(r.prereqs), space.bit(r.target), r) for r in mind.effective_rules]
-    for bit, depth in layer_of.items():
-        if bit & base_mask:
-            continue
-        prev = layers[depth - 1]
-        for prereq_mask, tbit, rule in masked_rules:
-            if tbit == bit and prereq_mask & ~prev == 0:
-                rule_for[bit] = rule
-                break
-
-    memo: dict[int, DerivationTree] = {}
-
-    def build(bit: int) -> DerivationTree:
-        if bit in memo:
-            return memo[bit]
-        label = space.concepts[bit.bit_length() - 1]
-        if bit & base_mask:
-            node = DerivationTree(label, None)
-        else:
-            rule = rule_for[bit]
-            kids = tuple(build(b) for b in iter_bits(space.mask(rule.prereqs)))
-            node = DerivationTree(label, rule, kids)
-        memo[bit] = node
-        return node
-
-    return build(target_bit)
+    nodes = {bit: DerivationTree(space.concepts[bit.bit_length() - 1], None) for bit in iter_bits(known)}
+    while not known & target_bit:
+        grown = known
+        for (prereq_mask, bit), rule in zip(compiled, mind.rules):
+            if not bit & grown and prereq_mask & ~known == 0:
+                grown |= bit
+                kids = tuple(nodes[b] for b in iter_bits(prereq_mask))
+                nodes[bit] = DerivationTree(rule.target, rule, kids)
+        if grown == known:
+            return None
+        known = grown
+    return nodes[target_bit]
 
 
 def verify_derivation(mind: Mind, state: Iterable[str], tree: DerivationTree) -> bool:
@@ -128,11 +129,9 @@ def verify_derivation(mind: Mind, state: Iterable[str], tree: DerivationTree) ->
         if node.rule not in rule_set or node.rule.target != node.concept:
             return False
         child_labels = [child.concept for child in node.children]
-        if len(child_labels) != len(node.rule.prereqs) or set(child_labels) != node.rule.prereqs:
-            return False
-        return all(ok(child) for child in node.children)
+        return len(child_labels) == len(node.rule.prereqs) and set(child_labels) == node.rule.prereqs
 
-    return ok(tree)
+    return all(ok(node) for node in _distinct_nodes(tree))
 
 
 def curriculum_from_derivation(tree: DerivationTree) -> Curriculum:
@@ -141,18 +140,8 @@ def curriculum_from_derivation(tree: DerivationTree) -> Curriculum:
     Rule nodes are emitted in child-before-parent order; repeated
     applications of the same rule keep only their first occurrence.
     """
-    steps: list[ExpansionRule] = []
-    emitted: set[ExpansionRule] = set()
-
-    def walk(node: DerivationTree) -> None:
-        for child in node.children:
-            walk(child)
-        if node.rule is not None and node.rule not in emitted:
-            emitted.add(node.rule)
-            steps.append(node.rule)
-
-    walk(tree)
-    return Curriculum(tuple(steps))
+    rules = (node.rule for node in _distinct_nodes(tree) if node.rule is not None)
+    return Curriculum(tuple(dict.fromkeys(rules)))
 
 
 def validate_curriculum(

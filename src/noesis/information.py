@@ -34,7 +34,8 @@ def mutual_information_cells(table: Sequence[Sequence[tuple[int, float]]]) -> fl
     ``table[i]`` lists row ``i``'s nonzero entries as ``(column, p)`` in
     column order.  Each marginal sums the same entries in the same order
     as the dense table, less its zeros, which add nothing exactly, so the
-    result is the dense one bit for bit.
+    result is the dense one bit for bit, except where the product of two
+    marginals underflows to 0.0: there the logarithm is taken term by term.
     """
     by_column: dict[int, list[float]] = {}
     for row in table:
@@ -46,5 +47,8 @@ def mutual_information_cells(table: Sequence[Sequence[tuple[int, float]]]) -> fl
         row_marg = sum([p for _, p in row])
         for j, p in row:
             if p > 0.0:
-                total += p * math.log2(p / (row_marg * col_marg[j]))
+                try:
+                    total += p * math.log2(p / (row_marg * col_marg[j]))
+                except ZeroDivisionError:  # the product of subnormal marginals underflowed
+                    total += p * (math.log2(p) - math.log2(row_marg) - math.log2(col_marg[j]))
     return total

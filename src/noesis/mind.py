@@ -149,31 +149,20 @@ class Mind:
         if not self._report.accepted:
             raise InvalidMindError(f"mind rejected by validation: {self._report.summary()}")
         space = self.space
-        seen: set[ExpansionRule] = set()
-        compiled: list[tuple[int, int]] = []
-        for rule in self.rules:
-            if rule in seen:
-                continue
-            seen.add(rule)
-            compiled.append((space.mask(rule.prereqs), space.bit(rule.target)))
         return _CompiledMind(
             axiom_mask=space.mask(self.axioms),
-            rules=tuple(compiled),
-            rule_objects=tuple(r for r in dict.fromkeys(self.rules)),
+            rules=tuple((space.mask(rule.prereqs), space.bit(rule.target)) for rule in self.rules),
         )
 
     @property
     def effective_rules(self) -> tuple[ExpansionRule, ...]:
-        """The rule list with duplicates removed, in first-occurrence order."""
-        return self._compiled.rule_objects
+        """The rule list, once validation has accepted the mind (it rejects duplicates)."""
+        self._compiled  # raises InvalidMindError unless validation passed
+        return self.rules
 
     @property
     def axiom_mask(self) -> int:
         return self._compiled.axiom_mask
-
-    def require_state(self, state: Iterable[str]) -> int:
-        """Convert a concept set to a mask, rejecting unknown labels."""
-        return self.space.mask(state)
 
     def expand_mask(self, mask: int) -> int:
         out = mask
@@ -202,13 +191,6 @@ class Mind:
             if prereq_mask & ~grown == 0:
                 out |= target_bit
         return out
-
-    def expansion_layers(self, mask: int) -> list[int]:
-        """Every distinct iterate of one-step expansion from ``mask``, the closure last."""
-        layers = [mask]
-        while (nxt := self.expand_mask(layers[-1])) != layers[-1]:
-            layers.append(nxt)
-        return layers
 
     def closure_mask(self, start: int) -> int:
         """Least fixed point of the expansion operator containing ``start``.
@@ -247,8 +229,7 @@ class Mind:
 @dataclass(frozen=True)
 class _CompiledMind:
     axiom_mask: int
-    rules: tuple[tuple[int, int], ...]  # (prerequisite mask, target bit)
-    rule_objects: tuple[ExpansionRule, ...]
+    rules: tuple[tuple[int, int], ...]  # (prerequisite mask, target bit), one per rule
 
     @cached_property
     def prereqs_of(self) -> dict[int, list[int]]:
@@ -334,13 +315,13 @@ def validate_mind(mind: Mind) -> ValidationReport:
 
 def one_step_expansion(mind: Mind, state: Iterable[str]) -> frozenset[str]:
     """Add every concept with a rule whose prerequisites are all in ``state``."""
-    mask = mind.require_state(state)
+    mask = mind.space.mask(state)
     return mind.space.labels(mind.expand_mask(mask))
 
 
 def closure(mind: Mind, state: Iterable[str]) -> frozenset[str]:
     """Least fixed point of one-step expansion containing ``state``."""
-    mask = mind.require_state(state)
+    mask = mind.space.mask(state)
     return mind.space.labels(mind.closure_mask(mask))
 
 
@@ -351,7 +332,10 @@ def closure_iterates(mind: Mind, state: Iterable[str]) -> list[frozenset[str]]:
     the closure; it must agree with the worklist computation used by
     :func:`closure`.
     """
-    return [mind.space.labels(m) for m in mind.expansion_layers(mind.require_state(state))]
+    layers = [mind.space.mask(state)]
+    while (nxt := mind.expand_mask(layers[-1])) != layers[-1]:
+        layers.append(nxt)
+    return [mind.space.labels(m) for m in layers]
 
 
 def understanding_horizon(mind: Mind) -> frozenset[str]:
@@ -361,7 +345,7 @@ def understanding_horizon(mind: Mind) -> frozenset[str]:
 
 def is_ordered(mind: Mind, state: Iterable[str], concept: str) -> bool:
     """True iff ``concept`` is known or unlocked by one rule firing at ``state``."""
-    return mind.is_ordered_mask(mind.require_state(state), mind.space.bit(concept))
+    return mind.is_ordered_mask(mind.space.mask(state), mind.space.bit(concept))
 
 
 _ORACLE_SPACE_CAP = 12

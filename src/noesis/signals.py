@@ -102,13 +102,13 @@ class SignalSystem:
 def parse(mind: Mind, system: SignalSystem, token: str, state: Iterable[str]) -> ParsedSignal:
     """The token itself when its concept is ordered at ``state``, else None."""
     concept = system.concept_of(token)
-    mask = mind.require_state(state)
+    mask = mind.space.mask(state)
     return token if mind.is_ordered_mask(mask, mind.space.bit(concept)) else None
 
 
 def ordered_signals(mind: Mind, system: SignalSystem, state: Iterable[str]) -> frozenset[str]:
     """The tokens whose target concept is ordered at ``state``."""
-    mask = mind.require_state(state)
+    mask = mind.space.mask(state)
     expanded = mind.expand_mask(mask)
     return frozenset(
         t for t, c in zip(system.tokens, system.targets) if expanded & mind.space.bit(c)

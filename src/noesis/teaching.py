@@ -183,7 +183,8 @@ def emission_distribution(
 ) -> Mapping[str, float]:
     dist = strategy(target, history)
     total = sum(dist.values())
-    if abs(total - 1.0) > _KERNEL_SUM_TOL or any(p < 0.0 for p in dist.values()):
+    # Written so that a NaN probability, for which every comparison is false, fails.
+    if not abs(total - 1.0) <= _KERNEL_SUM_TOL or not all(p >= 0.0 for p in dist.values()):
         raise StrategyError(
             f"kernel for target {target!r} at round {len(history) + 1} is not a distribution"
         )

@@ -26,6 +26,14 @@ the explicit-stack walks replaced: every internal node builds its
 targets x (tokens + 1) parsed table, rebuilds its state mask from the
 frozenset, and runs four dense mutual-information passes; the expected
 completion time is a second, recursive walk.
+
+The sixth part is the derivation code that the one-pass ``derive`` and
+the distinct-node walks replaced: ``derive`` computes every expansion
+layer, re-masks every rule for each concept, and builds its shared nodes
+with a recursive memo; verification, curriculum extraction and the tree
+size walk the expanded tree, visiting every path.  Only the deleted
+``Mind.require_state`` and ``Mind.expansion_layers`` are written out
+here in their place.
 """
 
 from __future__ import annotations
@@ -34,10 +42,13 @@ import itertools
 import math
 import random
 from collections import deque
-from typing import AbstractSet, Mapping, Optional, Sequence
+from typing import AbstractSet, Iterable, Mapping, Optional, Sequence
 
 from noesis import (
     CapExceededError,
+    Curriculum,
+    DerivationTree,
+    ExpansionRule,
     HistoryNode,
     HistoryTree,
     MissingSignalError,
@@ -740,3 +751,85 @@ def _dense_global_bound_verdict(tree: HistoryTree, scenario: Scenario) -> LawVer
     if cap_max > 0.0:
         floor = max(floor, entropy_bits(scenario.prior) / cap_max)
     return _dense_verdict("global_bound", floor - expected_tau, None)
+
+
+def derive(mind: Mind, state: Iterable[str], concept: str) -> Optional[DerivationTree]:
+    space = mind.space
+    base_mask = space.mask(state)
+    target_bit = space.bit(concept)
+
+    layers = [base_mask]
+    while (nxt := mind.expand_mask(layers[-1])) != layers[-1]:
+        layers.append(nxt)
+    if not layers[-1] & target_bit:
+        return None
+
+    layer_of: dict[int, int] = {}
+    for depth, mask in enumerate(layers):
+        fresh = mask if depth == 0 else mask & ~layers[depth - 1]
+        for bit in iter_bits(fresh):
+            layer_of[bit] = depth
+
+    rule_for: dict[int, ExpansionRule] = {}
+    masked_rules = [(space.mask(r.prereqs), space.bit(r.target), r) for r in mind.effective_rules]
+    for bit, depth in layer_of.items():
+        if bit & base_mask:
+            continue
+        prev = layers[depth - 1]
+        for prereq_mask, tbit, rule in masked_rules:
+            if tbit == bit and prereq_mask & ~prev == 0:
+                rule_for[bit] = rule
+                break
+
+    memo: dict[int, DerivationTree] = {}
+
+    def build(bit: int) -> DerivationTree:
+        if bit in memo:
+            return memo[bit]
+        label = space.concepts[bit.bit_length() - 1]
+        if bit & base_mask:
+            node = DerivationTree(label, None)
+        else:
+            rule = rule_for[bit]
+            kids = tuple(build(b) for b in iter_bits(space.mask(rule.prereqs)))
+            node = DerivationTree(label, rule, kids)
+        memo[bit] = node
+        return node
+
+    return build(target_bit)
+
+
+def verify_derivation(mind: Mind, state: Iterable[str], tree: DerivationTree) -> bool:
+    base = frozenset(state)
+    rule_set = set(mind.effective_rules)
+
+    def ok(node: DerivationTree) -> bool:
+        if node.rule is None:
+            return not node.children and node.concept in base
+        if node.rule not in rule_set or node.rule.target != node.concept:
+            return False
+        child_labels = [child.concept for child in node.children]
+        if len(child_labels) != len(node.rule.prereqs) or set(child_labels) != node.rule.prereqs:
+            return False
+        return all(ok(child) for child in node.children)
+
+    return ok(tree)
+
+
+def curriculum_from_derivation(tree: DerivationTree) -> Curriculum:
+    steps: list[ExpansionRule] = []
+    emitted: set[ExpansionRule] = set()
+
+    def walk(node: DerivationTree) -> None:
+        for child in node.children:
+            walk(child)
+        if node.rule is not None and node.rule not in emitted:
+            emitted.add(node.rule)
+            steps.append(node.rule)
+
+    walk(tree)
+    return Curriculum(tuple(steps))
+
+
+def tree_size(tree: DerivationTree) -> int:
+    return 1 + sum(tree_size(child) for child in tree.children)

@@ -297,6 +297,18 @@ class TestQueries:
         assert data["passed"] is True
         assert len(data["laws"]) == 8
 
+    @pytest.mark.parametrize("tiny", [1e-320, 5e-324])
+    @pytest.mark.parametrize("horizon", [2, 3, 4])
+    def test_audit_with_subnormal_prior(self, capsys, fixtures_dir, tmp_path, tiny, horizon):
+        # The product of two subnormal marginals underflows to 0.0 in the MI terms.
+        data = json.loads((fixtures_dir / "star.scenario").read_text())
+        data["prior"] = [tiny, 0.5, 0.25, 0.25]
+        path = tmp_path / "s.scenario"
+        path.write_text(json.dumps(data))
+        code, out, err = _run(capsys, "audit", "--scenario", str(path), "--horizon", str(horizon))
+        assert (code, err) == (0, "")
+        assert json.loads(out)["passed"] is True
+
     def test_value(self, capsys, fixtures_dir):
         code, out, _ = _run(
             capsys,

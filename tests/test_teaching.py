@@ -111,6 +111,16 @@ class TestStrategies:
         with pytest.raises(StrategyError, match="no script row"):
             strategy("c", ())
 
+    @pytest.mark.parametrize("law", [{"z_b": float("nan"), "z_1": 1.0}, {"z_b": float("nan")}])
+    def test_nan_kernel_law_rejected(self, star_scenario, law):
+        def kernel(target: str, history: tuple) -> dict[str, float]:
+            return law if target == "d1" else {"z_b": 1.0}
+
+        with pytest.raises(StrategyError, match="not a distribution"):
+            build_history_tree(star_scenario, kernel, 1)
+        with pytest.raises(StrategyError, match="not a distribution"):
+            run_episode(star_scenario, kernel, 1, seed=0, theta="d1")
+
 
 class TestRunEpisode:
     def test_full_interaction_episode(self, arithmetic_scenario):
