@@ -27,8 +27,7 @@ from typing import Iterator, Optional, Sequence
 
 from .errors import CapExceededError, InformationLawError
 from .information import entropy_bits, mutual_information_cells
-from .mind import understanding_horizon
-from .signals import ParsedSignal, capacity, capacity_from_count
+from .signals import ParsedSignal, capacity_from_count, max_capacity, ordered_signals
 from .teaching import Scenario, StrategyKernel, emission_laws
 
 __all__ = [
@@ -193,7 +192,7 @@ def _state_columns(scenario: Scenario, state: frozenset[str]) -> tuple[bytes, fl
     column, last, is 0.  One byte per column keeps a long chain's
     per-state cache small.
     """
-    parses = scenario.ordered_tokens(scenario.mind.space.mask(state))
+    parses = ordered_signals(scenario.mind, scenario.system, state)
     tokens = scenario.system.tokens
     ordered = bytes([tok in parses for tok in tokens] + [False])
     return ordered, capacity_from_count(ordered.count(1), len(tokens))
@@ -444,8 +443,7 @@ def _global_bound_verdict(expected_tau: Optional[float], scenario: Scenario) -> 
     for target, weight in zip(scenario.targets, scenario.prior):
         if weight > 0.0:
             expected_depth += weight * (len(chains[target]) - 1)
-    # Capacity is monotone in the state, so its maximum sits at the horizon.
-    cap_max = capacity(scenario.mind, scenario.system, understanding_horizon(scenario.mind))
+    cap_max = max_capacity(scenario.mind, scenario.system)
     floor = expected_depth
     if cap_max > 0.0:
         floor = max(floor, entropy_bits(scenario.prior) / cap_max)

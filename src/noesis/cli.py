@@ -21,7 +21,7 @@ from . import fileio
 from .audit import DEFAULT_NODE_CAP, audit_all, build_history_tree
 from .derivation import curriculum_from_derivation, derive
 from .errors import CapExceededError, NoesisError, UnreachableConceptError
-from .mind import closure_iterates, understanding_horizon
+from .mind import closure_iterates
 from .planner import (
     allocate,
     broadcast_check,
@@ -31,7 +31,7 @@ from .planner import (
 )
 from .reachability import DEFAULT_STATE_CAP, check_learning_space, enumerate_reachable
 from .reachability import shortest_chain
-from .signals import capacity
+from .signals import capacity, max_capacity
 from .teaching import run_episode
 
 __all__ = ["run_cli", "main"]
@@ -52,13 +52,10 @@ _CAP_DEFAULTS = {
 }
 
 
-def _env_cap(default: int) -> int:
-    """NOESIS_NODE_CAP if set and non-empty, else ``default``; the variable's one reader."""
-    raw = os.environ.get("NOESIS_NODE_CAP")
-    if not raw:
-        return default
+def _cap_value(raw: str, name: str = "--cap") -> int:
+    """A cap as ``--cap`` or NOESIS_NODE_CAP gives it: a non-negative decimal integer."""
     if not (raw.isascii() and raw.isdigit()):
-        raise _CliError(f"NOESIS_NODE_CAP must be a non-negative integer, got {raw!r}")
+        raise _CliError(f"{name} must be a non-negative integer, got {raw!r}")
     return int(raw)
 
 
@@ -85,7 +82,7 @@ def _build_parser() -> _Parser:
     p = add("reach", "enumerate the reachable state family")
     p.add_argument("--mind", type=Path, required=True)
     p.add_argument("--format", choices=("json", "csv"), default="json")
-    p.add_argument("--cap", type=int, default=None)
+    p.add_argument("--cap", type=_cap_value, default=None)
 
     p = add("distance", "structural distance and a shortest chain to a concept")
     p.add_argument("--mind", type=Path, required=True)
@@ -105,7 +102,7 @@ def _build_parser() -> _Parser:
     p = add("audit", "build the history tree and check the information laws")
     p.add_argument("--scenario", type=Path, required=True)
     p.add_argument("--horizon", type=int, required=True)
-    p.add_argument("--cap", type=int, default=None)
+    p.add_argument("--cap", type=_cap_value, default=None)
 
     p = add("value", "upper and lower success-probability bounds at a horizon")
     p.add_argument("--scenario", type=Path, required=True)
@@ -124,7 +121,7 @@ def _build_parser() -> _Parser:
     p = add("broadcast-min", "minimal length of a shared sequence teaching every mind")
     p.add_argument("--k", type=int, required=True)
     p.add_argument("--L", type=int, required=True)
-    p.add_argument("--cap", type=int, default=None)
+    p.add_argument("--cap", type=_cap_value, default=None)
 
     return parser
 
@@ -234,13 +231,11 @@ def _cmd_capacity(args) -> str:
     scenario = bundle.scenario
     state = _split_concepts(args.state)
     state_set = frozenset(state) if state is not None else scenario.mind.axioms
-    # Capacity is monotone in the state, so its maximum sits at the horizon.
-    horizon = understanding_horizon(scenario.mind)
     return fileio.dump_json(
         {
             "state": sorted(state_set),
             "capacity_bits": capacity(scenario.mind, scenario.system, state_set),
-            "max_capacity_bits": capacity(scenario.mind, scenario.system, horizon),
+            "max_capacity_bits": max_capacity(scenario.mind, scenario.system),
         }
     )
 
@@ -367,8 +362,9 @@ def run_cli(argv: Sequence[str]) -> int:
     parser = _build_parser()
     try:
         args = parser.parse_args(list(argv))
-        if args.command in _CAP_DEFAULTS and args.cap is None:
-            args.cap = _env_cap(_CAP_DEFAULTS[args.command])
+        if args.command in _CAP_DEFAULTS and args.cap is None:  # NOESIS_NODE_CAP's one reader
+            raw = os.environ.get("NOESIS_NODE_CAP")
+            args.cap = _cap_value(raw, "NOESIS_NODE_CAP") if raw else _CAP_DEFAULTS[args.command]
         text = _COMMANDS[args.command](args)
         _emit(text, args.out)
         return 0

@@ -92,23 +92,30 @@ def derive(mind: Mind, state: Iterable[str], concept: str) -> Optional[Derivatio
     One pass, layer by layer, stopping once ``concept`` appears: a concept
     is justified in the first expansion layer in which it appears, by the
     first rule in rule order that fires at the previous layer, and its
-    node is built there from its prerequisites' nodes.
+    node is built there from its prerequisites' nodes.  Past the first
+    layer only the rules needing a concept the last layer added can first
+    fire, so only those are tested, in rule order.
     """
     space = mind.space
     known = space.mask(state)
     target_bit = space.bit(concept)
-    compiled = mind._compiled.rules
+    rules = mind._compiled.rules
 
     nodes = {bit: DerivationTree(space.concepts[bit.bit_length() - 1], None) for bit in iter_bits(known)}
+    candidates: Iterable[int] = range(len(rules))
     while not known & target_bit:
         grown = known
-        for (prereq_mask, bit), rule in zip(compiled, mind.rules):
+        for ri in candidates:
+            prereq_mask, bit = rules[ri]
             if not bit & grown and prereq_mask & ~known == 0:
                 grown |= bit
+                rule = mind.rules[ri]
                 kids = tuple(nodes[b] for b in iter_bits(prereq_mask))
                 nodes[bit] = DerivationTree(rule.target, rule, kids)
         if grown == known:
             return None
+        needing = mind._compiled.rules_needing
+        candidates = sorted({ri for bit in iter_bits(grown & ~known) for ri in needing.get(bit, ())})
         known = grown
     return nodes[target_bit]
 

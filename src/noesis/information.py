@@ -49,6 +49,9 @@ def mutual_information_cells(table: Sequence[Sequence[tuple[int, float]]]) -> fl
             if p > 0.0:
                 try:
                     total += p * math.log2(p / (row_marg * col_marg[j]))
-                except ZeroDivisionError:  # the product of subnormal marginals underflowed
+                except ZeroDivisionError:
+                    if not (row_marg > 0.0 and col_marg[j] > 0.0):
+                        raise  # a marginal is zero: a negative cell cancelled the rest
+                    # the product of subnormal marginals underflowed
                     total += p * (math.log2(p) - math.log2(row_marg) - math.log2(col_marg[j]))
     return total

@@ -10,8 +10,8 @@ Concept sets are manipulated internally as bit masks over the space's
 concept ordering; the public functions accept and return plain
 ``frozenset`` values of concept labels.  A mind compiles its rules once,
 with two indexes built on first use: by target, for testing whether one
-concept is ordered, and by prerequisite, for growing an expansion one
-acquired concept at a time.
+concept is ordered, and by prerequisite, for growing an expansion, a
+closure or a derivation one acquired concept at a time.
 """
 
 from __future__ import annotations
@@ -187,7 +187,9 @@ class Mind:
         """
         grown = mask | bit
         out = expanded | bit
-        for prereq_mask, target_bit in self._compiled.rules_needing.get(bit, ()):
+        rules = self._compiled.rules
+        for ri in self._compiled.rules_needing.get(bit, ()):
+            prereq_mask, target_bit = rules[ri]
             if prereq_mask & ~grown == 0:
                 out |= target_bit
         return out
@@ -195,29 +197,25 @@ class Mind:
     def closure_mask(self, start: int) -> int:
         """Least fixed point of the expansion operator containing ``start``.
 
-        Forward chaining with per-rule missing-prerequisite counters; each
-        rule is touched a constant number of times per prerequisite.
+        Forward chaining with per-rule missing-prerequisite counters over the
+        mind's one by-prerequisite index; a bit popped as new lies outside
+        ``start``, so in the gap of every rule needing it.
         """
-        rules = self._compiled.rules
+        rules, needing = self._compiled.rules, self._compiled.rules_needing
         known = start
         missing: list[int] = []
-        waiting: dict[int, list[int]] = defaultdict(list)
         stack: list[int] = []
-        for ri, (prereq_mask, target_bit) in enumerate(rules):
+        for prereq_mask, target_bit in rules:
             gap = prereq_mask & ~start
             missing.append(gap.bit_count())
-            if gap == 0:
-                if not target_bit & known:
-                    stack.append(target_bit)
-            else:
-                for bit in iter_bits(gap):
-                    waiting[bit].append(ri)
+            if gap == 0 and not target_bit & known:
+                stack.append(target_bit)
         while stack:
             bit = stack.pop()
             if bit & known:
                 continue
             known |= bit
-            for ri in waiting.get(bit, ()):
+            for ri in needing.get(bit, ()):
                 missing[ri] -= 1
                 if missing[ri] == 0:
                     target_bit = rules[ri][1]
@@ -240,12 +238,12 @@ class _CompiledMind:
         return dict(out)
 
     @cached_property
-    def rules_needing(self) -> dict[int, list[tuple[int, int]]]:
-        """Prerequisite bit -> the rules with that bit among their prerequisites."""
-        out: dict[int, list[tuple[int, int]]] = defaultdict(list)
-        for rule in self.rules:
-            for bit in iter_bits(rule[0]):
-                out[bit].append(rule)
+    def rules_needing(self) -> dict[int, list[int]]:
+        """Prerequisite bit -> the indices of the rules needing it, in rule order."""
+        out: dict[int, list[int]] = defaultdict(list)
+        for ri, (prereq_mask, _) in enumerate(self.rules):
+            for bit in iter_bits(prereq_mask):
+                out[bit].append(ri)
         return dict(out)
 
 

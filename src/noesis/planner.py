@@ -50,7 +50,7 @@ def value_upper(scenario: Scenario, t: int) -> float:
     if t < 0:
         raise ValueError("horizon must be nonnegative")
     dists = _distances(scenario)
-    return sum(p for p, d in zip(scenario.prior, dists) if d <= t)
+    return sum((p for p, d in zip(scenario.prior, dists) if d <= t), 0.0)
 
 
 def _untaught(mind: Mind, system: SignalSystem, chain: Sequence[int]) -> Optional[str]:

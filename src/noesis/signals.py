@@ -17,8 +17,7 @@ from functools import cached_property
 from typing import Iterable, Mapping, Optional, Sequence
 
 from .errors import InvalidMindError, UnknownConceptError
-from .mind import Mind
-from .reachability import ReachableFamily
+from .mind import Mind, understanding_horizon
 
 __all__ = [
     "ParsedSignal",
@@ -133,15 +132,15 @@ def capacity(mind: Mind, system: SignalSystem, state: Iterable[str]) -> float:
     )
 
 
-def max_capacity(mind: Mind, system: SignalSystem, family: ReachableFamily) -> float:
-    """Largest per-state capacity across a reachable family.
+def max_capacity(mind: Mind, system: SignalSystem) -> float:
+    """Largest per-state capacity across the mind's reachable family.
 
     Capacity is monotone in the state (a larger state only refines the
     experiment, see :func:`garbling_map`), so the maximum is read at the
     family's maximum, the understanding horizon.  The tests check this
     against a scan of every state of the family.
     """
-    return capacity(mind, system, family.maximum)
+    return capacity(mind, system, understanding_horizon(mind))
 
 
 def garbling_map(

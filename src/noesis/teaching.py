@@ -124,11 +124,6 @@ class Scenario:
         chains = _first_hit_chains(self.mind, space.mask(self.targets))
         return {t: chains[space.bit(t)] for t in self.targets}
 
-    def ordered_tokens(self, state_mask: int) -> frozenset[str]:
-        """The tokens that parse at ``state_mask``: their concept is ordered there."""
-        expanded = self.mind.expand_mask(state_mask)
-        return frozenset(tok for tok, bit in self.token_bits.items() if expanded & bit)
-
     def step(
         self, state_mask: int, laws: Sequence[Optional[Mapping[str, float]]], weights: Sequence[float]
     ) -> dict[ParsedSignal, tuple[int, list[float]]]:

@@ -34,6 +34,10 @@ with a recursive memo; verification, curriculum extraction and the tree
 size walk the expanded tree, visiting every path.  Only the deleted
 ``Mind.require_state`` and ``Mind.expansion_layers`` are written out
 here in their place.
+
+The seventh part is the counter-based closure that built its own
+by-prerequisite index of the missing bits on every call, before it read
+the mind's one index (``_CompiledMind.rules_needing``).
 """
 
 from __future__ import annotations
@@ -41,7 +45,7 @@ from __future__ import annotations
 import itertools
 import math
 import random
-from collections import deque
+from collections import defaultdict, deque
 from typing import AbstractSet, Iterable, Mapping, Optional, Sequence
 
 from noesis import (
@@ -589,7 +593,8 @@ def _dense_mi_entropy_drop(node: HistoryNode) -> float:
 
 
 def _dense_ordered_cols(scenario: Scenario, state: frozenset[str]) -> list[int]:
-    ordered = scenario.ordered_tokens(scenario.mind.space.mask(state))
+    expanded = scenario.mind.expand_mask(scenario.mind.space.mask(state))
+    ordered = frozenset(tok for tok, bit in scenario.token_bits.items() if expanded & bit)
     return [j for j, tok in enumerate(scenario.system.tokens) if tok in ordered]
 
 
@@ -833,3 +838,35 @@ def curriculum_from_derivation(tree: DerivationTree) -> Curriculum:
 
 def tree_size(tree: DerivationTree) -> int:
     return 1 + sum(tree_size(child) for child in tree.children)
+
+
+# --- the closure with a per-call prerequisite index -------------------------
+
+
+def closure_mask(mind: Mind, start: int) -> int:
+    rules = mind._compiled.rules
+    known = start
+    missing: list[int] = []
+    waiting: dict[int, list[int]] = defaultdict(list)
+    stack: list[int] = []
+    for ri, (prereq_mask, target_bit) in enumerate(rules):
+        gap = prereq_mask & ~start
+        missing.append(gap.bit_count())
+        if gap == 0:
+            if not target_bit & known:
+                stack.append(target_bit)
+        else:
+            for bit in iter_bits(gap):
+                waiting[bit].append(ri)
+    while stack:
+        bit = stack.pop()
+        if bit & known:
+            continue
+        known |= bit
+        for ri in waiting.get(bit, ()):
+            missing[ri] -= 1
+            if missing[ri] == 0:
+                target_bit = rules[ri][1]
+                if not target_bit & known:
+                    stack.append(target_bit)
+    return known

@@ -214,11 +214,7 @@ def test_criterion_07_teaching_fixtures(arithmetic_scenario, star_scenario):
         star_scenario.prior_of(t) * structural_distance(star_scenario.mind, t)
         for t in star_scenario.targets
     )
-    cap_max = max_capacity(
-        star_scenario.mind,
-        star_scenario.system,
-        enumerate_reachable(star_scenario.mind),
-    )
+    cap_max = max_capacity(star_scenario.mind, star_scenario.system)
     floor = max(expected_depth, entropy_bits(star_scenario.prior) / cap_max)
     assert expected_tau == pytest.approx(2.0, abs=1e-12)
     assert floor == pytest.approx(2.0, abs=1e-12)

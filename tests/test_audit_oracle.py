@@ -119,6 +119,13 @@ class TestAuditMatchesOracle:
                 oracle.mutual_information_dense(table)
             _assert_mi_matches_dense(table)
 
+    def test_mutual_information_with_a_cancelled_marginal(self):
+        # A negative cell, as in a tampered tree, sums a column to exactly 0.0.
+        table = [[0.2, 0.3], [-0.2, 0.7]]
+        want = _outcome(oracle.mutual_information_dense, table)
+        assert want[0] is ZeroDivisionError
+        assert _outcome(mutual_information_bits, table) == want
+
 
 def _mutual_information_decimal(table) -> float:
     """The mutual information of a dense table in 50-digit decimal arithmetic."""

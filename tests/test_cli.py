@@ -116,16 +116,19 @@ _CAPPED_COMMANDS = {
 def test_env_cap_is_read_alike_by_every_command(
     capsys, fixtures_dir, monkeypatch, command, value, exit_code
 ):
-    monkeypatch.setenv("NOESIS_NODE_CAP", value)
     argv = [
         str(fixtures_dir / arg) if arg.endswith((".mind", ".scenario")) else arg
         for arg in _CAPPED_COMMANDS[command]
     ]
-    code, out, err = _run(capsys, *argv)
-    assert code == exit_code
-    assert out == ""
-    if exit_code == 1:
-        assert "NOESIS_NODE_CAP" in err
+    monkeypatch.setenv("NOESIS_NODE_CAP", value)
+    from_env = _run(capsys, *argv)
+    monkeypatch.delenv("NOESIS_NODE_CAP")
+    from_flag = _run(capsys, *argv, "--cap", value)
+    for name, (code, out, err) in (("NOESIS_NODE_CAP", from_env), ("--cap", from_flag)):
+        assert code == exit_code
+        assert out == ""
+        if exit_code == 1:
+            assert name in err
 
 
 def test_env_cap_leaves_audit_global_bound_alone(capsys, fixtures_dir, monkeypatch):
@@ -319,6 +322,16 @@ class TestQueries:
         assert code == 0
         data = json.loads(out)
         assert data["upper"] == 1.0 and data["lower"] == 0.0
+
+    def test_value_with_no_target_in_reach(self, capsys, fixtures_dir):
+        code, out, _ = _run(
+            capsys,
+            "value",
+            "--scenario", str(fixtures_dir / "star.scenario"),
+            "--horizon", "0",
+        )
+        assert code == 0
+        assert '"upper": 0.0,' in out and '"lower": 0.0,' in out
 
     def test_allocate(self, capsys):
         code, out, _ = _run(capsys, "allocate", "--N", "4", "--B", "5", "--L", "2")

@@ -1,0 +1,28 @@
+"""Differential test: the closure over the mind's one prerequisite index against the per-call index."""
+
+from __future__ import annotations
+
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+import helpers
+import oracle
+
+
+class TestClosureMatchesOracle:
+    @given(st.randoms(use_true_random=False))
+    @settings(max_examples=200, deadline=None)
+    def test_closure_mask(self, rng):
+        mind = helpers.random_mind(rng, max_concepts=6, max_rules=20)
+        space = mind.space
+        starts = [mind.axiom_mask, 0, space.full_mask]
+        starts += [space.mask(helpers.random_state(rng, mind)) for _ in range(3)]
+        targets = [space.bit(rule.target) for rule in mind.rules]
+        for _ in range(3):  # sets holding rule targets: rules that fire onto bits already known
+            mask = space.mask(helpers.random_state(rng, mind))
+            for bit in targets:
+                if rng.random() < 0.5:
+                    mask |= bit
+            starts.append(mask)
+        for start in starts:
+            assert mind.closure_mask(start) == oracle.closure_mask(mind, start)

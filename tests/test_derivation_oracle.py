@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import dataclasses
 import random
+import time
 
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -106,3 +107,15 @@ class TestDeepDerivations:
         curriculum = curriculum_from_derivation(tree)
         assert len(curriculum) == 3 * d
         assert validate_curriculum(mind, mind.axioms, curriculum)
+
+    def test_ten_thousand_chain_within_budget(self):
+        # Past the first layer, each layer tests only the rules needing its new concept.
+        n = 10_000
+        concepts = [f"c{i}" for i in range(n)]
+        mind = helpers.make_mind(concepts, ["c0"], [([a], b) for a, b in zip(concepts, concepts[1:])])
+        start = time.perf_counter()
+        tree = derive(mind, mind.axioms, concepts[-1])
+        assert verify_derivation(mind, mind.axioms, tree)
+        elapsed = time.perf_counter() - start
+        assert tree.size() == n
+        assert elapsed < 1.0

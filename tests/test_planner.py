@@ -33,6 +33,9 @@ class TestValueBounds:
         assert value_upper(star_scenario, 1) == 0.0
         assert value_upper(star_scenario, 2) == pytest.approx(1.0, abs=1e-12)
 
+    def test_upper_is_float_with_no_target_in_reach(self, star_scenario):
+        assert type(value_upper(star_scenario, 0)) is float
+
     def test_star_lower(self, star_scenario):
         assert value_lower(star_scenario, 1) == 0.0
         assert value_lower(star_scenario, 3) == pytest.approx(1.0, abs=1e-12)

@@ -73,8 +73,7 @@ class TestCapacity:
         assert ordered_signals(star, system, {"a", "b"}) == set(system.tokens)
         assert capacity(star, system, {"a"}) == 1.0
         assert capacity(star, system, {"a", "b"}) == pytest.approx(math.log2(5), abs=1e-12)
-        family = enumerate_reachable(star)
-        assert max_capacity(star, system, family) == pytest.approx(math.log2(5), abs=1e-12)
+        assert max_capacity(star, system) == pytest.approx(math.log2(5), abs=1e-12)
 
     def test_all_ordered_uses_alphabet_size(self):
         mind = helpers.make_mind("ab", "a", [("a", "b")])
@@ -87,7 +86,7 @@ class TestCapacity:
         mind = helpers.make_mind("ab", "a", [])
         system = SignalSystem.from_pairs([("v", "b")])
         assert capacity(mind, system, {"a"}) == 0.0
-        assert max_capacity(mind, system, enumerate_reachable(mind)) == 0.0
+        assert max_capacity(mind, system) == 0.0
 
     def test_diamond_capacity_profile(self, diamond):
         # oracle: evaluate the formula at every reachable state directly
@@ -99,10 +98,10 @@ class TestCapacity:
             expected = math.log2(n_ord + 1) if n_ord < 3 else math.log2(3)
             assert capacity(diamond, system, state) == pytest.approx(expected, abs=1e-12)
             values[frozenset(state)] = capacity(diamond, system, state)
-        assert max_capacity(diamond, system, family) == pytest.approx(
+        assert max_capacity(diamond, system) == pytest.approx(
             max(values.values()), abs=1e-12
         )
-        assert max_capacity(diamond, system, family) == pytest.approx(
+        assert max_capacity(diamond, system) == pytest.approx(
             math.log2(3), abs=1e-12
         )
 

@@ -113,7 +113,7 @@ class TestHorizonCapacityMatchesOracle:
         mind = helpers.random_mind(rng)
         system = helpers.random_system(rng, mind)
         family = enumerate_reachable(mind)
-        assert max_capacity(mind, system, family) == oracle.max_capacity(mind, system, family)
+        assert max_capacity(mind, system) == oracle.max_capacity(mind, system, family)
 
     @given(st.randoms(use_true_random=False))
     @settings(max_examples=60, deadline=None)
