@@ -52,6 +52,14 @@ _CAP_DEFAULTS = {
 }
 
 
+def _capped(call, *args, **kwargs):
+    """Run the one call that pays a command's cap; its cap error names the knobs that raise it."""
+    try:
+        return call(*args, **kwargs)
+    except CapExceededError as exc:
+        raise CapExceededError(f"{exc}; raise the cap with --cap or NOESIS_NODE_CAP") from None
+
+
 def _cap_value(raw: str, name: str = "--cap") -> int:
     """A cap as ``--cap`` or NOESIS_NODE_CAP gives it: a non-negative decimal integer."""
     if not (raw.isascii() and raw.isdigit()):
@@ -188,7 +196,7 @@ def _cmd_derive(args) -> str:
 
 def _cmd_reach(args) -> str:
     mind = fileio.load_mind(args.mind)
-    family = enumerate_reachable(mind, cap=args.cap)
+    family = _capped(enumerate_reachable, mind, cap=args.cap)
     states = family.sorted_label_tuples()
     if args.format == "csv":
         lines = ["state"] + ["|".join(s) for s in states]
@@ -262,7 +270,7 @@ def _cmd_audit(args) -> str:
     bundle = fileio.load_scenario_bundle(args.scenario)
     scenario = bundle.scenario
     strategy = bundle.strategy.build(scenario)
-    tree = build_history_tree(scenario, strategy, args.horizon, node_cap=args.cap)
+    tree = _capped(build_history_tree, scenario, strategy, args.horizon, node_cap=args.cap)
     report = audit_all(tree)
     return fileio.dump_json(
         {
@@ -339,7 +347,7 @@ def _cmd_broadcast_gen(args) -> str:
 
 def _cmd_broadcast_min(args) -> str:
     instance = broadcast_construct(args.k, args.L)
-    length = broadcast_min_length(instance, cap=args.cap)
+    length = _capped(broadcast_min_length, instance, cap=args.cap)
     return ("not-found" if length is None else str(length)) + "\n"
 
 

@@ -101,7 +101,10 @@ def derive(mind: Mind, state: Iterable[str], concept: str) -> Optional[Derivatio
     target_bit = space.bit(concept)
     rules = mind._compiled.rules
 
-    nodes = {bit: DerivationTree(space.concepts[bit.bit_length() - 1], None) for bit in iter_bits(known)}
+    nodes: list[Optional[DerivationTree]] = [None] * len(space)  # by concept position
+    for bit in iter_bits(known):
+        pos = bit.bit_length() - 1
+        nodes[pos] = DerivationTree(space.concepts[pos], None)
     candidates: Iterable[int] = range(len(rules))
     while not known & target_bit:
         grown = known
@@ -110,14 +113,14 @@ def derive(mind: Mind, state: Iterable[str], concept: str) -> Optional[Derivatio
             if not bit & grown and prereq_mask & ~known == 0:
                 grown |= bit
                 rule = mind.rules[ri]
-                kids = tuple(nodes[b] for b in iter_bits(prereq_mask))
-                nodes[bit] = DerivationTree(rule.target, rule, kids)
+                kids = tuple(nodes[b.bit_length() - 1] for b in iter_bits(prereq_mask))
+                nodes[bit.bit_length() - 1] = DerivationTree(rule.target, rule, kids)
         if grown == known:
             return None
         needing = mind._compiled.rules_needing
-        candidates = sorted({ri for bit in iter_bits(grown & ~known) for ri in needing.get(bit, ())})
+        candidates = sorted({ri for bit in iter_bits(grown & ~known) for ri in needing[bit.bit_length() - 1]})
         known = grown
-    return nodes[target_bit]
+    return nodes[target_bit.bit_length() - 1]
 
 
 def verify_derivation(mind: Mind, state: Iterable[str], tree: DerivationTree) -> bool:

@@ -9,14 +9,15 @@ primitives everything else in the package is built on.
 Concept sets are manipulated internally as bit masks over the space's
 concept ordering; the public functions accept and return plain
 ``frozenset`` values of concept labels.  A mind compiles its rules once,
-with two indexes built on first use: by target, for testing whether one
-concept is ordered, and by prerequisite, for growing an expansion, a
-closure or a derivation one acquired concept at a time.
+with two indexes built on first use, both by concept position: by
+target, for testing whether one concept is ordered, and by prerequisite,
+for growing an expansion, a closure or a derivation one acquired concept
+at a time.  The closure of the axioms, the understanding horizon, is
+computed once per mind (:attr:`Mind.horizon_mask`).
 """
 
 from __future__ import annotations
 
-from collections import defaultdict
 from dataclasses import dataclass
 from functools import cached_property
 from typing import AbstractSet, Callable, Iterable
@@ -150,9 +151,15 @@ class Mind:
             raise InvalidMindError(f"mind rejected by validation: {self._report.summary()}")
         space = self.space
         return _CompiledMind(
+            size=len(space),
             axiom_mask=space.mask(self.axioms),
             rules=tuple((space.mask(rule.prereqs), space.bit(rule.target)) for rule in self.rules),
         )
+
+    @cached_property
+    def horizon_mask(self) -> int:
+        """The understanding horizon as a mask: the closure of the axioms, computed once."""
+        return self.closure_mask(self.axiom_mask)
 
     @property
     def effective_rules(self) -> tuple[ExpansionRule, ...]:
@@ -175,7 +182,7 @@ class Mind:
         """Whether concept ``bit`` is in ``expand_mask(mask)``, read from its own rules only."""
         if mask & bit:
             return True
-        for prereq_mask in self._compiled.prereqs_of.get(bit, ()):
+        for prereq_mask in self._compiled.prereqs_of[bit.bit_length() - 1]:
             if prereq_mask & ~mask == 0:
                 return True
         return False
@@ -188,7 +195,7 @@ class Mind:
         grown = mask | bit
         out = expanded | bit
         rules = self._compiled.rules
-        for ri in self._compiled.rules_needing.get(bit, ()):
+        for ri in self._compiled.rules_needing[bit.bit_length() - 1]:
             prereq_mask, target_bit = rules[ri]
             if prereq_mask & ~grown == 0:
                 out |= target_bit
@@ -215,7 +222,7 @@ class Mind:
             if bit & known:
                 continue
             known |= bit
-            for ri in needing.get(bit, ()):
+            for ri in needing[bit.bit_length() - 1]:
                 missing[ri] -= 1
                 if missing[ri] == 0:
                     target_bit = rules[ri][1]
@@ -226,25 +233,26 @@ class Mind:
 
 @dataclass(frozen=True)
 class _CompiledMind:
+    size: int  # concept count; the indexes below are lists by concept position
     axiom_mask: int
     rules: tuple[tuple[int, int], ...]  # (prerequisite mask, target bit), one per rule
 
     @cached_property
-    def prereqs_of(self) -> dict[int, list[int]]:
-        """Target bit -> the prerequisite masks of the rules unlocking it."""
-        out: dict[int, list[int]] = defaultdict(list)
+    def prereqs_of(self) -> list[list[int]]:
+        """Target position -> the prerequisite masks of the rules unlocking it."""
+        out: list[list[int]] = [[] for _ in range(self.size)]
         for prereq_mask, target_bit in self.rules:
-            out[target_bit].append(prereq_mask)
-        return dict(out)
+            out[target_bit.bit_length() - 1].append(prereq_mask)
+        return out
 
     @cached_property
-    def rules_needing(self) -> dict[int, list[int]]:
-        """Prerequisite bit -> the indices of the rules needing it, in rule order."""
-        out: dict[int, list[int]] = defaultdict(list)
+    def rules_needing(self) -> list[list[int]]:
+        """Prerequisite position -> the indices of the rules needing it, in rule order."""
+        out: list[list[int]] = [[] for _ in range(self.size)]
         for ri, (prereq_mask, _) in enumerate(self.rules):
             for bit in iter_bits(prereq_mask):
-                out[bit].append(ri)
-        return dict(out)
+                out[bit.bit_length() - 1].append(ri)
+        return out
 
 
 @dataclass(frozen=True)
@@ -338,7 +346,7 @@ def closure_iterates(mind: Mind, state: Iterable[str]) -> list[frozenset[str]]:
 
 def understanding_horizon(mind: Mind) -> frozenset[str]:
     """Everything derivable in principle, the closure of the axioms."""
-    return mind.space.labels(mind.closure_mask(mind.axiom_mask))
+    return mind.space.labels(mind.horizon_mask)
 
 
 def is_ordered(mind: Mind, state: Iterable[str], concept: str) -> bool:

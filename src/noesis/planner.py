@@ -134,10 +134,12 @@ def deterministic_value(mind: Mind, system: SignalSystem, goal: str, t: int) -> 
     return 0 if t < len(chain) - 1 else 1
 
 
+# Within these caps at most 3 concepts are added, so the memo holds at most
+# 8 state masks x 7 live-target sets x 4 depths = 224 keys, each trying at
+# most 27 assignments: the search needs no cap of its own.
 _EXACT_MAX_TARGETS = 3
 _EXACT_MAX_TOKENS = 3
 _EXACT_MAX_HORIZON = 3
-_EXACT_OP_CAP = 10_000_000
 
 
 def exact_value_tiny(scenario: Scenario, t: int) -> float:
@@ -164,10 +166,8 @@ def exact_value_tiny(scenario: Scenario, t: int) -> float:
     target_bits = [space.bit(target) for target in scenario.targets]
     point_laws = [{tok: 1.0} for tok in scenario.system.tokens]
     memo: dict[tuple[int, tuple[int, ...], int], float] = {}
-    ops = 0
 
     def best(state_mask: int, joint: Sequence[float], depth: int) -> float:
-        nonlocal ops
         live = tuple(i for i, p in enumerate(joint) if p > 0.0)
         key = (state_mask, live, depth)
         if key in memo:
@@ -180,9 +180,6 @@ def exact_value_tiny(scenario: Scenario, t: int) -> float:
         value = 0.0
         laws: list[Optional[dict[str, float]]] = [None] * len(joint)
         for assignment in itertools.product(point_laws, repeat=len(live)):
-            ops += 1
-            if ops > _EXACT_OP_CAP:
-                raise CapExceededError(f"exact search exceeded {_EXACT_OP_CAP} strategy evaluations")
             for i, law in zip(live, assignment):
                 laws[i] = law
             total = 0.0
@@ -308,69 +305,32 @@ def broadcast_check(instance: BroadcastInstance, sequence: Sequence[str]) -> tup
     return tuple(bool(s & target_bit) for s in states)
 
 
-class _CompiledType:
-    """One learner type's states under a token alphabet, compiled on first visit.
-
-    States are numbered in discovery order from the axioms (index 0).
-    ``moves(j)`` lists the tokens that change state ``j``, by alphabet
-    index and in alphabet order, with the successor's index; it expands
-    state ``j`` once, the first time it is asked.
-    """
-
-    def __init__(self, mind: Mind, token_bits: Sequence[int], target_bit: int) -> None:
-        self.mind = mind
-        self.token_bits = token_bits
-        self.target_bit = target_bit
-        self.masks = [mind.axiom_mask]
-        self.index = {mind.axiom_mask: 0}
-        self.held = [bool(mind.axiom_mask & target_bit)]
-        self._moves: list[Optional[dict[int, int]]] = [None]
-
-    def moves(self, j: int) -> dict[int, int]:
-        out = self._moves[j]
-        if out is None:
-            mask = self.masks[j]
-            fresh = self.mind.expand_mask(mask) & ~mask
-            out = {}
-            for tok, bit in enumerate(self.token_bits):
-                if fresh & bit:
-                    nxt = mask | bit
-                    succ = self.index.get(nxt)
-                    if succ is None:
-                        succ = self.index[nxt] = len(self.masks)
-                        self.masks.append(nxt)
-                        self.held.append(bool(nxt & self.target_bit))
-                        self._moves.append(None)
-                    out[tok] = succ
-            self._moves[j] = out
-        return out
-
-
 def broadcast_min_length(
     instance: BroadcastInstance, *, cap: int = DEFAULT_STATE_CAP
 ) -> Optional[int]:
     """Length of the shortest shared sequence teaching the target to every mind.
 
-    Breadth-first search over tuples of per-mind states, one transition
-    per token; the shared sequence is recovered implicitly as the path
-    depth.  Each mind is compiled once: every state of it the search
-    meets is expanded one time, into the tokens that move it and their
-    successors.  The cost is then the number of product states visited.
-    A token that moves no mind leads back to the state it left, which is
-    already seen, so only the moving tokens are tried, in alphabet order;
-    the visit order and the cap count are those of trying every token.
-    Returns None when no sequence works, and raises
-    :class:`CapExceededError` past ``cap`` visited product states.
+    Breadth-first search over tuples of per-mind state masks, one
+    transition per token; the shared sequence is recovered implicitly as
+    the path depth.  Each mind's moves are memoized by state mask: every
+    state of it the search meets is expanded one time, into the tokens
+    that move it and their successors.  The cost is then the number of
+    product states visited.  A token that moves no mind leads back to the
+    state it left, which is already seen, so only the moving tokens are
+    tried, in alphabet order; the visit order and the cap count are those
+    of trying every token.  Returns None when no sequence works, and
+    raises :class:`CapExceededError` past ``cap`` visited product states.
     """
     space = instance.space
     target_bit = space.bit(instance.target)
     token_bits = [space.bit(c) for c in instance.system.targets]
-    types = [_CompiledType(mind, token_bits, target_bit) for mind in instance.minds]
+    minds = instance.minds
+    moves: list[dict[int, dict[int, int]]] = [{} for _ in minds]  # per mind: mask -> {token: successor}
 
     def done(states: tuple[int, ...]) -> bool:
-        return all(ct.held[j] for ct, j in zip(types, states))
+        return all(mask & target_bit for mask in states)
 
-    start = (0,) * len(types)
+    start = tuple(mind.axiom_mask for mind in minds)
     if done(start):
         return 0
     seen = {start}
@@ -378,8 +338,12 @@ def broadcast_min_length(
     while frontier:
         states, depth = frontier.popleft()
         movers: dict[int, list[tuple[int, int]]] = {}
-        for i, (ct, j) in enumerate(zip(types, states)):
-            for tok, succ in ct.moves(j).items():
+        for i, mask in enumerate(states):
+            out = moves[i].get(mask)
+            if out is None:
+                fresh = minds[i].expand_mask(mask) & ~mask
+                out = moves[i][mask] = {tok: mask | bit for tok, bit in enumerate(token_bits) if fresh & bit}
+            for tok, succ in out.items():
                 movers.setdefault(tok, []).append((i, succ))
         for tok in sorted(movers):
             moved = list(states)

@@ -108,14 +108,12 @@ def enumerate_reachable(mind: Mind, *, cap: int = DEFAULT_STATE_CAP) -> Reachabl
             if nxt not in seen:
                 seen.add(nxt)
                 if len(seen) > cap:
-                    raise CapExceededError(
-                        f"reachable family exceeds {cap} states; raise the cap to continue"
-                    )
+                    raise CapExceededError(f"reachable family exceeds {cap} states")
                 queue.append(nxt)
     return ReachableFamily(
         space=mind.space,
         axioms=mind.space.labels(start),
-        horizon=mind.space.labels(mind.closure_mask(start)),
+        horizon=mind.space.labels(mind.horizon_mask),
         state_masks=frozenset(seen),
         addable_masks=addable,
     )
@@ -284,9 +282,8 @@ def _first_hit_chains(mind: Mind, wanted: int) -> dict[int, tuple[int, ...]]:
 
 def _chain_masks(mind: Mind, concept: str) -> Optional[tuple[int, ...]]:
     """The shortest chain to ``concept`` as masks, or None outside the horizon."""
-    horizon = mind.closure_mask(mind.axiom_mask)
     bit = mind.space.bit(concept)
-    if not horizon & bit:
+    if not mind.horizon_mask & bit:
         return None
     return _first_hit_chains(mind, bit)[bit]
 

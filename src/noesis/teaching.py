@@ -34,7 +34,7 @@ from .errors import (
     ZeroProbabilityError,
 )
 from .information import entropy_bits
-from .mind import Mind, iter_bits
+from .mind import Mind, iter_bits, understanding_horizon
 from .reachability import _first_hit_chains
 from .signals import ParsedSignal, SignalSystem, capacity_from_count
 
@@ -81,11 +81,10 @@ class Scenario:
             raise ScenarioError("targets: must be non-empty")
         if len(set(self.targets)) != len(self.targets):
             raise ScenarioError("targets: duplicates are not allowed")
-        horizon_mask = self.mind.closure_mask(self.mind.axiom_mask)
         for t in self.targets:
             if t not in self.mind.space:
                 raise ScenarioError(f"targets: {t!r} is not in the concept space")
-            if not horizon_mask & self.mind.space.bit(t):
+            if not self.mind.horizon_mask & self.mind.space.bit(t):
                 raise ScenarioError(f"targets: {t!r} lies outside the understanding horizon")
             if t not in self.system.image:
                 raise ScenarioError(f"targets: no signal token teaches {t!r}")
@@ -99,10 +98,6 @@ class Scenario:
     @cached_property
     def target_index(self) -> dict[str, int]:
         return {t: i for i, t in enumerate(self.targets)}
-
-    @cached_property
-    def horizon(self) -> frozenset[str]:
-        return self.mind.space.labels(self.mind.closure_mask(self.mind.axiom_mask))
 
     def prior_of(self, target: str) -> float:
         return self.prior[self.target_index[target]]
@@ -242,7 +237,7 @@ def direct_strategy(scenario: Scenario) -> StrategyKernel:
     """
     fibers = scenario.system.fibers
     # Axioms are never acquired along a chain, so they need no token.
-    for concept in sorted(scenario.horizon - scenario.mind.axioms):
+    for concept in sorted(understanding_horizon(scenario.mind) - scenario.mind.axioms):
         if concept not in fibers:
             raise MissingSignalError(f"no signal token teaches horizon concept {concept!r}")
     concepts = scenario.mind.space.concepts

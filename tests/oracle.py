@@ -71,7 +71,6 @@ from noesis.planner import (
     _EXACT_MAX_HORIZON,
     _EXACT_MAX_TARGETS,
     _EXACT_MAX_TOKENS,
-    _EXACT_OP_CAP,
     BroadcastInstance,
 )
 from noesis.reachability import DEFAULT_STATE_CAP, FamilyLike, LearningSpaceReport, ReachableFamily
@@ -360,7 +359,7 @@ def shortest_chain(mind: Mind, concept: str) -> tuple[frozenset[str], ...]:
 def direct_strategy(scenario):
     mind, system = scenario.mind, scenario.system
     # Axioms are never acquired along a chain, so they need no token.
-    for concept in sorted(scenario.horizon - scenario.mind.axioms):
+    for concept in sorted(understanding_horizon(scenario.mind) - scenario.mind.axioms):
         if not fiber(system, concept):
             raise MissingSignalError(f"no signal token teaches horizon concept {concept!r}")
     plans: dict[str, tuple[str, ...]] = {}
@@ -430,6 +429,8 @@ def deterministic_value(mind: Mind, system: SignalSystem, goal: str, t: int) -> 
 
 
 # --- the planner's searches, one expansion per history ---------------------
+
+_EXACT_OP_CAP = 10_000_000
 
 
 def exact_value_per_history(scenario: Scenario, t: int) -> float:

@@ -129,6 +129,22 @@ def test_env_cap_is_read_alike_by_every_command(
         assert out == ""
         if exit_code == 1:
             assert name in err
+        else:
+            assert "--cap" in err and "NOESIS_NODE_CAP" in err
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ("broadcast-min", "--k", "10000", "--L", "3"),
+        ("value", "--scenario", "star.scenario", "--horizon", "1", "--exact"),
+    ],
+)
+def test_cap_no_knob_raises_names_no_knob(capsys, fixtures_dir, argv):
+    argv = [str(fixtures_dir / arg) if arg.endswith(".scenario") else arg for arg in argv]
+    code, out, err = _run(capsys, *argv)
+    assert (code, out) == (2, "")
+    assert "--cap" not in err and "NOESIS_NODE_CAP" not in err
 
 
 def test_env_cap_leaves_audit_global_bound_alone(capsys, fixtures_dir, monkeypatch):

@@ -14,12 +14,17 @@ from noesis import (
     ExpansionRule,
     InvalidMindError,
     Mind,
+    Scenario,
     UnknownConceptError,
     closure,
     closure_iterates,
+    direct_strategy,
+    enumerate_reachable,
     is_ordered,
+    max_capacity,
     one_step_expansion,
     rules_from_closure,
+    structural_distance,
     understanding_horizon,
     validate_mind,
 )
@@ -149,6 +154,23 @@ class TestExpansionAndClosure:
         assert understanding_horizon(mind2) == {"a", "b", "c", "d"}
         assert understanding_horizon(star) == {"a", "b", "d1", "d2", "d3", "d4"}
         assert understanding_horizon(helpers.make_mind("ab", "a", [])) == {"a"}
+
+    def test_horizon_is_computed_once_per_mind(self, monkeypatch):
+        original = Mind.closure_mask
+        starts = []
+
+        def counted(self, start):
+            starts.append(start)
+            return original(self, start)
+
+        monkeypatch.setattr(Mind, "closure_mask", counted)
+        mind, system = helpers.star(), helpers.star_system()
+        scenario = Scenario(mind=mind, system=system, targets=("d1", "d2"), prior=(0.5, 0.5))
+        direct_strategy(scenario)
+        max_capacity(mind, system)
+        assert understanding_horizon(mind) == enumerate_reachable(mind).horizon
+        assert structural_distance(mind, "d3") == 2
+        assert starts.count(mind.axiom_mask) == 1
 
     def test_empty_prereq_rules_fire_everywhere(self):
         mind = helpers.make_mind("ab", "", [((), "a")])
