@@ -181,7 +181,7 @@ def load_scenario_bundle(path: str | Path) -> LoadedScenario:
         if target not in mind.space:
             raise FormatError(f"{where}: signals[{i}]: unknown concept {target!r}")
         pairs.append((token, target))
-    targets = _need(data, "targets", list, where)
+    targets = _need_strings(data, "targets", where)
     raw_prior = _need(data, "prior", list, where)
     notes: list[str] = []
     weights = [_finite(w, "prior", where) for w in raw_prior]

@@ -20,7 +20,7 @@ from typing import Optional, Sequence
 
 from .errors import CapExceededError, MissingSignalError, UnreachableConceptError
 from .mind import ConceptSpace, ExpansionRule, Mind
-from .reachability import DEFAULT_STATE_CAP, _chain_masks
+from .reachability import DEFAULT_STATE_CAP, _added_concepts, _chain_masks
 from .signals import SignalSystem
 from .teaching import Scenario
 
@@ -55,12 +55,7 @@ def value_upper(scenario: Scenario, t: int) -> float:
 
 def _untaught(mind: Mind, system: SignalSystem, chain: Sequence[int]) -> Optional[str]:
     """The first concept added along ``chain`` that no token teaches, if any."""
-    concepts = mind.space.concepts
-    for before, after in zip(chain, chain[1:]):
-        concept = concepts[(after ^ before).bit_length() - 1]
-        if concept not in system.fibers:
-            return concept
-    return None
+    return next((c for c in _added_concepts(mind.space, chain) if c not in system.fibers), None)
 
 
 def _direct_feasible(scenario: Scenario) -> bool:

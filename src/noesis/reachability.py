@@ -7,19 +7,20 @@ the axiom set up to the understanding horizon; shifting every state by
 the axioms yields an antimatroid.  The converse also holds: any family
 with those properties is the reachable family of a canonical mind.
 
-Shortest acquisition chains come from one breadth-first search that
-serves many wanted concepts at once (``_first_hit_chains``).
-:func:`structural_distance` and :func:`shortest_chain` run it for one
-concept per call and cache nothing; a scenario runs it once for all its
-targets and caches the chains (``Scenario.target_chains``).
+One breadth-first search over knowledge states (``_breadth_first``)
+serves the family, which keeps only its states and reads its moves off
+them, and the shortest chains to many wanted concepts at once
+(``_first_hit_chains``).  :func:`structural_distance` and
+:func:`shortest_chain` run it for one concept per call and cache
+nothing; a scenario caches its targets' chains (``Scenario.target_chains``).
 """
 
 from __future__ import annotations
 
 import itertools
 from collections import deque
-from dataclasses import dataclass, field
-from typing import AbstractSet, Iterable, Mapping, Optional, Union
+from dataclasses import dataclass
+from typing import AbstractSet, Iterable, Iterator, Optional, Sequence, Union
 
 from .errors import CapExceededError, NotLearningSpaceError, UnreachableConceptError
 from .mind import ConceptSpace, ExpansionRule, Mind, iter_bits
@@ -40,10 +41,8 @@ DEFAULT_STATE_CAP = 1 << 20
 
 @dataclass(frozen=True, eq=False)
 class ReachableFamily:
-    """All reachable states of a mind, with one-step adjacency.
+    """All reachable states of a mind.
 
-    ``addable_masks[state]`` holds the concepts that can be acquired next
-    from ``state``; following any such move stays inside the family.
     States are stored as bit masks over ``space``; the accessors translate
     to label sets.  Immutable once built.
     """
@@ -52,7 +51,6 @@ class ReachableFamily:
     axioms: frozenset[str]
     horizon: frozenset[str]
     state_masks: frozenset[int]
-    addable_masks: Mapping[int, int] = field(repr=False)
 
     @property
     def minimum(self) -> frozenset[str]:
@@ -69,7 +67,7 @@ class ReachableFamily:
         if isinstance(state, int):
             return state in self.state_masks
         if isinstance(state, (set, frozenset)):
-            return self.space.mask(state) in self.state_masks
+            return all(c in self.space for c in state) and self.space.mask(state) in self.state_masks
         return False
 
     def states(self) -> list[frozenset[str]]:
@@ -83,10 +81,31 @@ class ReachableFamily:
         return out
 
     def addable(self, state: Iterable[str]) -> frozenset[str]:
+        """The concepts learnable next: the outer fringe, each c with ``state`` + c a state."""
         mask = self.space.mask(state)
         if mask not in self.state_masks:
             raise KeyError(f"state {sorted(state)} is not reachable")
-        return self.space.labels(self.addable_masks[mask])
+        moves = iter_bits(self.space.full_mask & ~mask)
+        return self.space.labels(sum(b for b in moves if mask | b in self.state_masks))
+
+
+def _breadth_first(mind: Mind, parent: dict[int, int]) -> Iterator[int]:
+    """Yield each reachable state after the axioms as it is found, moves in concept order.
+
+    Fills ``parent`` with each found state's predecessor (-1 for the
+    axioms); a caller may stop at any yield.
+    """
+    start = mind.axiom_mask
+    parent[start] = -1
+    queue = deque([start])
+    while queue:
+        state = queue.popleft()
+        for bit in iter_bits(mind.expand_mask(state) & ~state):
+            nxt = state | bit
+            if nxt not in parent:
+                parent[nxt] = state
+                queue.append(nxt)
+                yield nxt
 
 
 def enumerate_reachable(mind: Mind, *, cap: int = DEFAULT_STATE_CAP) -> ReachableFamily:
@@ -95,27 +114,15 @@ def enumerate_reachable(mind: Mind, *, cap: int = DEFAULT_STATE_CAP) -> Reachabl
     Raises :class:`CapExceededError` once more than ``cap`` states are
     discovered (the family can be exponential in the concept count).
     """
-    start = mind.axiom_mask
-    addable: dict[int, int] = {}
-    queue = deque([start])
-    seen = {start}
-    while queue:
-        state = queue.popleft()
-        moves = mind.expand_mask(state) & ~state
-        addable[state] = moves
-        for bit in iter_bits(moves):
-            nxt = state | bit
-            if nxt not in seen:
-                seen.add(nxt)
-                if len(seen) > cap:
-                    raise CapExceededError(f"reachable family exceeds {cap} states")
-                queue.append(nxt)
+    parent: dict[int, int] = {}
+    for _ in _breadth_first(mind, parent):
+        if len(parent) > cap:
+            raise CapExceededError(f"reachable family exceeds {cap} states")
     return ReachableFamily(
         space=mind.space,
-        axioms=mind.space.labels(start),
+        axioms=mind.space.labels(mind.axiom_mask),
         horizon=mind.space.labels(mind.horizon_mask),
-        state_masks=frozenset(seen),
-        addable_masks=addable,
+        state_masks=frozenset(parent),
     )
 
 
@@ -245,39 +252,36 @@ def canonical_rules(
 def _first_hit_chains(mind: Mind, wanted: int) -> dict[int, tuple[int, ...]]:
     """Shortest acquisition chains, as masks, to every wanted concept bit at once.
 
-    One BFS over reachable states, expanding in concept order, records
-    the first state that holds each wanted bit and stops once all are
-    hit; each chain follows the parent pointers back to the axioms.  The
-    first state holding a concept is discovered by adding that concept,
-    and parent pointers do not depend on when the search stops, so every
-    chain is the one a search for that concept alone would find.  Wanted
-    bits outside the understanding horizon are absent from the result.
+    The knowledge-state BFS stops once every wanted bit is hit; each chain
+    walks the parent pointers back from the first state holding its bit.
+    That state is found by adding the bit, and parent pointers do not
+    depend on when the search stops, so each chain is the one a search for
+    that concept alone would find.  Bits outside the horizon are absent.
     """
     start = mind.axiom_mask
     first = {bit: start for bit in iter_bits(wanted & start)}
     remaining = wanted & ~start
-    parent: dict[int, int] = {start: -1}
-    queue = deque([start])
-    while remaining and queue:
-        state = queue.popleft()
-        for bit in iter_bits(mind.expand_mask(state) & ~state):
-            nxt = state | bit
-            if nxt in parent:
-                continue
-            parent[nxt] = state
+    parent: dict[int, int] = {}
+    if remaining:
+        for state in _breadth_first(mind, parent):
+            bit = state ^ parent[state]
             if bit & remaining:
-                first[bit] = nxt
+                first[bit] = state
                 remaining ^= bit
                 if not remaining:
                     break
-            queue.append(nxt)
     chains = {}
     for bit, state in first.items():
         chain = [state]
-        while parent[chain[-1]] != -1:
+        while chain[-1] != start:
             chain.append(parent[chain[-1]])
         chains[bit] = tuple(reversed(chain))
     return chains
+
+
+def _added_concepts(space: ConceptSpace, chain: Sequence[int]) -> list[str]:
+    """The concept each step of a mask ``chain`` adds, in chain order."""
+    return [space.concepts[(after ^ before).bit_length() - 1] for before, after in zip(chain, chain[1:])]
 
 
 def _chain_masks(mind: Mind, concept: str) -> Optional[tuple[int, ...]]:

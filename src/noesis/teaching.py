@@ -35,7 +35,7 @@ from .errors import (
 )
 from .information import entropy_bits
 from .mind import Mind, iter_bits, understanding_horizon
-from .reachability import _first_hit_chains
+from .reachability import _added_concepts, _first_hit_chains
 from .signals import ParsedSignal, SignalSystem, capacity_from_count
 
 __all__ = [
@@ -240,10 +240,10 @@ def direct_strategy(scenario: Scenario) -> StrategyKernel:
     for concept in sorted(understanding_horizon(scenario.mind) - scenario.mind.axioms):
         if concept not in fibers:
             raise MissingSignalError(f"no signal token teaches horizon concept {concept!r}")
-    concepts = scenario.mind.space.concepts
+    space = scenario.mind.space
     plans: dict[str, tuple[str, ...]] = {}
     for target, chain in scenario.target_chains.items():
-        added = [concepts[(after ^ before).bit_length() - 1] for before, after in zip(chain, chain[1:])]
+        added = _added_concepts(space, chain)
         plans[target] = tuple(fibers[c][0] for c in added) + (fibers[target][0],)
 
     def kernel(target: str, history: tuple[ParsedSignal, ...]) -> Mapping[str, float]:

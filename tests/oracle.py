@@ -38,6 +38,11 @@ here in their place.
 The seventh part is the counter-based closure that built its own
 by-prerequisite index of the missing bits on every call, before it read
 the mind's one index (``_CompiledMind.rules_needing``).
+
+The eighth part is the reachable-family enumeration with its own queue
+and seen-set, which stored every state's one-step moves
+(``addable_masks``) before the family shared one breadth-first search
+with the shortest chains and read its moves off its states.
 """
 
 from __future__ import annotations
@@ -46,10 +51,12 @@ import itertools
 import math
 import random
 from collections import defaultdict, deque
+from dataclasses import dataclass
 from typing import AbstractSet, Iterable, Mapping, Optional, Sequence
 
 from noesis import (
     CapExceededError,
+    ConceptSpace,
     Curriculum,
     DerivationTree,
     ExpansionRule,
@@ -871,3 +878,51 @@ def closure_mask(mind: Mind, start: int) -> int:
                 if not target_bit & known:
                     stack.append(target_bit)
     return known
+
+
+# --- the reachable family with its stored move table -------------------------
+
+
+@dataclass(frozen=True, eq=False)
+class FamilyWithMoves:
+    """The reachable family as it was: its states and each state's moves."""
+
+    space: ConceptSpace
+    axioms: frozenset[str]
+    horizon: frozenset[str]
+    state_masks: frozenset[int]
+    addable_masks: Mapping[int, int]
+
+    def __len__(self) -> int:
+        return len(self.state_masks)
+
+    def addable(self, state: Iterable[str]) -> frozenset[str]:
+        mask = self.space.mask(state)
+        if mask not in self.state_masks:
+            raise KeyError(f"state {sorted(state)} is not reachable")
+        return self.space.labels(self.addable_masks[mask])
+
+
+def enumerate_reachable(mind: Mind, *, cap: int = DEFAULT_STATE_CAP) -> FamilyWithMoves:
+    start = mind.axiom_mask
+    addable: dict[int, int] = {}
+    queue = deque([start])
+    seen = {start}
+    while queue:
+        state = queue.popleft()
+        moves = mind.expand_mask(state) & ~state
+        addable[state] = moves
+        for bit in iter_bits(moves):
+            nxt = state | bit
+            if nxt not in seen:
+                seen.add(nxt)
+                if len(seen) > cap:
+                    raise CapExceededError(f"reachable family exceeds {cap} states")
+                queue.append(nxt)
+    return FamilyWithMoves(
+        space=mind.space,
+        axioms=mind.space.labels(start),
+        horizon=mind.space.labels(mind.horizon_mask),
+        state_masks=frozenset(seen),
+        addable_masks=addable,
+    )

@@ -390,6 +390,19 @@ class TestErrors:
         assert (code, out) == (1, "")
         assert "field 'prior'" in err and "Traceback" not in err
 
+    @pytest.mark.parametrize("command", ["simulate", "audit", "value", "capacity"])
+    def test_non_string_target_exit_one(self, capsys, fixtures_dir, tmp_path, command):
+        data = json.loads((fixtures_dir / "star.scenario").read_text())
+        data["targets"] = [["d1"], "d2", "d3", "d4"]
+        path = tmp_path / "s.scenario"
+        path.write_text(json.dumps(data))
+        argv = [command, "--scenario", str(path)]
+        if command != "capacity":
+            argv += ["--horizon", "2"]
+        code, out, err = _run(capsys, *argv)
+        assert (code, out) == (1, "")
+        assert "field 'targets'" in err and "Traceback" not in err
+
     def test_unwritable_out_exit_one(self, capsys, fixtures_dir, tmp_path):
         target = tmp_path / "missing" / "x.json"
         code, out, err = _run(

@@ -110,6 +110,14 @@ class TestLoadScenario:
         with pytest.raises(FormatError, match="horizon"):
             load_scenario(path)
 
+    def test_non_string_target_named(self, tmp_path, fixtures_dir):
+        data = json.loads((fixtures_dir / "star.scenario").read_text())
+        data["targets"] = [["d1"], "d2", "d3", "d4"]
+        path = tmp_path / "s.scenario"
+        path.write_text(json.dumps(data))
+        with pytest.raises(FormatError, match="field 'targets' must hold only strings"):
+            load_scenario_bundle(path)
+
     def test_signal_outside_concept_space_named(self, tmp_path, fixtures_dir):
         data = json.loads((fixtures_dir / "star.scenario").read_text())
         data["signals"].append({"token": "z_x", "target": "x"})

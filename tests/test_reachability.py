@@ -49,6 +49,18 @@ class TestEnumerateReachable:
         # exists, checked by exhaustive search over all subsets
         assert set(family.states()) == _reachable_by_exhaustion(mind1)
 
+    def test_label_set_outside_the_space_is_not_a_member(self, diamond):
+        family = enumerate_reachable(diamond)
+        assert frozenset({"zz"}) not in family
+        assert {"a", "zz"} not in family
+        assert {"a", 1} not in family
+        assert "a" not in family
+        assert {"a"} in family
+        with pytest.raises(UnknownConceptError):
+            family.addable({"a", "zz"})
+        with pytest.raises(KeyError, match="not reachable"):
+            family.addable({"b"})
+
     def test_no_rules_single_state(self):
         mind = helpers.make_mind("ab", "a", [])
         family = enumerate_reachable(mind)

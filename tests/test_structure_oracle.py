@@ -1,5 +1,7 @@
 """Differential tests: the mask-level learning-space check and the horizon
-capacity against the frozenset check and the per-state capacity scan."""
+capacity against the frozenset check and the per-state capacity scan, and
+the reachable family, which reads its moves off its states, against the
+enumeration that stored them."""
 
 from __future__ import annotations
 
@@ -13,6 +15,8 @@ from hypothesis import strategies as st
 import helpers
 import oracle
 from noesis import (
+    CapExceededError,
+    Mind,
     Scenario,
     SignalSystem,
     audit_all,
@@ -104,6 +108,58 @@ class TestLearningSpaceCheckMatchesOracle:
             assert check_learning_space(family, axioms) == oracle.check_learning_space(
                 family, axioms
             )
+
+
+def _family_or_cap_error(enumerate_fn, mind: Mind, cap: int):
+    """The family's size, or the message of the cap error it raises."""
+    try:
+        return len(enumerate_fn(mind, cap=cap))
+    except CapExceededError as exc:
+        return str(exc)
+
+
+class TestReachableFamilyMatchesOracle:
+    @given(st.randoms(use_true_random=False))
+    @settings(max_examples=200, deadline=None)
+    def test_states_moves_and_cap(self, rng):
+        mind = helpers.random_mind(rng, max_concepts=7)
+        family, want = enumerate_reachable(mind), oracle.enumerate_reachable(mind)
+        assert family.state_masks == want.state_masks
+        assert (family.axioms, family.horizon) == (want.axioms, want.horizon)
+        for mask in family.state_masks:
+            state = mind.space.labels(mask)
+            assert family.addable(state) == want.addable(state)
+        for mask in range(mind.space.full_mask + 1):  # unreachable states raise in both
+            if mask not in want.state_masks:
+                state = mind.space.labels(mask)
+                with pytest.raises(KeyError):
+                    family.addable(state)
+                with pytest.raises(KeyError):
+                    want.addable(state)
+        for cap in range(len(want) + 2):
+            assert _family_or_cap_error(enumerate_reachable, mind, cap) == _family_or_cap_error(
+                oracle.enumerate_reachable, mind, cap
+            )
+
+    def test_expansions_match_oracle_at_every_cap(self, monkeypatch):
+        calls = []
+        original = Mind.expand_mask
+
+        def counted(mind, mask):
+            calls.append(mask)
+            return original(mind, mask)
+
+        monkeypatch.setattr(Mind, "expand_mask", counted)
+        rng = random.Random(11)
+        for _ in range(60):
+            mind = helpers.random_mind(rng, max_concepts=7)
+            for cap in range(len(oracle.enumerate_reachable(mind)) + 2):
+                calls.clear()
+                got = _family_or_cap_error(enumerate_reachable, mind, cap)
+                got_calls = list(calls)
+                calls.clear()
+                assert got == _family_or_cap_error(oracle.enumerate_reachable, mind, cap)
+                assert got_calls == calls
 
 
 class TestHorizonCapacityMatchesOracle:
