@@ -2,8 +2,9 @@
 
 The oracle runs one BFS per target per call and parses with a full
 expansion; the package runs one BFS per scenario and reads orderedness
-from the rules that target a concept.  Counting ``Mind.expand_mask``
-calls guards against a search that runs further than the oracle's.
+from the rules that target a concept.  Counting expansions, in full
+(``Mind.expand_mask``) or grown from a parent's (``Mind.expand_add``),
+guards against a search that runs further than the oracle's.
 """
 
 from __future__ import annotations
@@ -172,20 +173,27 @@ def _chain_scenario(length: int, n_targets: int) -> Scenario:
 
 
 class _Counter:
+    """Counts expansions, in full (``expand_mask``) or grown from a parent's (``expand_add``)."""
+
     def __init__(self, monkeypatch):
-        self.calls = 0
-        original = Mind.expand_mask
+        self.full = self.grown = 0
+        original_full, original_add = Mind.expand_mask, Mind.expand_add
 
-        def counted(mind, mask):
-            self.calls += 1
-            return original(mind, mask)
+        def counted_full(mind, mask):
+            self.full += 1
+            return original_full(mind, mask)
 
-        monkeypatch.setattr(Mind, "expand_mask", counted)
+        def counted_add(mind, expanded, mask, bit):
+            self.grown += 1
+            return original_add(mind, expanded, mask, bit)
+
+        monkeypatch.setattr(Mind, "expand_mask", counted_full)
+        monkeypatch.setattr(Mind, "expand_add", counted_add)
 
     def during(self, fn, *args) -> int:
-        before = self.calls
+        before = self.full + self.grown
         fn(*args)
-        return self.calls - before
+        return self.full + self.grown - before
 
 
 class TestNoExtraBfsWork:
@@ -204,3 +212,12 @@ class TestNoExtraBfsWork:
         for t in (1, 100, 199, 200):
             calls += counter.during(value_envelope, scenario, t)
         assert calls <= 201
+
+    def test_a_chain_search_expands_only_the_axioms_in_full(self, monkeypatch):
+        labels = [f"c{i}" for i in range(3000)]
+        mind = helpers.make_mind(labels, labels[:1], [((p,), c) for p, c in zip(labels, labels[1:])])
+        counter = _Counter(monkeypatch)
+        assert structural_distance(mind, labels[-1]) == 2999
+        # The axioms and the 2,998 states before the last one are popped.
+        assert counter.full == 1
+        assert counter.grown <= 2998

@@ -61,6 +61,26 @@ class TestEnumerateReachable:
         with pytest.raises(KeyError, match="not reachable"):
             family.addable({"b"})
 
+    def test_label_iterables_are_read_as_sets(self, diamond):
+        family = enumerate_reachable(diamond)
+        assert ["a"] in family
+        assert ("a", "b") in family
+        assert ["b", "a", "b"] in family
+        assert (c for c in ["a", "c"]) in family
+        assert diamond.space.mask({"a", "b"}) in family
+        assert ["a", "d"] not in family
+        assert ["a", "zz"] not in family
+        assert ("a", 1) not in family
+        assert ["a", ["b"]] not in family
+        assert "a" not in family
+        assert None not in family
+
+    def test_addable_reads_a_one_shot_iterable_once(self, diamond):
+        family = enumerate_reachable(diamond)
+        assert family.addable(c for c in ["a"]) == {"b", "c"}
+        with pytest.raises(KeyError, match=r"state \['a', 'd'\] is not reachable"):
+            family.addable(c for c in ["d", "a"])
+
     def test_no_rules_single_state(self):
         mind = helpers.make_mind("ab", "a", [])
         family = enumerate_reachable(mind)

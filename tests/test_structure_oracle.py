@@ -142,14 +142,21 @@ class TestReachableFamilyMatchesOracle:
             )
 
     def test_expansions_match_oracle_at_every_cap(self, monkeypatch):
+        # Each expansion is recorded as the state it expands, whether in
+        # full or grown from the parent's.
         calls = []
-        original = Mind.expand_mask
+        original_full, original_add = Mind.expand_mask, Mind.expand_add
 
-        def counted(mind, mask):
+        def counted_full(mind, mask):
             calls.append(mask)
-            return original(mind, mask)
+            return original_full(mind, mask)
 
-        monkeypatch.setattr(Mind, "expand_mask", counted)
+        def counted_add(mind, expanded, mask, bit):
+            calls.append(mask | bit)
+            return original_add(mind, expanded, mask, bit)
+
+        monkeypatch.setattr(Mind, "expand_mask", counted_full)
+        monkeypatch.setattr(Mind, "expand_add", counted_add)
         rng = random.Random(11)
         for _ in range(60):
             mind = helpers.random_mind(rng, max_concepts=7)
