@@ -19,7 +19,7 @@ from typing import Optional, Sequence
 
 from . import fileio
 from .audit import DEFAULT_NODE_CAP, audit_all, build_history_tree
-from .derivation import curriculum_from_derivation, derive
+from .derivation import _distinct_nodes, curriculum_from_derivation, derive
 from .errors import CapExceededError, NoesisError, UnreachableConceptError
 from .mind import closure_iterates
 from .planner import (
@@ -164,14 +164,19 @@ def _cmd_closure(args) -> str:
     )
 
 
-def _tree_to_dict(node) -> dict:
-    if node.rule is None:
-        return {"concept": node.concept, "base": True}
-    return {
-        "concept": node.concept,
-        "rule": {"prereqs": sorted(node.rule.prereqs), "target": node.rule.target},
-        "children": [_tree_to_dict(child) for child in node.children],
-    }
+def _tree_to_dict(tree) -> dict:
+    """The derivation as nested dicts, built children first; a shared node's dict is shared too."""
+    built: dict[int, dict] = {}
+    for node in _distinct_nodes(tree):
+        if node.rule is None:
+            built[id(node)] = {"concept": node.concept, "base": True}
+        else:
+            built[id(node)] = {
+                "concept": node.concept,
+                "rule": {"prereqs": sorted(node.rule.prereqs), "target": node.rule.target},
+                "children": [built[id(child)] for child in node.children],
+            }
+    return built[id(tree)]
 
 
 def _cmd_derive(args) -> str:

@@ -4,6 +4,11 @@ Everything on disk is JSON; traces can additionally be exported as flat
 CSV, one row per round.  Probabilities are serialized with 12 significant
 digits, which round-trips well inside the audit tolerance, and writers
 emit keys in a fixed order so identical inputs produce identical bytes.
+
+Every JSON output goes through :func:`dump_json`, one writer that keeps
+its own stack of open containers, so output has no depth limit.  Its
+bytes are those of ``json.dumps(value, indent=2)`` with each float first
+rounded to 12 significant digits.
 """
 
 from __future__ import annotations
@@ -11,11 +16,12 @@ from __future__ import annotations
 import csv
 import hashlib
 import io
+import itertools
 import json
 import math
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Any, Mapping, Optional, Sequence
+from typing import Any, Iterator, Mapping, Optional, Sequence
 
 from .errors import FormatError, NoesisError
 from .mind import ConceptSpace, ExpansionRule, Mind
@@ -34,24 +40,116 @@ __all__ = [
     "read_trace",
     "trace_to_csv",
     "dump_json",
-    "round_floats",
 ]
 
 
-def round_floats(value: Any) -> Any:
-    """Round every float in a JSON-like structure to 12 significant digits."""
+_escape = json.encoder.encode_basestring_ascii
+_NONFINITE = {"nan": "NaN", "inf": "Infinity", "-inf": "-Infinity"}
+
+
+def _float_text(x: float) -> str:
+    """A float at 12 significant digits, spelled as ``json`` spells floats."""
+    text = repr(float(format(x, ".12g")))
+    return _NONFINITE.get(text, text)
+
+
+# The text of each plain scalar type; lists of one such type are written in one join.
+_SCALAR_TEXT = {
+    str: _escape,
+    int: int.__repr__,
+    float: _float_text,
+    bool: {True: "true", False: "false"}.__getitem__,
+    type(None): lambda _: "null",
+}
+
+
+def _other_scalar_text(value: Any) -> Optional[str]:
+    """The text of a str, int or float subclass as ``json`` writes it; None for anything else."""
+    if isinstance(value, str):
+        return _escape(value)
+    if isinstance(value, int):
+        return int.__repr__(value)
     if isinstance(value, float):
-        return float(f"{value:.12g}")
-    if isinstance(value, dict):
-        return {k: round_floats(v) for k, v in value.items()}
-    if isinstance(value, (list, tuple)):
-        return [round_floats(v) for v in value]
-    return value
+        return _float_text(value)
+    return None
+
+
+def _key_head(key: Any) -> str:
+    """A dict key and its colon as ``json`` writes them; a float key is not rounded."""
+    if isinstance(key, str):
+        return _escape(key) + ": "
+    if isinstance(key, float):
+        text = float.__repr__(key)
+        text = _NONFINITE.get(text, text)
+    elif key is True or key is False or key is None:
+        text = _SCALAR_TEXT[type(key)](key)
+    elif isinstance(key, int):
+        text = int.__repr__(key)
+    else:
+        raise TypeError(f"keys must be str, int, float, bool or None, not {type(key).__name__}")
+    return '"' + text + '": '
+
+
+def _heads(indent: str) -> Iterator[str]:
+    """What precedes each entry of a container: ``indent``, then a comma and ``indent``."""
+    return itertools.chain((indent,), itertools.repeat("," + indent))
 
 
 def dump_json(value: Any) -> str:
-    """Deterministic JSON text: fixed key order, rounded floats, trailing newline."""
-    return json.dumps(round_floats(value), indent=2, sort_keys=False) + "\n"
+    """Deterministic JSON text: fixed key order, rounded floats, trailing newline.
+
+    The bytes are those of ``json.dumps(value, indent=2) + "\\n"`` with every
+    float value (not key) first rounded to 12 significant digits, and the
+    errors are ``json``'s: ``TypeError`` for a value or key it cannot write
+    and ``ValueError`` for a container that holds itself.  Containers are
+    opened and closed on an explicit stack, so nesting has no depth limit.
+    """
+    out: list[str] = []
+    open_ids: set[int] = set()
+    # One frame per open container: its (text before the entry, entry) pairs, closing text, id.
+    stack: list[tuple[Iterator[tuple[str, Any]], str, int]] = [(iter((("", value),)), "\n", 0)]
+    while stack:
+        entries, closing, ident = stack[-1]
+        for head, item in entries:
+            text_of = _SCALAR_TEXT.get(type(item))
+            if text_of is None:
+                break
+            out.append(head + text_of(item))
+        else:
+            stack.pop()
+            open_ids.discard(ident)
+            out.append(closing)
+            continue
+        out.append(head)
+        text = _other_scalar_text(item)
+        if text is not None:
+            out.append(text)
+            continue
+        is_dict = isinstance(item, dict)
+        if not is_dict and not isinstance(item, (list, tuple)):
+            raise TypeError(f"Object of type {type(item).__name__} is not JSON serializable")
+        if not item:
+            out.append("{}" if is_dict else "[]")
+            continue
+        indent = "\n" + "  " * len(stack)
+        closing = indent[:-2] + ("}" if is_dict else "]")
+        if not is_dict:
+            kinds = set(map(type, item))
+            text_of = _SCALAR_TEXT.get(kinds.pop()) if len(kinds) == 1 else None
+            if text_of is not None:
+                out.append("[" + indent + ("," + indent).join(map(text_of, item)) + closing)
+                continue
+        if id(item) in open_ids:
+            raise ValueError("Circular reference detected")
+        open_ids.add(id(item))
+        if is_dict:
+            out.append("{")
+            heads = map(str.__add__, _heads(indent), map(_key_head, item))
+            stack.append((zip(heads, item.values()), closing, id(item)))
+        else:
+            out.append("[")
+            stack.append((zip(_heads(indent), item), closing, id(item)))
+    return "".join(out)
 
 
 def _read_json(path: str | Path) -> Any:

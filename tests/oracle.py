@@ -43,16 +43,21 @@ The eighth part is the reachable-family enumeration with its own queue
 and seen-set, which stored every state's one-step moves
 (``addable_masks``) before the family shared one breadth-first search
 with the shortest chains and read its moves off its states.
+
+The ninth part is the JSON writer that the explicit-stack
+``fileio.dump_json`` replaced: a recursive copy with every float rounded
+to 12 significant digits, written by ``json.dumps(..., indent=2)``.
 """
 
 from __future__ import annotations
 
 import itertools
+import json
 import math
 import random
 from collections import defaultdict, deque
 from dataclasses import dataclass
-from typing import AbstractSet, Iterable, Mapping, Optional, Sequence
+from typing import AbstractSet, Any, Iterable, Mapping, Optional, Sequence
 
 from noesis import (
     CapExceededError,
@@ -926,3 +931,22 @@ def enumerate_reachable(mind: Mind, *, cap: int = DEFAULT_STATE_CAP) -> FamilyWi
         state_masks=frozenset(seen),
         addable_masks=addable,
     )
+
+
+# --- the recursive JSON writer ------------------------------------------------
+
+
+def round_floats(value: Any) -> Any:
+    """Round every float in a JSON-like structure to 12 significant digits."""
+    if isinstance(value, float):
+        return float(f"{value:.12g}")
+    if isinstance(value, dict):
+        return {k: round_floats(v) for k, v in value.items()}
+    if isinstance(value, (list, tuple)):
+        return [round_floats(v) for v in value]
+    return value
+
+
+def dump_json(value: Any) -> str:
+    """Deterministic JSON text: fixed key order, rounded floats, trailing newline."""
+    return json.dumps(round_floats(value), indent=2, sort_keys=False) + "\n"

@@ -1,6 +1,7 @@
 from __future__ import annotations
 
 import json
+import sys
 
 import pytest
 
@@ -210,10 +211,30 @@ def _assert_too_deep(code, out, err):
     assert err.count("\n") == 1 and "Traceback" not in err
 
 
-def test_deep_derivation_exit_two(capsys, tmp_path):
+def test_deep_derivation_passes(capsys, tmp_path):
+    # The tree's dicts and the JSON writer keep their own stacks; only reading it back recurses.
     path = tmp_path / "chain.mind"
-    path.write_text(json.dumps(_chain(300)))
-    _assert_too_deep(*_run(capsys, "derive", "--mind", str(path), "--target", "c299"))
+    path.write_text(json.dumps(_chain(600)))
+    code, out, err = _run(capsys, "derive", "--mind", str(path), "--target", "c599")
+    assert (code, err) == (0, "")
+    limit = sys.getrecursionlimit()
+    sys.setrecursionlimit(max(limit, 5000))
+    try:
+        result = json.loads(out)
+    finally:
+        sys.setrecursionlimit(limit)
+    depth, node = 1, result["tree"]
+    while "children" in node:
+        (node,) = node["children"]
+        depth += 1
+    assert (depth, node) == (600, {"concept": "c0", "base": True})
+    assert len(result["curriculum"]) == 599
+
+
+def test_deeply_nested_input_exit_two(capsys, tmp_path):
+    path = tmp_path / "nested.mind"
+    path.write_text('{"concepts": ' + "[" * 100_000 + "]" * 100_000 + ', "axioms": [], "rules": []}')
+    _assert_too_deep(*_run(capsys, "reach", "--mind", str(path)))
 
 
 @pytest.mark.parametrize("n", [990, 1500])
