@@ -99,9 +99,22 @@ class ConceptSpace:
             raise UnknownConceptError(f"unknown concept {label!r}") from None
 
     def mask(self, labels: Iterable[str]) -> int:
+        """The mask of ``labels``; unknown labels raise, naming the least of them.
+
+        Naming the least one, not the first met, keeps the message the same
+        whatever order a ``frozenset`` of labels iterates in.
+        """
+        index = self.index
         out = 0
+        unknown = []
         for label in labels:
-            out |= self.bit(label)
+            i = index.get(label)
+            if i is None:
+                unknown.append(label)
+            else:
+                out |= 1 << i
+        if unknown:
+            raise UnknownConceptError(f"unknown concept {min(unknown, key=str)!r}")
         return out
 
     def labels(self, mask: int) -> frozenset[str]:
@@ -205,12 +218,15 @@ class Mind:
                 out |= target_bit
         return out
 
-    def closure_mask(self, start: int) -> int:
+    def closure_mask(self, start: int, within: int = -1) -> int:
         """Least fixed point of the expansion operator containing ``start``.
 
-        Forward chaining with per-rule missing-prerequisite counters over the
-        mind's one by-prerequisite index; a bit popped as new lies outside
-        ``start``, so in the gap of every rule needing it.
+        Only the rules whose target lies in ``within`` fire (by default
+        all of them); the broadcast search closes a learner type under
+        the rules a token can act on.  Forward chaining with per-rule
+        missing-prerequisite counters over the mind's one by-prerequisite
+        index; a bit popped as new lies outside ``start``, so in the gap
+        of every rule needing it.
         """
         rules, needing = self._compiled.rules, self._compiled.rules_needing
         known = start
@@ -219,7 +235,7 @@ class Mind:
         for prereq_mask, target_bit in rules:
             gap = prereq_mask & ~start
             missing.append(gap.bit_count())
-            if gap == 0 and not target_bit & known:
+            if gap == 0 and target_bit & within and not target_bit & known:
                 stack.append(target_bit)
         while stack:
             bit = stack.pop()
@@ -230,7 +246,7 @@ class Mind:
                 missing[ri] -= 1
                 if missing[ri] == 0:
                     target_bit = rules[ri][1]
-                    if not target_bit & known:
+                    if target_bit & within and not target_bit & known:
                         stack.append(target_bit)
         return known
 

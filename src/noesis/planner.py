@@ -8,18 +8,21 @@ deterministic history-dependent strategies; success probability is
 affine in each round's kernel probabilities, so the supremum over
 stochastic strategies is attained at a deterministic one and the
 restriction loses nothing.  The broadcast construction realizes the
-linear penalty of teaching incompatible minds with one shared sequence.
+linear penalty of teaching incompatible minds with one shared sequence,
+and an A* search over the minds' product states finds the shortest
+shared sequence, bounded below by the concepts each mind must still be
+taught.
 """
 
 from __future__ import annotations
 
+import heapq
 import itertools
-from collections import deque
 from dataclasses import dataclass
 from typing import Optional, Sequence
 
 from .errors import CapExceededError, MissingSignalError, UnreachableConceptError
-from .mind import ConceptSpace, ExpansionRule, Mind
+from .mind import ConceptSpace, ExpansionRule, Mind, iter_bits
 from .reachability import DEFAULT_STATE_CAP, _added_concepts, _chain_masks
 from .signals import SignalSystem
 from .teaching import Scenario
@@ -295,9 +298,30 @@ def broadcast_check(instance: BroadcastInstance, sequence: Sequence[str]) -> tup
     for token in sequence:
         concept_bit = space.bit(instance.system.concept_of(token))
         for i, mind in enumerate(instance.minds):
-            if mind.expand_mask(states[i]) & concept_bit:
+            if mind.is_ordered_mask(states[i], concept_bit):
                 states[i] |= concept_bit
     return tuple(bool(s & target_bit) for s in states)
+
+
+def _mandatory(mind: Mind, taught: int, target_bit: int) -> Optional[int]:
+    """The concepts every shared sequence must teach ``mind`` before it knows the target.
+
+    A learner only ever adds a taught concept that one of its rules
+    orders, so the concepts it can reach are the closure of its axioms
+    under the rules whose target lies in ``taught``.  Concept ``c`` is
+    mandatory when the target leaves that closure once the rules for
+    ``c`` are dropped: every learning path to the target passes ``c``.
+    Returns None when the target is out of reach altogether.
+    """
+    axioms = mind.axiom_mask
+    reach = mind.closure_mask(axioms, taught)
+    if not reach & target_bit:
+        return None
+    out = 0
+    for bit in iter_bits(reach & ~axioms):
+        if not mind.closure_mask(axioms, taught & ~bit) & target_bit:
+            out |= bit
+    return out
 
 
 def broadcast_min_length(
@@ -305,16 +329,25 @@ def broadcast_min_length(
 ) -> Optional[int]:
     """Length of the shortest shared sequence teaching the target to every mind.
 
-    Breadth-first search over tuples of per-mind state masks, one
-    transition per token; the shared sequence is recovered implicitly as
-    the path depth.  Each mind's moves are memoized by state mask: every
-    state of it the search meets is expanded one time, into the tokens
-    that move it and their successors.  The cost is then the number of
-    product states visited.  A token that moves no mind leads back to the
-    state it left, which is already seen, so only the moving tokens are
-    tried, in alphabet order; the visit order and the cap count are those
-    of trying every token.  Returns None when no sequence works, and
-    raises :class:`CapExceededError` past ``cap`` visited product states.
+    A* search (Hart, Nilsson and Raphael, 1968) over tuples of per-mind
+    state masks, one transition per token; the shared sequence is
+    recovered implicitly as the path depth.  The bound on the rounds
+    left is the number of distinct concepts that are mandatory (see
+    :func:`_mandatory`) for some mind that does not know them yet.  One
+    token teaches one concept, so the bound is admissible and consistent;
+    it is 0 exactly at goal states and at least 1 elsewhere, so a goal
+    found when it is generated is already optimal.  The heap is ordered
+    by depth plus bound, ties broken toward greater depth, then by
+    insertion order.  Each mind's moves are memoized by state mask:
+    every state of it the search meets is expanded one time, into the
+    tokens that move it and their successors, and only those tokens are
+    tried, in alphabet order.
+
+    Returns None, before any search, when some mind cannot reach the
+    target on its own: tokens only add concepts, so a shared sequence
+    exists exactly when each mind has one.  Raises
+    :class:`CapExceededError` once more than ``cap`` distinct product
+    states are stored, the start included.
     """
     space = instance.space
     target_bit = space.bit(instance.target)
@@ -322,16 +355,31 @@ def broadcast_min_length(
     minds = instance.minds
     moves: list[dict[int, dict[int, int]]] = [{} for _ in minds]  # per mind: mask -> {token: successor}
 
-    def done(states: tuple[int, ...]) -> bool:
-        return all(mask & target_bit for mask in states)
-
     start = tuple(mind.axiom_mask for mind in minds)
-    if done(start):
+    if all(mask & target_bit for mask in start):
         return 0
-    seen = {start}
-    frontier = deque([(start, 0)])
-    while frontier:
-        states, depth = frontier.popleft()
+    taught = space.mask(instance.system.targets)
+    mandatory = []
+    for mind in minds:
+        needed = _mandatory(mind, taught, target_bit)
+        if needed is None:
+            return None
+        mandatory.append(needed)
+
+    def bound(states: tuple[int, ...]) -> int:
+        unknown = 0
+        for needed, mask in zip(mandatory, states):
+            unknown |= needed & ~mask
+        return unknown.bit_count()
+
+    depth_of = {start: 0}  # every stored product state -> the least depth found
+    heap = [(bound(start), 0, 0, start)]  # (depth + bound, -depth, insertion order, states)
+    order = itertools.count(1)
+    while heap:
+        _, neg_depth, _, states = heapq.heappop(heap)
+        depth = -neg_depth
+        if depth_of[states] < depth:
+            continue  # reached again, shallower, after this entry was pushed
         movers: dict[int, list[tuple[int, int]]] = {}
         for i, mask in enumerate(states):
             out = moves[i].get(mask)
@@ -345,12 +393,13 @@ def broadcast_min_length(
             for i, succ in movers[tok]:
                 moved[i] = succ
             nxt = tuple(moved)
-            if nxt in seen:
+            if depth_of.get(nxt, depth + 2) <= depth + 1:
                 continue
-            if done(nxt):
+            left = bound(nxt)
+            if left == 0:
                 return depth + 1
-            seen.add(nxt)
-            if len(seen) > cap:
+            depth_of[nxt] = depth + 1
+            if len(depth_of) > cap:
                 raise CapExceededError(f"product-state search exceeded {cap} states")
-            frontier.append((nxt, depth + 1))
+            heapq.heappush(heap, (depth + 1 + left, -depth - 1, next(order), nxt))
     return None

@@ -1,10 +1,14 @@
 from __future__ import annotations
 
 import json
+import os
+import subprocess
 import sys
+from pathlib import Path
 
 import pytest
 
+import noesis
 from noesis.cli import run_cli
 
 
@@ -385,6 +389,21 @@ class TestErrors:
         )
         assert code == 1
         assert "error" in err
+
+    def test_unknown_concept_named_alike_under_any_hash_seed(self, fixtures_dir):
+        # ``--state`` becomes a frozenset, which iterates in hash order; the
+        # error names its least unknown label.
+        argv = [
+            sys.executable, "-m", "noesis.cli", "capacity",
+            "--scenario", str(fixtures_dir / "star.scenario"), "--state", "a,b,c,d",
+        ]
+        src = str(Path(noesis.__file__).resolve().parent.parent)
+        runs = []
+        for seed in ("1", "2"):
+            env = {**os.environ, "PYTHONHASHSEED": seed, "PYTHONPATH": src}
+            done = subprocess.run(argv, env=env, capture_output=True, text=True, timeout=60)
+            runs.append((done.returncode, done.stdout, done.stderr))
+        assert runs[0] == runs[1] == (1, "", "error: unknown concept 'c'\n")
 
     def test_bad_usage_exit_one(self, capsys):
         code, _, err = _run(capsys, "simulate")

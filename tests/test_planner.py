@@ -211,6 +211,9 @@ class TestBroadcast:
                 truncated = instance.tight_sequence[:-1]
                 assert not all(broadcast_check(instance, truncated))
                 assert broadcast_check(instance, ()) == (False,) * k
+                # Naming the target before any chain is walked teaches it to nobody.
+                early = instance.tight_sequence[-1:] + truncated
+                assert broadcast_check(instance, early) == (False,) * k
 
     def test_min_length_matches_formula(self):
         assert broadcast_min_length(broadcast_construct(2, 2)) == 3

@@ -1,10 +1,14 @@
-"""The planner's memoized searches against the searches they replaced.
+"""The planner's searches against the searches they replaced.
 
 ``exact_value_tiny`` searches each ``(state, live targets, depth)`` node
-once, and ``broadcast_min_length`` expands each state of each mind once;
-the oracles in ``oracle.py`` expand afresh at every history and at every
-product state.  Values must match exactly, caps must fire at the same
-point, the CLI bytes must not move, and the work counts must fall.
+once, and ``broadcast_min_length`` is an A* search that expands each
+state of each mind once; the oracles in ``oracle.py`` expand afresh at
+every history, and breadth-first at every product state.  Values must
+match exactly, the CLI bytes must not move, and the work counts must
+fall.  The exact search's caps fire where the oracle's do; the A*
+search stores other product states than the breadth-first one, so its
+cap has its own threshold, never above the oracle's on the broadcast
+construction.
 """
 
 from __future__ import annotations
@@ -13,6 +17,7 @@ import dataclasses
 import itertools
 import json
 import random
+from typing import Optional
 
 import pytest
 from hypothesis import given, settings
@@ -140,24 +145,58 @@ def _random_type(rng: random.Random, instance) -> Mind:
     return mind
 
 
-def _same_search(instance, cap: int) -> None:
-    try:
-        want = oracle.broadcast_min_length(instance, cap=cap)
-    except CapExceededError as exc:
-        with pytest.raises(CapExceededError, match=str(exc)):
-            broadcast_min_length(instance, cap=cap)
-    else:
-        assert broadcast_min_length(instance, cap=cap) == want
+def _random_instance(rng: random.Random):
+    base = broadcast_construct(rng.randint(2, 3), rng.randint(2, 3))
+    minds = tuple(_random_type(rng, base) for _ in range(rng.randint(1, 4)))
+    return dataclasses.replace(base, minds=minds)
+
+
+def _threshold(instance) -> tuple[int, Optional[int]]:
+    """The least cap at which the search finishes, and its answer there.
+
+    Every smaller cap must raise, naming that cap.
+    """
+    for cap in range(2001):
+        try:
+            return cap, broadcast_min_length(instance, cap=cap)
+        except CapExceededError as exc:
+            assert str(exc) == f"product-state search exceeded {cap} states"
+    pytest.fail("the search stores more than 2000 product states")
 
 
 @given(st.randoms(use_true_random=False))
-@settings(max_examples=80, deadline=None)
-def test_broadcast_matches_oracle_at_every_cap(rng):
-    base = broadcast_construct(rng.randint(2, 3), rng.randint(2, 3))
-    minds = tuple(_random_type(rng, base) for _ in range(rng.randint(1, 4)))
-    instance = dataclasses.replace(base, minds=minds)
-    for cap in list(range(1, 41)) + [2000]:
-        _same_search(instance, cap)
+@settings(max_examples=200, deadline=None)
+def test_broadcast_cap_has_one_threshold(rng):
+    # Below one cap the search raises; from it up it gives the oracle's uncapped answer.
+    instance = _random_instance(rng)
+    want = oracle.broadcast_min_length(instance)
+    threshold, got = _threshold(instance)
+    assert got == want
+    for cap in list(range(threshold, max(threshold, 40) + 1)) + [2000]:
+        assert broadcast_min_length(instance, cap=cap) == want
+
+
+@pytest.mark.parametrize("k, depth", [(k, depth) for k in range(2, 6) for depth in range(2, 6)])
+def test_broadcast_finishes_wherever_the_oracle_does(k, depth):
+    instance = broadcast_construct(k, depth)
+    threshold, got = _threshold(instance)
+    assert got == k * (depth - 1) + 1
+    with pytest.raises(CapExceededError):
+        oracle.broadcast_min_length(instance, cap=threshold - 1)
+
+
+def test_broadcast_cap_counts_stored_states_with_the_start():
+    # k=2, L=2: the start, both one-token states, then from the first of
+    # them the state knowing both private concepts and the state where
+    # mind 1 knows the target; naming the target from the former ends it.
+    instance = broadcast_construct(2, 2)
+    assert _threshold(instance) == (5, 3)
+
+
+def test_broadcast_scale_is_bounded_by_the_cap():
+    # The cap bounds the product states stored, so no clock is needed.
+    assert broadcast_min_length(broadcast_construct(20, 6), cap=2000) == 101
+    assert broadcast_min_length(broadcast_construct(8, 4), cap=200) == 25
 
 
 @pytest.mark.parametrize("k, depth", [(2, 2), (2, 3), (3, 3)])
@@ -167,6 +206,7 @@ def test_broadcast_with_a_blocked_type_finds_nothing(k, depth):
     instance = dataclasses.replace(base, minds=minds)
     assert oracle.broadcast_min_length(instance) is None
     assert broadcast_min_length(instance) is None
+    assert broadcast_min_length(instance, cap=0) is None  # decided before any search
 
 
 def test_broadcast_expands_each_type_state_once(monkeypatch):
