@@ -16,6 +16,7 @@ taught.
 
 from __future__ import annotations
 
+import functools
 import heapq
 import itertools
 from dataclasses import dataclass
@@ -133,61 +134,103 @@ def deterministic_value(mind: Mind, system: SignalSystem, goal: str, t: int) -> 
 
 
 # Within these caps at most 3 concepts are added, so the memo holds at most
-# 8 state masks x 7 live-target sets x 4 depths = 224 keys, each trying at
-# most 27 assignments: the search needs no cap of its own.
+# 8 state masks x 7 live-target sets x 4 depths = 224 keys.  Each makes one
+# step call and at most 4 outcomes x 7 blocks = 28 child lookups, then takes
+# the max over at most 4^3 = 64 labelled partitions: the search needs no cap
+# of its own.
 _EXACT_MAX_TARGETS = 3
 _EXACT_MAX_TOKENS = 3
 _EXACT_MAX_HORIZON = 3
+
+
+@functools.cache  # keyed by live-target tuples: 7 of them within the caps
+def _set_partitions(items: tuple[int, ...]) -> tuple[tuple[tuple[int, ...], ...], ...]:
+    """Every set partition of ``items``, its blocks ordered by least member."""
+    partitions: list[tuple[tuple[int, ...], ...]] = [()]
+    for item in items:
+        partitions = [
+            blocks[:j] + (blocks[j] + (item,),) + blocks[j + 1 :]
+            for blocks in partitions
+            for j in range(len(blocks))
+        ] + [blocks + ((item,),) for blocks in partitions]
+    return tuple(partitions)
 
 
 def exact_value_tiny(scenario: Scenario, t: int) -> float:
     """Exact optimal success probability on a tiny instance.
 
     Searches all deterministic history-dependent strategies: at each
-    search node the teacher picks one token per live target, and the
-    best choice is found once per ``(state, live targets, depth)``.
-    Under point laws the weights passed down are the prior restricted to
-    the live targets, so that key fixes the node's value and a node
-    reached along several histories is searched once.  Hard caps keep the
-    search tractable; exceeding them raises :class:`CapExceededError`.
+    search node the teacher picks one token per live target.  Under
+    point laws the weights passed down are the prior restricted to the
+    live targets, so ``(state, live targets, depth)`` fixes a node's
+    value and a node reached along several histories is searched once.
+
+    A node makes one :meth:`Scenario.step` call, with a uniform law over
+    the alphabet, for its outcomes: each token that parses (a known
+    concept's token included) and the null observation if some token
+    does not.  A choice of tokens splits the live targets into blocks,
+    one per outcome, so the node's value is the max over set partitions
+    of the live targets with distinct outcomes as labels, each block
+    worth its child's value.  Every block's value under every outcome
+    is looked up once; a partition's blocks are summed from ``0.0`` in
+    order of their least member, the order ``step`` reports outcomes
+    in, so the floats are those of trying every token choice.  Hard caps
+    keep the search tractable; exceeding them raises
+    :class:`CapExceededError`, naming the cap and the value reached.
     """
     if t < 0:
         raise ValueError("horizon must be nonnegative")
-    if len(scenario.targets) > _EXACT_MAX_TARGETS:
-        raise CapExceededError(f"exact search caps targets at {_EXACT_MAX_TARGETS}")
-    if len(scenario.system.tokens) > _EXACT_MAX_TOKENS:
-        raise CapExceededError(f"exact search caps the alphabet at {_EXACT_MAX_TOKENS}")
+    n_targets, n_tokens = len(scenario.targets), len(scenario.system.tokens)
+    if n_targets > _EXACT_MAX_TARGETS:
+        raise CapExceededError(
+            f"exact search caps targets at {_EXACT_MAX_TARGETS}; the scenario has {n_targets}"
+        )
+    if n_tokens > _EXACT_MAX_TOKENS:
+        raise CapExceededError(
+            f"exact search caps the alphabet at {_EXACT_MAX_TOKENS}; the scenario has {n_tokens}"
+        )
     if t > _EXACT_MAX_HORIZON:
-        raise CapExceededError(f"exact search caps the horizon at {_EXACT_MAX_HORIZON}")
+        raise CapExceededError(
+            f"exact search caps the horizon at {_EXACT_MAX_HORIZON}; asked for {t}"
+        )
 
     space = scenario.mind.space
+    prior = scenario.prior
     target_bits = [space.bit(target) for target in scenario.targets]
-    point_laws = [{tok: 1.0} for tok in scenario.system.tokens]
+    uniform = [{tok: 1.0 / n_tokens for tok in scenario.system.tokens}]
     memo: dict[tuple[int, tuple[int, ...], int], float] = {}
 
-    def best(state_mask: int, joint: Sequence[float], depth: int) -> float:
-        live = tuple(i for i, p in enumerate(joint) if p > 0.0)
+    def best(state_mask: int, live: tuple[int, ...], depth: int) -> float:
         key = (state_mask, live, depth)
         if key in memo:
             return memo[key]
-        mass = sum(joint[i] for i in live)
         if len(live) == 1 and target_bits[live[0]] & state_mask:
-            return mass  # identified and acquired: completed at this depth
+            return prior[live[0]]  # identified and acquired: completed at this depth
         if depth == t:
             return 0.0
+        children = [child for child, _ in scenario.step(state_mask, uniform, [1.0]).values()]
+        labels = range(len(children))
+        rows: dict[tuple[int, ...], list[float]] = {}  # block -> its value under each outcome
         value = 0.0
-        laws: list[Optional[dict[str, float]]] = [None] * len(joint)
-        for assignment in itertools.product(point_laws, repeat=len(live)):
-            for i, law in zip(live, assignment):
-                laws[i] = law
-            total = 0.0
-            for child_mask, sub in scenario.step(state_mask, laws, joint).values():
-                total += best(child_mask, sub, depth + 1)
-            value = max(value, total)
+        for blocks in _set_partitions(live):
+            if len(blocks) > len(children):
+                continue  # no labelling, and its blocks may be no strategy's children
+            block_rows = []
+            for block in blocks:
+                row = rows.get(block)
+                if row is None:
+                    row = rows[block] = [best(child, block, depth + 1) for child in children]
+                block_rows.append(row)
+            for labelling in itertools.permutations(labels, len(blocks)):
+                total = 0.0
+                for row, k in zip(block_rows, labelling):
+                    total += row[k]
+                if total > value:
+                    value = total
         memo[key] = value
         return value
 
-    return best(scenario.mind.axiom_mask, scenario.prior, 0)
+    return best(scenario.mind.axiom_mask, tuple(i for i, p in enumerate(prior) if p > 0.0), 0)
 
 
 @dataclass(frozen=True)

@@ -9,12 +9,13 @@ belief; they record completion (target acquired and identified) and
 identification (belief a point mass) times.
 
 :meth:`Scenario.step` is the one place a round is computed, on state
-masks, for episodes, posteriors, history trees and the exact search; it
-tests whether a token parses through the rules that target its concept
-only.  :func:`run_episode` keeps its state's expansion current one
-acquired concept at a time (:meth:`Mind.expand_add`).  Shortest
-acquisition chains to the targets are computed once per scenario, by
-one breadth-first search that grows each state's expansion from its
+masks, for episodes, posteriors, history trees and the exact search,
+which calls it once per search node for the node's outcomes; it tests
+whether a token parses through the rules that target its concept only.
+:func:`run_episode` keeps its state's expansion current one acquired
+concept at a time (:meth:`Mind.expand_add`).  Shortest acquisition
+chains to the targets are computed once per scenario, by one
+breadth-first search that grows each state's expansion from its
 parent's in the same way (about 1 ms on a 400-concept chain, CPython
 3.11 on one core of a Xeon server), and cached as
 :attr:`Scenario.target_chains`; the direct strategy, the value bounds

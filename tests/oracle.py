@@ -19,7 +19,10 @@ comes with them.
 The fourth part is the planner's two searches before they memoized
 their nodes: the exact value, maximized afresh at every history through
 :meth:`Scenario.step`, and the broadcast search, which expands every
-mind at every product state for every token.
+mind at every product state for every token.  The memoized exact value
+that tried every token assignment at each node, one ``step`` call per
+assignment, before it maximized over labelled partitions of the live
+targets, comes with them.
 
 The fifth part is the recursive history tree and the dense audit that
 the explicit-stack walks replaced: every internal node builds its
@@ -487,6 +490,51 @@ def exact_value_per_history(scenario: Scenario, t: int) -> float:
             for child_mask, sub in scenario.step(state_mask, laws, joint).values():
                 total += best(child_mask, sub, depth + 1)
             value = max(value, total)
+        return value
+
+    return best(scenario.mind.axiom_mask, scenario.prior, 0)
+
+
+def exact_value_memoized(scenario: Scenario, t: int) -> float:
+    """The exact value searched once per ``(state, live targets, depth)``.
+
+    Each node tries all |tokens|^|live| token assignments, one
+    :meth:`Scenario.step` call each.
+    """
+    if t < 0:
+        raise ValueError("horizon must be nonnegative")
+    if len(scenario.targets) > _EXACT_MAX_TARGETS:
+        raise CapExceededError(f"exact search caps targets at {_EXACT_MAX_TARGETS}")
+    if len(scenario.system.tokens) > _EXACT_MAX_TOKENS:
+        raise CapExceededError(f"exact search caps the alphabet at {_EXACT_MAX_TOKENS}")
+    if t > _EXACT_MAX_HORIZON:
+        raise CapExceededError(f"exact search caps the horizon at {_EXACT_MAX_HORIZON}")
+
+    space = scenario.mind.space
+    target_bits = [space.bit(target) for target in scenario.targets]
+    point_laws = [{tok: 1.0} for tok in scenario.system.tokens]
+    memo: dict[tuple[int, tuple[int, ...], int], float] = {}
+
+    def best(state_mask: int, joint: Sequence[float], depth: int) -> float:
+        live = tuple(i for i, p in enumerate(joint) if p > 0.0)
+        key = (state_mask, live, depth)
+        if key in memo:
+            return memo[key]
+        mass = sum(joint[i] for i in live)
+        if len(live) == 1 and target_bits[live[0]] & state_mask:
+            return mass  # identified and acquired: completed at this depth
+        if depth == t:
+            return 0.0
+        value = 0.0
+        laws: list[Optional[dict[str, float]]] = [None] * len(joint)
+        for assignment in itertools.product(point_laws, repeat=len(live)):
+            for i, law in zip(live, assignment):
+                laws[i] = law
+            total = 0.0
+            for child_mask, sub in scenario.step(state_mask, laws, joint).values():
+                total += best(child_mask, sub, depth + 1)
+            value = max(value, total)
+        memo[key] = value
         return value
 
     return best(scenario.mind.axiom_mask, scenario.prior, 0)

@@ -152,6 +152,13 @@ def test_cap_no_knob_raises_names_no_knob(capsys, fixtures_dir, argv):
     assert "--cap" not in err and "NOESIS_NODE_CAP" not in err
 
 
+def test_exact_cap_error_names_the_count(capsys, fixtures_dir):
+    argv = ["value", "--scenario", str(fixtures_dir / "star.scenario"), "--horizon", "1", "--exact"]
+    assert _run(capsys, *argv) == (
+        2, "", "error: exact search caps targets at 3; the scenario has 4\n"
+    )
+
+
 def test_env_cap_leaves_audit_global_bound_alone(capsys, fixtures_dir, monkeypatch):
     # The 6-node tree fits --cap; the global bound enumerates no family.
     monkeypatch.setenv("NOESIS_NODE_CAP", "3")

@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import dataclasses
 import random
 
 import pytest
@@ -135,13 +136,20 @@ class TestExactValueTiny:
         assert exact_value_tiny(axiom_scenario, 0) == 1.0
 
     def test_caps(self, star_scenario):
-        with pytest.raises(CapExceededError):
+        # Each message names the cap and what the input had.
+        with pytest.raises(CapExceededError) as exc:
             exact_value_tiny(star_scenario, 2)  # four targets and five tokens
+        assert str(exc.value) == "exact search caps targets at 3; the scenario has 4"
         small = helpers.star()
         system = SignalSystem.from_pairs([("z_b", "b"), ("z_1", "d1")])
         scenario = Scenario(mind=small, system=system, targets=("d1",), prior=(1.0,))
-        with pytest.raises(CapExceededError):
+        with pytest.raises(CapExceededError) as exc:
             exact_value_tiny(scenario, 4)
+        assert str(exc.value) == "exact search caps the horizon at 3; asked for 4"
+        wide = dataclasses.replace(scenario, system=star_scenario.system)
+        with pytest.raises(CapExceededError) as exc:
+            exact_value_tiny(wide, 1)
+        assert str(exc.value) == "exact search caps the alphabet at 3; the scenario has 5"
 
 
 class TestAllocate:

@@ -1,9 +1,11 @@
 """The planner's searches against the searches they replaced.
 
 ``exact_value_tiny`` searches each ``(state, live targets, depth)`` node
-once, and ``broadcast_min_length`` is an A* search that expands each
-state of each mind once; the oracles in ``oracle.py`` expand afresh at
-every history, and breadth-first at every product state.  Values must
+once, with one ``Scenario.step`` call and a max over labelled partitions
+of the live targets, and ``broadcast_min_length`` is an A* search that
+expands each state of each mind once; the oracles in ``oracle.py``
+expand afresh at every history, try every token assignment at each
+node, and search breadth-first at every product state.  Values must
 match exactly, the CLI bytes must not move, and the work counts must
 fall.  The exact search's caps fire where the oracle's do; the A*
 search stores other product states than the breadth-first one, so its
@@ -47,7 +49,20 @@ from noesis.cli import run_cli
 def test_exact_value_is_bit_identical(rng):
     scenario = helpers.some_zero_prior(rng, helpers.random_tiny_scenario(rng))
     for t in range(4):
-        assert exact_value_tiny(scenario, t) == oracle.exact_value_per_history(scenario, t)
+        got = exact_value_tiny(scenario, t)
+        assert got == oracle.exact_value_memoized(scenario, t)
+        assert got == oracle.exact_value_per_history(scenario, t)
+
+
+def test_outcomes_with_one_child_mask_stay_apart():
+    # Both tokens parse and change nothing, yet they are two observations:
+    # naming each known target identifies it.  One outcome per child mask
+    # would leave both targets in one block, unidentified: value 0.
+    mind = helpers.make_mind(["c0", "c1"], ["c0", "c1"], [])
+    system = SignalSystem.from_pairs([("z_c0", "c0"), ("z_c1", "c1")])
+    scenario = Scenario(mind=mind, system=system, targets=("c0", "c1"), prior=(0.5, 0.5))
+    assert exact_value_tiny(scenario, 0) == 0.0
+    assert exact_value_tiny(scenario, 1) == 1.0 == oracle.exact_value_memoized(scenario, 1)
 
 
 def _star_scenario(targets, prior) -> Scenario:
@@ -109,17 +124,27 @@ def _count_calls(monkeypatch, cls, name):
     return calls
 
 
-def test_exact_value_steps_once_per_node(monkeypatch):
-    scenario = _star_scenario(("b", "d1", "d2"), (0.2, 0.3, 0.5))
+def _assert_steps_once_per_node(monkeypatch, scenario: Scenario) -> None:
     nodes = _expanded_nodes(scenario, 3)
     calls = _count_calls(monkeypatch, Scenario, "step")
     value = exact_value_tiny(scenario, 3)
     memoized = len(calls)
     assert value == oracle.exact_value_per_history(scenario, 3)
     per_history = len(calls) - memoized
-    assert memoized == sum(3 ** len(live) for _, live, _ in nodes)
-    assert memoized <= 27 * len(nodes)
+    assert memoized == len(nodes)
     assert memoized < per_history
+
+
+def test_exact_value_steps_once_per_node(monkeypatch):
+    _assert_steps_once_per_node(monkeypatch, _star_scenario(("b", "d1", "d2"), (0.2, 0.3, 0.5)))
+
+
+def test_exact_value_steps_once_per_node_with_one_outcome(monkeypatch):
+    # No token ever parses, so every node has the one null outcome and
+    # only the whole live set is a block.
+    system = SignalSystem.from_pairs([("z_1", "d1"), ("z_2", "d2")])
+    scenario = Scenario(mind=helpers.star(), system=system, targets=("d1", "d2"), prior=(0.5, 0.5))
+    _assert_steps_once_per_node(monkeypatch, scenario)
 
 
 # --- broadcast search --------------------------------------------------------
