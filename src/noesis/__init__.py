@@ -16,6 +16,7 @@ from .audit import (
     HistoryTree,
     LawVerdict,
     audit_all,
+    audit_history,
     build_history_tree,
     round_mutual_info,
     round_mutual_info_from_joint,

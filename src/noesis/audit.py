@@ -11,7 +11,17 @@ unordered concepts, the total-information identity at identification,
 the trajectory capacity budget, and the global floor on expected
 completion time.
 
-Both walks use an explicit stack, so a tree's depth is bounded by its
+:func:`audit_history` gives the same node count and report without
+building the tree: one depth-first walk checks each node's laws when it
+expands it and keeps only the pending children on its stack, so its
+memory grows with the horizon times the branching, not with the tree.
+Each state's expansion and ordered-token count are grown from its
+parent's (:meth:`Mind.expand_add`), so a chain audit's work per node does
+not grow with the chain.  Both audits feed one per-node law routine and
+one expected-completion walk (:class:`_Checks`), node by node in the same
+pre-order, so their floats agree bit for bit.
+
+Every walk uses an explicit stack, so a tree's depth is bounded by its
 node cap alone.  The audit reads each node's joint tables from their
 nonzero cells only.  A table is then a list of rows, each row a list of
 ``(column, p)`` cells in column order; the dense sums skip only zero
@@ -21,13 +31,14 @@ dense table gives.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
-from itertools import compress, count
 from typing import Iterator, Optional, Sequence
 
 from .errors import CapExceededError, InformationLawError
 from .information import entropy_bits, mutual_information_cells
-from .signals import ParsedSignal, capacity_from_count, max_capacity, ordered_signals
+from .mind import iter_bits
+from .signals import ParsedSignal, capacity_from_count, max_capacity
 from .teaching import Scenario, StrategyKernel, emission_laws
 
 __all__ = [
@@ -42,6 +53,7 @@ __all__ = [
     "round_mutual_info",
     "round_mutual_info_from_joint",
     "audit_all",
+    "audit_history",
 ]
 
 AUDIT_TOL = 1e-9
@@ -51,7 +63,8 @@ _EXACT_TOL = 1e-12
 
 DEFAULT_NODE_CAP = 200_000
 
-_Cells = list[list[tuple[int, float]]]  # per row, its nonzero (column, p) in column order
+_Cells = list[list[tuple[int, float]]]  # per nonzero row, its nonzero (column, p) in column order
+_Columns = tuple[int, float, int]  # a state's expansion, capacity and ordered-token count
 
 
 @dataclass(eq=False, slots=True)
@@ -105,6 +118,31 @@ class HistoryTree:
         return (n for n in self.iter_nodes() if not n.children)
 
 
+def _children(outcomes: dict, column: dict[str, int]) -> list[tuple]:
+    """Outcomes ``{parsed: (mask, joint)}`` as children in alphabet order, the null observation last.
+
+    Each child is ``(outcome, state mask, joint, prob, belief, entropy)``.
+    The root is the one outcome, ``None``, of no round at all.
+    """
+    null_column = len(column)
+    children = []
+    for y in sorted(outcomes, key=lambda y: column.get(y, null_column)):
+        mask, joint = outcomes[y]
+        prob = sum(joint)
+        belief = tuple([j / prob for j in joint])
+        children.append((y, mask, joint, prob, belief, entropy_bits(belief)))
+    return children
+
+
+def _expand(
+    scenario: Scenario, strategy: StrategyKernel, history: tuple, mask: int, joint: list[float],
+    column: dict[str, int],
+) -> tuple[list, list[tuple]]:
+    """One node's kernel laws and its children (see :func:`_children`)."""
+    laws = emission_laws(scenario, strategy, history, joint)
+    return laws, _children(scenario.step(mask, laws, joint), column)
+
+
 def build_history_tree(
     scenario: Scenario,
     strategy: StrategyKernel,
@@ -123,21 +161,19 @@ def build_history_tree(
         raise ValueError("horizon must be nonnegative")
     tokens = scenario.system.tokens
     column = {tok: j for j, tok in enumerate(tokens)}
-    null_column = len(tokens)
     zero_row = (0.0,) * len(tokens)
     labels = scenario.mind.space.labels
     states: dict[int, frozenset[str]] = {}  # one label set per distinct state
     root = None
     made = 0
-    # (parent, parsed outcome, history, state mask, joint), popped in pre-order
-    stack: list = [(None, None, (), scenario.mind.axiom_mask, list(scenario.prior))]
+    root_outcome = {None: (scenario.mind.axiom_mask, list(scenario.prior))}
+    # (parent, (outcome, mask, joint, prob, belief, entropy), history), popped in pre-order
+    stack: list = [(None, _children(root_outcome, column)[0], ())]
     while stack:
-        parent, parsed, history, mask, joint = stack.pop()
+        parent, (parsed, mask, joint, prob, belief, entropy), history = stack.pop()
         made += 1
         if made > node_cap:
             raise CapExceededError(f"history tree exceeds {node_cap} nodes")
-        prob = sum(joint)
-        belief = tuple([j / prob for j in joint])
         state = states.get(mask)
         if state is None:
             state = states[mask] = labels(mask)
@@ -147,7 +183,7 @@ def build_history_tree(
             state=state,
             joint=tuple(joint),
             belief=belief,
-            entropy_bits=entropy_bits(belief),
+            entropy_bits=entropy,
             emission=None,
         )
         if parent is None:
@@ -156,74 +192,112 @@ def build_history_tree(
             parent.children[parsed] = node
         if len(history) == horizon:
             continue
-        laws = emission_laws(scenario, strategy, history, joint)
+        laws, children = _expand(scenario, strategy, history, mask, joint, column)
         node.emission = tuple([
             zero_row if law is None else _emission_row(b, law, column, zero_row)
             for b, law in zip(belief, laws)
         ])
-        outcomes = scenario.step(mask, laws, joint)
-        for y in sorted(outcomes, key=lambda y: column.get(y, null_column), reverse=True):
-            child_mask, child_joint = outcomes[y]
-            stack.append((node, y, history + (y,), child_mask, child_joint))
+        stack.extend([(node, child, history + (child[0],)) for child in reversed(children)])
     return HistoryTree(scenario=scenario, horizon=horizon, root=root, node_count=made)
 
 
 def _emission_row(b: float, law, column: dict[str, int], zero_row: tuple) -> tuple[float, ...]:
-    """``b * law[token]`` in alphabet order; tokens outside the alphabet are left to the step."""
+    """``b * law[token]`` in alphabet order; the step has already rejected any other token."""
     row = list(zero_row)
     for tok, p in law.items():
-        j = column.get(tok)
-        if j is not None:
-            row[j] = b * p
+        row[column[tok]] = b * p
     return tuple(row)
 
 
-def _mi_entropy_drop(node: HistoryNode) -> float:
-    expected_child = sum(
-        (child.prob / node.prob) * child.entropy_bits for child in node.children.values()
-    )
-    return node.entropy_bits - expected_child
+def _law_cells(belief: Sequence[float], laws, column: dict[str, int]) -> _Cells:
+    """The nonzero cells of the rows :func:`_emission_row` fills, read straight from the laws.
 
-
-def _state_columns(scenario: Scenario, state: frozenset[str]) -> tuple[bytes, float]:
-    """Which parsed columns keep their token at ``state``, and the state's capacity.
-
-    ``ordered[j]`` is 1 when token ``j`` parses at ``state``; the null
-    column, last, is 0.  One byte per column keeps a long chain's
-    per-state cache small.
+    Every token of a law is in the alphabet here: the step has already
+    rejected any other.
     """
-    parses = ordered_signals(scenario.mind, scenario.system, state)
-    tokens = scenario.system.tokens
-    ordered = bytes([tok in parses for tok in tokens] + [False])
-    return ordered, capacity_from_count(ordered.count(1), len(tokens))
+    cells = []
+    for b, law in zip(belief, laws):
+        if law is not None:
+            row = [(column[tok], v) for tok, p in law.items() if (v := b * p)]
+            if len(row) > 1:
+                row.sort()
+            if row:
+                cells.append(row)
+    return cells
+
+
+def _entropy_drop(prob: float, entropy: float, children: Sequence[tuple[float, float]]) -> float:
+    """A node's entropy less its children's expected entropy; ``children`` lists (prob, entropy)."""
+    return entropy - sum([(p / prob) * h for p, h in children])
+
+
+def _mi_entropy_drop(node: HistoryNode) -> float:
+    return _entropy_drop(
+        node.prob, node.entropy_bits, [(c.prob, c.entropy_bits) for c in node.children.values()]
+    )
+
+
+def _state_columns(scenario: Scenario, mask: int) -> _Columns:
+    """A state's expansion, capacity and ordered-token count, computed afresh.
+
+    Token ``j`` parses at the state when its concept bit is in the
+    expansion.
+    """
+    expanded = scenario.mind.expand_mask(mask)
+    n_ordered = sum(1 for bit in scenario.token_bits.values() if expanded & bit)
+    return expanded, capacity_from_count(n_ordered, len(scenario.token_bits)), n_ordered
 
 
 def _emission_cells(emission: Sequence[Sequence[float]]) -> _Cells:
-    """Each emission row's nonzero cells ``(column, p)``, in column order."""
-    return [list(zip(compress(count(), row), compress(row, row))) for row in emission]
+    """The nonzero cells ``(column, p)`` of each nonzero emission row, in column order.
 
-
-def _parsed_cells(cells: _Cells, ordered: bytes) -> _Cells:
-    """Conditional joint of (target, next parsed observation) at a node.
-
-    Pushes the raw emission through the parser: an ordered token keeps
-    its column and every other token lands in the null column, the last.
-    Only positive cells are pushed.
+    A row of zeros adds nothing exactly to any sum of the audit, so it is
+    left out.
     """
+    return [[(j, p) for j, p in enumerate(row) if p] for row in emission if any(row)]
+
+
+def _parsed_cells(cells: _Cells, expanded: int, column_bits: Sequence[int]):
+    """Conditional joint of (target, next parsed observation) at a node, in one pass over its cells.
+
+    Pushes the raw emission through the parser: a token whose concept bit
+    is in ``expanded`` keeps its column and every other token lands in
+    the null column, the last.  Only positive cells are pushed.
+
+    Returns the parsed table, less its empty rows; each row's null cell
+    (the last in its row), in row order; whether some cell was not
+    positive; and the concept bit every positive cell teaches, or 0 when
+    they teach several or none.
+    """
+    null_column = len(column_bits)
     table = []
+    nulls = []
+    nonpositive = False
+    concept = 0
+    mixed = False
     for row in cells:
         out = []
         null = 0.0
         for j, p in row:
             if p > 0.0:
-                if ordered[j]:
+                bit = column_bits[j]
+                if expanded & bit:
                     out.append((j, p))
                 else:
                     null += p
+                if bit != concept:
+                    if concept:
+                        mixed = True
+                    else:
+                        concept = bit
+            else:
+                nonpositive = True
         if null > 0.0:
-            out.append((len(ordered) - 1, null))
-        table.append(out)
-    return table
+            out.append((null_column, null))
+            nulls.append(null)
+        if out:
+            table.append(out)
+    return table, nulls, nonpositive, 0 if mixed else concept
 
 
 def _restricted_mi(table: _Cells, keep: bytes) -> float:
@@ -235,12 +309,40 @@ def _restricted_mi(table: _Cells, keep: bytes) -> float:
     return mutual_information_cells([[(j, p / mass) for j, p in row] for row in sub])
 
 
+def _erased_mi(nulls: Sequence[float]) -> float:
+    """:func:`_restricted_mi` of a parsed table to its null column, from the rows' null cells.
+
+    Rows without a null cell drop out of every sum, and a row with one
+    has that cell as its marginal, so the floats are those of the
+    general routine: the same sums over the same lists, and the same
+    quotients and logarithms.
+    """
+    mass = sum(nulls)
+    if mass <= 0.0:
+        return 0.0
+    qs = [p / mass for p in nulls]
+    col = sum(qs)
+    total = 0.0
+    for q in qs:
+        if q > 0.0:
+            try:
+                total += q * math.log2(q / (q * col))
+            except ZeroDivisionError:
+                if not col > 0.0:
+                    raise
+                # the product of subnormal marginals underflowed
+                total += q * (math.log2(q) - math.log2(q) - math.log2(col))
+    return total
+
+
 def round_mutual_info_from_joint(tree: HistoryTree, node: HistoryNode) -> float:
     """Next-round information about the target, from the joint table."""
     if node.is_leaf:
         raise ValueError("leaf node has no next round")
-    ordered, _ = _state_columns(tree.scenario, node.state)
-    table = _parsed_cells(_emission_cells(node.emission), ordered)
+    scenario = tree.scenario
+    expanded = _state_columns(scenario, scenario.mind.space.mask(node.state))[0]
+    column_bits = list(scenario.token_bits.values())
+    table = _parsed_cells(_emission_cells(node.emission), expanded, column_bits)[0]
     return mutual_information_cells(table)
 
 
@@ -304,83 +406,81 @@ def _verdict(law: str, worst: float, witness) -> LawVerdict:
     return LawVerdict(law, "pass", worst, None)
 
 
-def audit_all(tree: HistoryTree) -> AuditReport:
-    """Run all eight information-law checks over a built history tree.
+class _Checks:
+    """The eight laws' running state, fed every node of one history tree in pre-order.
 
-    One depth-first pass visits every node once, in the order of
-    :meth:`HistoryTree.iter_nodes`, and also walks the expected
-    completion time.  Each distinct state's ordered columns and capacity
-    are computed once.  Past one scan of the node's dense emission rows
-    for their nonzero cells, the work per node is linear in those cells.
+    :meth:`completion` runs at every node, then :meth:`leaf` at a node
+    without children or :meth:`internal` at one with them.  Each worst
+    violation keeps the first history that reached it.
     """
-    scenario = tree.scenario
-    system = scenario.system
-    n_tokens = len(system.tokens)
-    targets = scenario.targets
-    null_only = bytes(n_tokens) + b"\x01"  # keeps the null column alone
-    columns: dict[frozenset[str], tuple[bytes, float]] = {}
 
-    worst_drop = (0.0, None)
-    worst_super = (0.0, None)
-    worst_cap = (0.0, None)
-    worst_rel = (0.0, None)
-    worst_reph = (0.0, None)
-    chain_sum = 0.0
-    budget_sum = 0.0
-    identified_everywhere = True
-    # Expected completion time: each target adds its mass times the depth
-    # at the first node where it is known and believed; a target still
-    # alive at a leaf never completes.
-    expected_tau = 0.0
-    incomplete = False
+    __slots__ = (
+        "scenario", "target_bits", "column_bits", "expected_tau", "incomplete",
+        "identified_everywhere", "chain_sum", "budget_sum",
+        "worst_drop", "at_drop", "worst_super", "at_super", "worst_cap", "at_cap",
+        "worst_rel", "at_rel", "worst_reph", "at_reph",
+    )
 
-    stack = [(tree.root, list(range(len(targets))))]
-    while stack:
-        node, alive = stack.pop()
-        if alive and not incomplete:
-            still = []
-            for i in alive:
-                if node.joint[i] <= 0.0:
-                    continue
-                done = (
-                    targets[i] in node.state
-                    and node.joint[i] >= node.prob * (1.0 - _EXACT_TOL)
-                )
-                if done:
-                    expected_tau += node.joint[i] * node.depth
-                else:
-                    still.append(i)
-            if still and node.is_leaf:
-                incomplete = True
-            alive = still
+    def __init__(self, scenario: Scenario) -> None:
+        self.scenario = scenario
+        space = scenario.mind.space
+        self.target_bits = [space.bit(t) for t in scenario.targets]
+        self.column_bits = list(scenario.token_bits.values())
+        # Expected completion time: each target adds its mass times the
+        # depth at the first node where it is known and believed; a target
+        # still alive at a leaf never completes.
+        self.expected_tau = 0.0
+        self.incomplete = False
+        self.identified_everywhere = True
+        self.chain_sum = 0.0
+        self.budget_sum = 0.0
+        self.worst_drop = self.worst_super = self.worst_cap = self.worst_rel = self.worst_reph = 0.0
+        self.at_drop = self.at_super = self.at_cap = self.at_rel = self.at_reph = None
 
-        if not node.children:
-            if node.entropy_bits > _EXACT_TOL:
-                identified_everywhere = False
-            continue
-        stack.extend((child, alive) for child in reversed(node.children.values()))
+    def completion(
+        self, alive: list[int], joint: Sequence[float], prob: float, mask: int, depth: int, leaf: bool
+    ) -> list[int]:
+        """The targets still alive below this node, given those alive at it."""
+        if not alive or self.incomplete:
+            return alive
+        still = []
+        bits = self.target_bits
+        for i in alive:
+            w = joint[i]
+            if w <= 0.0:
+                continue
+            if mask & bits[i] and w >= prob * (1.0 - _EXACT_TOL):
+                self.expected_tau += w * depth
+            else:
+                still.append(i)
+        if still and leaf:
+            self.incomplete = True
+        return still
 
-        state_columns = columns.get(node.state)
-        if state_columns is None:
-            state_columns = columns[node.state] = _state_columns(scenario, node.state)
-        ordered, state_capacity = state_columns
-        drop = _mi_entropy_drop(node)
-        assert node.emission is not None
-        cells = _emission_cells(node.emission)
-        table = _parsed_cells(cells, ordered)
+    def leaf(self, entropy: float) -> None:
+        if entropy > _EXACT_TOL:
+            self.identified_everywhere = False
+
+    def internal(
+        self, history: tuple, prob: float, entropy: float, children: Sequence[tuple[float, float]],
+        cells: _Cells, expanded: int, capacity: float,
+    ) -> None:
+        """Check one node with children: ``children`` lists their (prob, entropy), ``cells`` its emission."""
+        drop = _entropy_drop(prob, entropy, children)
+        table, nulls, nonpositive, concept = _parsed_cells(cells, expanded, self.column_bits)
         mi = mutual_information_cells(table)
 
         gap = abs(drop - mi)
-        if gap > worst_drop[0]:
-            worst_drop = (gap, node.history)
+        if gap > self.worst_drop:
+            self.worst_drop, self.at_drop = gap, history
 
         over = -drop  # expected child entropy above the node entropy
-        if over > worst_super[0]:
-            worst_super = (over, node.history)
+        if over > self.worst_super:
+            self.worst_super, self.at_super = over, history
 
-        excess = mi - state_capacity
-        if excess > worst_cap[0]:
-            worst_cap = (excess, node.history)
+        excess = mi - capacity
+        if excess > self.worst_cap:
+            self.worst_cap, self.at_cap = excess, history
 
         # Erasure versus informativeness, split on whether the emitted
         # token's concept is currently ordered.  The unparseable event is
@@ -388,51 +488,152 @@ def audit_all(tree: HistoryTree) -> AuditReport:
         # it conditions on the event; within it the observation is
         # constant and must carry nothing.  On the parseable event the
         # parser is the identity, so parsed and raw information agree.
-        mi_erased = _restricted_mi(table, null_only)
-        if mi_erased > worst_rel[0]:
-            worst_rel = (mi_erased, node.history)
+        erased = _erased_mi(nulls)
+        if erased > self.worst_rel:
+            self.worst_rel, self.at_rel = erased, history
         # The parsed table keeps the emission's positive cells at ordered
         # columns as they are, so the two restrictions to the ordered
         # columns are one table and agree exactly; only a negative or NaN
         # emission cell can separate them.
-        positive = [(j, p) for row in cells for j, p in row if p > 0.0]
-        if len(positive) != sum(map(len, cells)):
+        if nonpositive:
+            ordered = bytes([expanded & bit != 0 for bit in self.column_bits] + [False])
             gap = abs(_restricted_mi(table, ordered) - _restricted_mi(cells, ordered))
-            if gap > worst_rel[0]:
-                worst_rel = (gap, node.history)
+            if gap > self.worst_rel:
+                self.worst_rel, self.at_rel = gap, history
 
-        if len({system.targets[j] for j, _ in positive}) == 1:
-            # Every emitted token teaches the same concept, so any one of
-            # them tells whether that concept is ordered.
-            if not ordered[positive[0][0]] and mi > worst_reph[0]:
-                worst_reph = (mi, node.history)
+        # When every emitted token teaches the same concept, any one of
+        # them tells whether that concept is ordered.
+        if concept and not expanded & concept and mi > self.worst_reph:
+            self.worst_reph, self.at_reph = mi, history
 
-        if node.entropy_bits > _EXACT_TOL:
-            chain_sum += node.prob * mi
-            budget_sum += node.prob * state_capacity
+        if entropy > _EXACT_TOL:
+            self.chain_sum += prob * mi
+            self.budget_sum += prob * capacity
 
-    verdicts = [
-        _verdict("entropy_drop", *worst_drop),
-        _verdict("supermartingale", *worst_super),
-        _verdict("statewise_bound", *worst_cap),
-        _verdict("relativity", *worst_rel),
-        _verdict("rephrasing", *worst_reph),
-    ]
+    def report(self) -> AuditReport:
+        scenario = self.scenario
+        verdicts = [
+            _verdict("entropy_drop", self.worst_drop, self.at_drop),
+            _verdict("supermartingale", self.worst_super, self.at_super),
+            _verdict("statewise_bound", self.worst_cap, self.at_cap),
+            _verdict("relativity", self.worst_rel, self.at_rel),
+            _verdict("rephrasing", self.worst_reph, self.at_reph),
+        ]
+        prior_entropy = entropy_bits(scenario.prior)
+        if self.identified_everywhere:
+            verdicts.append(_verdict("chain_identity", abs(self.chain_sum - prior_entropy), None))
+            verdicts.append(_verdict("trajectory_budget", prior_entropy - self.budget_sum, None))
+        else:
+            verdicts.append(LawVerdict("chain_identity", "not applicable", 0.0, None))
+            verdicts.append(LawVerdict("trajectory_budget", "not applicable", 0.0, None))
+        verdicts.append(_global_bound_verdict(None if self.incomplete else self.expected_tau, scenario))
+        return AuditReport(tuple(verdicts))
 
-    prior_entropy = entropy_bits(scenario.prior)
-    if identified_everywhere:
-        verdicts.append(
-            _verdict("chain_identity", abs(chain_sum - prior_entropy), None)
+
+def audit_all(tree: HistoryTree) -> AuditReport:
+    """Run all eight information-law checks over a built history tree.
+
+    One depth-first pass visits every node once, in the order of
+    :meth:`HistoryTree.iter_nodes`, and also walks the expected
+    completion time.  It reads the tree it is handed (each node's
+    ``state``, ``joint``, ``prob``, ``entropy_bits``, ``emission`` and
+    ``children``).  Each distinct state's expansion and capacity are
+    computed once.  Past one scan of the node's dense emission rows for
+    their nonzero cells, the work per node is linear in those cells.
+    """
+    scenario = tree.scenario
+    space_mask = scenario.mind.space.mask
+    checks = _Checks(scenario)
+    masks: dict[frozenset[str], int] = {}
+    columns: dict[int, _Columns] = {}
+    stack = [(tree.root, list(range(len(scenario.targets))))]
+    while stack:
+        node, alive = stack.pop()
+        mask = masks.get(node.state)
+        if mask is None:
+            mask = masks[node.state] = space_mask(node.state)
+        children = list(node.children.values())
+        alive = checks.completion(alive, node.joint, node.prob, mask, len(node.history), not children)
+        if not children:
+            checks.leaf(node.entropy_bits)
+            continue
+        stack.extend([(child, alive) for child in reversed(children)])
+        state_columns = columns.get(mask)
+        if state_columns is None:
+            state_columns = columns[mask] = _state_columns(scenario, mask)
+        assert node.emission is not None
+        checks.internal(
+            node.history, node.prob, node.entropy_bits, [(c.prob, c.entropy_bits) for c in children],
+            _emission_cells(node.emission), state_columns[0], state_columns[1],
         )
-        verdicts.append(
-            _verdict("trajectory_budget", prior_entropy - budget_sum, None)
-        )
-    else:
-        verdicts.append(LawVerdict("chain_identity", "not applicable", 0.0, None))
-        verdicts.append(LawVerdict("trajectory_budget", "not applicable", 0.0, None))
+    return checks.report()
 
-    verdicts.append(_global_bound_verdict(None if incomplete else expected_tau, scenario))
-    return AuditReport(tuple(verdicts))
+
+def audit_history(
+    scenario: Scenario,
+    strategy: StrategyKernel,
+    horizon: int,
+    *,
+    node_cap: int = DEFAULT_NODE_CAP,
+) -> tuple[int, AuditReport]:
+    """``(tree.node_count, audit_all(tree))`` for :func:`build_history_tree`'s tree, never built.
+
+    One depth-first walk visits the nodes in the tree's pre-order and
+    counts each when it pops it, so the cap error and any kernel error
+    are raised exactly where :func:`build_history_tree` raises them.  A
+    node's laws are checked when it is expanded, from its children's
+    probabilities and entropies and from emission cells read straight off
+    the kernel laws.  Only the pending children are kept, so memory grows
+    with the horizon times the branching.  Each state's expansion and
+    ordered-token count are grown from its parent's and kept by state
+    mask.
+    """
+    if horizon < 0:
+        raise ValueError("horizon must be nonnegative")
+    mind = scenario.mind
+    column = {tok: j for j, tok in enumerate(scenario.system.tokens)}
+    n_tokens = len(column)
+    fiber_size = [0] * len(mind.space)  # tokens per concept position
+    for bit in scenario.token_bits.values():
+        fiber_size[bit.bit_length() - 1] += 1
+    checks = _Checks(scenario)
+    columns: dict[int, _Columns] = {mind.axiom_mask: _state_columns(scenario, mind.axiom_mask)}
+    made = 0
+    _, *root = _children({None: (mind.axiom_mask, list(scenario.prior))}, column)[0]
+    # (history, mask, joint, prob, belief, entropy, alive targets), popped in pre-order
+    stack = [((), *root, list(range(len(scenario.targets))))]
+    while stack:
+        history, mask, joint, prob, belief, entropy, alive = stack.pop()
+        made += 1
+        if made > node_cap:
+            raise CapExceededError(f"history tree exceeds {node_cap} nodes")
+        depth = len(history)
+        children = ()
+        if depth < horizon:
+            laws, children = _expand(scenario, strategy, history, mask, joint, column)
+        alive = checks.completion(alive, joint, prob, mask, depth, not children)
+        if not children:
+            checks.leaf(entropy)
+            continue
+        expanded, capacity, n_ordered = columns[mask]
+        if depth + 1 < horizon:
+            for child in children:
+                child_mask = child[1]
+                if child_mask not in columns:
+                    grown = mind.expand_add(expanded, mask, child_mask ^ mask)
+                    added = sum(fiber_size[b.bit_length() - 1] for b in iter_bits(grown & ~expanded))
+                    columns[child_mask] = (
+                        grown, capacity_from_count(n_ordered + added, n_tokens), n_ordered + added
+                    )
+        checks.internal(
+            history, prob, entropy, [(c[3], c[5]) for c in children],
+            _law_cells(belief, laws, column), expanded, capacity,
+        )
+        stack.extend([
+            (history + (y,), child_mask, child_joint, child_prob, child_belief, child_entropy, alive)
+            for y, child_mask, child_joint, child_prob, child_belief, child_entropy in reversed(children)
+        ])
+    return made, checks.report()
 
 
 def _global_bound_verdict(expected_tau: Optional[float], scenario: Scenario) -> LawVerdict:

@@ -18,7 +18,9 @@ from pathlib import Path
 from typing import Optional, Sequence
 
 from . import fileio
-from .audit import DEFAULT_NODE_CAP, audit_all, build_history_tree
+# ``build_history_tree`` and ``audit_all`` are not called here: the benchmark's
+# tree-audit op (``bench/layers.py``) looks them up on this module.
+from .audit import DEFAULT_NODE_CAP, audit_all, audit_history, build_history_tree  # noqa: F401
 from .derivation import _distinct_nodes, curriculum_from_derivation, derive
 from .errors import CapExceededError, NoesisError, UnreachableConceptError
 from .mind import closure_iterates
@@ -275,12 +277,11 @@ def _cmd_audit(args) -> str:
     bundle = fileio.load_scenario_bundle(args.scenario)
     scenario = bundle.scenario
     strategy = bundle.strategy.build(scenario)
-    tree = _capped(build_history_tree, scenario, strategy, args.horizon, node_cap=args.cap)
-    report = audit_all(tree)
+    nodes, report = _capped(audit_history, scenario, strategy, args.horizon, node_cap=args.cap)
     return fileio.dump_json(
         {
             "horizon": args.horizon,
-            "nodes": tree.node_count,
+            "nodes": nodes,
             "passed": report.passed,
             "laws": [
                 {

@@ -20,6 +20,7 @@ import itertools
 import json
 import math
 from dataclasses import dataclass
+from functools import cached_property
 from pathlib import Path
 from typing import Any, Iterator, Mapping, Optional, Sequence
 
@@ -212,7 +213,11 @@ class LoadedScenario:
     scenario: Scenario
     strategy: StrategySpec
     notes: tuple[str, ...]
-    digest: str
+
+    @cached_property
+    def digest(self) -> str:
+        """:func:`scenario_digest` of the scenario and its strategy, computed on first read."""
+        return scenario_digest(self.scenario, self.strategy)
 
 
 def _token_row(row: Any, alphabet: Mapping[str, str], where: str) -> tuple[str, ...]:
@@ -297,12 +302,7 @@ def load_scenario_bundle(path: str | Path) -> LoadedScenario:
     except NoesisError as exc:
         raise FormatError(f"{where}: {exc}") from exc
     strategy = _strategy_from_dict(data.get("strategy", {"kind": "direct"}), where, system.target_of)
-    return LoadedScenario(
-        scenario=scenario,
-        strategy=strategy,
-        notes=tuple(notes),
-        digest=scenario_digest(scenario, strategy),
-    )
+    return LoadedScenario(scenario=scenario, strategy=strategy, notes=tuple(notes))
 
 
 def load_scenario(path: str | Path) -> Scenario:

@@ -304,8 +304,11 @@ def broadcast_construct(k: int, depth: int) -> BroadcastInstance:
     """
     if k < 2 or depth < 2:
         raise ValueError("need at least two minds and chains of length two")
-    if k * (depth - 1) + 2 > _BROADCAST_CONCEPT_CAP:
-        raise CapExceededError(f"instance needs more than {_BROADCAST_CONCEPT_CAP} concepts")
+    needed = k * (depth - 1) + 2
+    if needed > _BROADCAST_CONCEPT_CAP:
+        raise CapExceededError(
+            f"broadcast instance caps concepts at {_BROADCAST_CONCEPT_CAP}; k={k}, L={depth} needs {needed}"
+        )
     private = {(i, j): f"p{i}_{j}" for i in range(1, k + 1) for j in range(1, depth)}
     concepts = ["a"] + [private[(i, j)] for i in range(1, k + 1) for j in range(1, depth)] + ["g"]
     space = ConceptSpace(tuple(concepts))

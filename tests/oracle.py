@@ -50,6 +50,11 @@ with the shortest chains and read its moves off its states.
 The ninth part is the JSON writer that the explicit-stack
 ``fileio.dump_json`` replaced: a recursive copy with every float rounded
 to 12 significant digits, written by ``json.dumps(..., indent=2)``.
+
+The tenth part is the sparse audit's general restricted mutual
+information, through which it computed the erasure half of the
+relativity law (the parsed table restricted to its null column) before
+that half read each row's null cell alone.
 """
 
 from __future__ import annotations
@@ -81,6 +86,7 @@ from noesis import (
     parse,
 )
 from noesis.audit import _EXACT_TOL, AUDIT_TOL, DEFAULT_NODE_CAP, AuditReport, LawVerdict
+from noesis.information import mutual_information_cells
 from noesis.mind import iter_bits, understanding_horizon
 from noesis.planner import (
     _EXACT_MAX_HORIZON,
@@ -998,3 +1004,15 @@ def round_floats(value: Any) -> Any:
 def dump_json(value: Any) -> str:
     """Deterministic JSON text: fixed key order, rounded floats, trailing newline."""
     return json.dumps(round_floats(value), indent=2, sort_keys=False) + "\n"
+
+
+# --- the general restricted mutual information ---------------------------------
+
+
+def restricted_mi(table: list[list[tuple[int, float]]], keep: bytes) -> float:
+    """Mutual information of a sparse joint table restricted to the columns ``j`` with ``keep[j]``, renormalized."""
+    sub = [[(j, p) for j, p in row if keep[j]] for row in table]
+    mass = sum([sum([p for _, p in row]) for row in sub])
+    if mass <= 0.0:
+        return 0.0
+    return mutual_information_cells([[(j, p / mass) for j, p in row] for row in sub])

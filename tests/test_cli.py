@@ -159,6 +159,32 @@ def test_exact_cap_error_names_the_count(capsys, fixtures_dir):
     )
 
 
+def test_broadcast_cap_error_names_the_count(capsys):
+    assert _run(capsys, "broadcast-min", "--k", "10000", "--L", "3") == (
+        2, "", "error: broadcast instance caps concepts at 10000; k=10000, L=3 needs 20002\n"
+    )
+
+
+@pytest.mark.parametrize(
+    "argv, hashes",
+    [
+        (("audit", "--horizon", "2"), False),
+        (("value", "--horizon", "2"), False),
+        (("simulate", "--horizon", "2", "--format", "csv"), False),
+        (("simulate", "--horizon", "2"), True),
+    ],
+)
+def test_scenario_digest_only_where_printed(capsys, fixtures_dir, monkeypatch, argv, hashes):
+    from noesis import fileio
+
+    calls = []
+    real = fileio.scenario_digest
+    monkeypatch.setattr(fileio, "scenario_digest", lambda *a: calls.append(a) or real(*a))
+    code, out, _ = _run(capsys, *argv, "--scenario", str(fixtures_dir / "star.scenario"))
+    assert code == 0 and out
+    assert bool(calls) == hashes
+
+
 def test_env_cap_leaves_audit_global_bound_alone(capsys, fixtures_dir, monkeypatch):
     # The 6-node tree fits --cap; the global bound enumerates no family.
     monkeypatch.setenv("NOESIS_NODE_CAP", "3")
@@ -449,6 +475,11 @@ class TestErrors:
         code, out, err = _run(capsys, *argv)
         assert (code, out) == (1, "")
         assert "field 'targets'" in err and "Traceback" not in err
+
+    def test_audit_past_the_script_exit_one(self, capsys, fixtures_dir):
+        # The kernel error of the first node past the script, in pre-order.
+        argv = ["audit", "--scenario", str(fixtures_dir / "arithmetic.scenario"), "--horizon", "4"]
+        assert _run(capsys, *argv) == (1, "", "error: script row for 'b' exhausted at round 4\n")
 
     def test_unwritable_out_exit_one(self, capsys, fixtures_dir, tmp_path):
         target = tmp_path / "missing" / "x.json"
