@@ -13,13 +13,14 @@ completion time.
 
 :func:`audit_history` gives the same node count and report without
 building the tree: one depth-first walk checks each node's laws when it
-expands it and keeps only the pending children on its stack, so its
-memory grows with the horizon times the branching, not with the tree.
-Each state's expansion and ordered-token count are grown from its
-parent's (:meth:`Mind.expand_add`), so a chain audit's work per node does
-not grow with the chain.  Both audits feed one per-node law routine and
-one expected-completion walk (:class:`_Checks`), node by node in the same
-pre-order, so their floats agree bit for bit.
+expands it and keeps only the pending children on its stack, each with
+its history tuple.  Each distinct state's expansion and ordered-token
+count are grown from its parent's (:meth:`Mind.expand_add`) and kept, so
+a chain audit's law work per node does not grow with the chain.  Its
+memory is the pending children times their history length, plus one
+small entry per distinct state, not the tree.  Both audits feed one
+per-node law routine and one expected-completion walk (:class:`_Checks`),
+node by node in the same pre-order, so their floats agree bit for bit.
 
 Every walk uses an explicit stack, so a tree's depth is bounded by its
 node cap alone.  The audit reads each node's joint tables from their
@@ -31,7 +32,6 @@ dense table gives.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass, field
 from typing import Iterator, Optional, Sequence
 
@@ -320,19 +320,7 @@ def _erased_mi(nulls: Sequence[float]) -> float:
     mass = sum(nulls)
     if mass <= 0.0:
         return 0.0
-    qs = [p / mass for p in nulls]
-    col = sum(qs)
-    total = 0.0
-    for q in qs:
-        if q > 0.0:
-            try:
-                total += q * math.log2(q / (q * col))
-            except ZeroDivisionError:
-                if not col > 0.0:
-                    raise
-                # the product of subnormal marginals underflowed
-                total += q * (math.log2(q) - math.log2(q) - math.log2(col))
-    return total
+    return mutual_information_cells([[(0, p / mass)] for p in nulls])
 
 
 def round_mutual_info_from_joint(tree: HistoryTree, node: HistoryNode) -> float:
@@ -583,10 +571,11 @@ def audit_history(
     are raised exactly where :func:`build_history_tree` raises them.  A
     node's laws are checked when it is expanded, from its children's
     probabilities and entropies and from emission cells read straight off
-    the kernel laws.  Only the pending children are kept, so memory grows
-    with the horizon times the branching.  Each state's expansion and
-    ordered-token count are grown from its parent's and kept by state
-    mask.
+    the kernel laws.  Only the pending children are kept, each with its
+    history tuple, so they take the pending count times the history
+    length.  Each state's expansion and ordered-token count are grown
+    from its parent's and kept by state mask, one entry per distinct
+    state reached.
     """
     if horizon < 0:
         raise ValueError("horizon must be nonnegative")

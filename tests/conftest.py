@@ -1,17 +1,10 @@
 from __future__ import annotations
 
-import os
 from pathlib import Path
 
 import pytest
-from hypothesis import settings
 
 import helpers
-
-# CI selects this profile (HYPOTHESIS_PROFILE=ci) to run more examples in
-# the tests that leave the count to the profile; local runs keep the default.
-settings.register_profile("ci", max_examples=400, deadline=None)
-settings.load_profile(os.environ.get("HYPOTHESIS_PROFILE", "default"))
 
 FIXTURES = Path(__file__).resolve().parent.parent / "fixtures"
 

@@ -3,8 +3,7 @@
 ``audit_history`` must give ``(tree.node_count, audit_all(tree))`` for
 the tree ``build_history_tree`` builds, or raise the same exception with
 the same message; its erasure check must equal the general restricted
-mutual information kept in ``oracle.restricted_mi``.  Examples per
-Hypothesis test follow the active profile (``tests/conftest.py``).
+mutual information kept in ``oracle.restricted_mi``.
 """
 
 from __future__ import annotations
@@ -81,7 +80,7 @@ def _assert_same_outcome(*args, **cap) -> None:
 
 class TestStreamingMatchesTree:
     @given(st.randoms(use_true_random=False))
-    @settings(deadline=None)
+    @settings(max_examples=400, deadline=None)
     def test_random_scenarios_and_caps(self, rng):
         scenario, strategy, horizon = _case(rng)
         args = (scenario, strategy, horizon)
@@ -145,7 +144,7 @@ def _assert_erased_mi_matches(n: int, table) -> None:
 
 class TestErasedInformation:
     @given(_parsed_tables())
-    @settings(deadline=None)
+    @settings(max_examples=400, deadline=None)
     def test_matches_restricted_mi(self, case):
         _assert_erased_mi_matches(*case)
 
