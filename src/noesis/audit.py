@@ -14,13 +14,13 @@ completion time.
 :func:`audit_history` gives the same node count and report without
 building the tree: one depth-first walk checks each node's laws when it
 expands it and keeps only the pending children on its stack, each with
-its history tuple.  Each distinct state's expansion and ordered-token
-count are grown from its parent's (:meth:`Mind.expand_add`) and kept, so
-a chain audit's law work per node does not grow with the chain.  Its
-memory is the pending children times their history length, plus one
-small entry per distinct state, not the tree.  Both audits feed one
-per-node law routine and one expected-completion walk (:class:`_Checks`),
-node by node in the same pre-order, so their floats agree bit for bit.
+its history tuple, and one learner view per distinct state, grown from
+its parent's (:meth:`Scenario.grow_view`), so a chain audit's law work
+per node does not grow with the chain.  These, not the tree, are its
+memory; a view's state mask and expansion hold up to one bit per concept
+each, so on a long chain the views, not the history tuples, are most of
+it.  Both audits feed one per-node law routine and one expected-completion
+walk (:class:`_Checks`), in the same pre-order, so their floats agree.
 
 Every walk uses an explicit stack, so a tree's depth is bounded by its
 node cap alone.  The audit reads each node's joint tables from their
@@ -37,9 +37,8 @@ from typing import Iterator, Optional, Sequence
 
 from .errors import CapExceededError, InformationLawError
 from .information import entropy_bits, mutual_information_cells
-from .mind import iter_bits
-from .signals import ParsedSignal, capacity_from_count, max_capacity
-from .teaching import Scenario, StrategyKernel, emission_laws
+from .signals import ParsedSignal, max_capacity
+from .teaching import LearnerView, Scenario, StrategyKernel, emission_laws
 
 __all__ = [
     "AUDIT_TOL",
@@ -64,7 +63,6 @@ _EXACT_TOL = 1e-12
 DEFAULT_NODE_CAP = 200_000
 
 _Cells = list[list[tuple[int, float]]]  # per nonzero row, its nonzero (column, p) in column order
-_Columns = tuple[int, float, int]  # a state's expansion, capacity and ordered-token count
 
 
 @dataclass(eq=False, slots=True)
@@ -237,17 +235,6 @@ def _mi_entropy_drop(node: HistoryNode) -> float:
     )
 
 
-def _state_columns(scenario: Scenario, mask: int) -> _Columns:
-    """A state's expansion, capacity and ordered-token count, computed afresh.
-
-    Token ``j`` parses at the state when its concept bit is in the
-    expansion.
-    """
-    expanded = scenario.mind.expand_mask(mask)
-    n_ordered = sum(1 for bit in scenario.token_bits.values() if expanded & bit)
-    return expanded, capacity_from_count(n_ordered, len(scenario.token_bits)), n_ordered
-
-
 def _emission_cells(emission: Sequence[Sequence[float]]) -> _Cells:
     """The nonzero cells ``(column, p)`` of each nonzero emission row, in column order.
 
@@ -328,7 +315,7 @@ def round_mutual_info_from_joint(tree: HistoryTree, node: HistoryNode) -> float:
     if node.is_leaf:
         raise ValueError("leaf node has no next round")
     scenario = tree.scenario
-    expanded = _state_columns(scenario, scenario.mind.space.mask(node.state))[0]
+    expanded = scenario.view(scenario.mind.space.mask(node.state))[0]
     column_bits = list(scenario.token_bits.values())
     table = _parsed_cells(_emission_cells(node.emission), expanded, column_bits)[0]
     return mutual_information_cells(table)
@@ -525,7 +512,7 @@ def audit_all(tree: HistoryTree) -> AuditReport:
     :meth:`HistoryTree.iter_nodes`, and also walks the expected
     completion time.  It reads the tree it is handed (each node's
     ``state``, ``joint``, ``prob``, ``entropy_bits``, ``emission`` and
-    ``children``).  Each distinct state's expansion and capacity are
+    ``children``).  Each distinct state's view (:meth:`Scenario.view`) is
     computed once.  Past one scan of the node's dense emission rows for
     their nonzero cells, the work per node is linear in those cells.
     """
@@ -533,7 +520,7 @@ def audit_all(tree: HistoryTree) -> AuditReport:
     space_mask = scenario.mind.space.mask
     checks = _Checks(scenario)
     masks: dict[frozenset[str], int] = {}
-    columns: dict[int, _Columns] = {}
+    views: dict[int, LearnerView] = {}
     stack = [(tree.root, list(range(len(scenario.targets))))]
     while stack:
         node, alive = stack.pop()
@@ -546,13 +533,13 @@ def audit_all(tree: HistoryTree) -> AuditReport:
             checks.leaf(node.entropy_bits)
             continue
         stack.extend([(child, alive) for child in reversed(children)])
-        state_columns = columns.get(mask)
-        if state_columns is None:
-            state_columns = columns[mask] = _state_columns(scenario, mask)
+        view = views.get(mask)
+        if view is None:
+            view = views[mask] = scenario.view(mask)
         assert node.emission is not None
         checks.internal(
             node.history, node.prob, node.entropy_bits, [(c.prob, c.entropy_bits) for c in children],
-            _emission_cells(node.emission), state_columns[0], state_columns[1],
+            _emission_cells(node.emission), view[0], view[2],
         )
     return checks.report()
 
@@ -572,23 +559,18 @@ def audit_history(
     node's laws are checked when it is expanded, from its children's
     probabilities and entropies and from emission cells read straight off
     the kernel laws.  Only the pending children are kept, each with its
-    history tuple, so they take the pending count times the history
-    length.  Each state's expansion and ordered-token count are grown
-    from its parent's and kept by state mask, one entry per distinct
-    state reached.
+    history tuple.  Each state's view is grown from its parent's
+    (:meth:`Scenario.grow_view`) and kept by state mask, one entry per
+    distinct state reached.
     """
     if horizon < 0:
         raise ValueError("horizon must be nonnegative")
-    mind = scenario.mind
+    axioms = scenario.mind.axiom_mask
     column = {tok: j for j, tok in enumerate(scenario.system.tokens)}
-    n_tokens = len(column)
-    fiber_size = [0] * len(mind.space)  # tokens per concept position
-    for bit in scenario.token_bits.values():
-        fiber_size[bit.bit_length() - 1] += 1
     checks = _Checks(scenario)
-    columns: dict[int, _Columns] = {mind.axiom_mask: _state_columns(scenario, mind.axiom_mask)}
+    views: dict[int, LearnerView] = {axioms: scenario.view(axioms)}
     made = 0
-    _, *root = _children({None: (mind.axiom_mask, list(scenario.prior))}, column)[0]
+    _, *root = _children({None: (axioms, list(scenario.prior))}, column)[0]
     # (history, mask, joint, prob, belief, entropy, alive targets), popped in pre-order
     stack = [((), *root, list(range(len(scenario.targets))))]
     while stack:
@@ -604,19 +586,14 @@ def audit_history(
         if not children:
             checks.leaf(entropy)
             continue
-        expanded, capacity, n_ordered = columns[mask]
+        view = views[mask]
         if depth + 1 < horizon:
             for child in children:
-                child_mask = child[1]
-                if child_mask not in columns:
-                    grown = mind.expand_add(expanded, mask, child_mask ^ mask)
-                    added = sum(fiber_size[b.bit_length() - 1] for b in iter_bits(grown & ~expanded))
-                    columns[child_mask] = (
-                        grown, capacity_from_count(n_ordered + added, n_tokens), n_ordered + added
-                    )
+                if child[1] not in views:
+                    views[child[1]] = scenario.grow_view(view, mask, child[1] ^ mask)
         checks.internal(
             history, prob, entropy, [(c[3], c[5]) for c in children],
-            _law_cells(belief, laws, column), expanded, capacity,
+            _law_cells(belief, laws, column), view[0], view[2],
         )
         stack.extend([
             (history + (y,), child_mask, child_joint, child_prob, child_belief, child_entropy, alive)

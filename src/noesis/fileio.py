@@ -153,16 +153,20 @@ def dump_json(value: Any) -> str:
     return "".join(out)
 
 
-def _read_json(path: str | Path) -> Any:
+def _read_json(path: str | Path) -> dict[str, Any]:
+    """The JSON object a file holds; any other top level is a :class:`FormatError`."""
     path = Path(path)
     try:
         text = path.read_text()
     except OSError as exc:
         raise FormatError(f"{path}: {exc}") from exc
     try:
-        return json.loads(text)
+        data = json.loads(text)
     except json.JSONDecodeError as exc:
         raise FormatError(f"{path}: line {exc.lineno}: {exc.msg}") from exc
+    if not isinstance(data, dict):
+        raise FormatError(f"{path}: top level must be an object")
+    return data
 
 
 def _need(data: Mapping[str, Any], field: str, kind: type, where: str) -> Any:
@@ -271,8 +275,6 @@ def load_scenario_bundle(path: str | Path) -> LoadedScenario:
     """
     where = str(path)
     data = _read_json(path)
-    if not isinstance(data, dict):
-        raise FormatError(f"{where}: top level must be an object")
     mind = _mind_from_dict(data, where)
     raw_signals = _need(data, "signals", list, where)
     pairs = []

@@ -206,8 +206,8 @@ class Mind:
         Only the rules with ``bit`` among their prerequisites can newly fire.
         The knowledge-state search (``reachability._breadth_first``) grows
         each state's expansion from its parent's with it, and
-        :func:`~noesis.teaching.run_episode` its learner's, one acquired
-        concept at a time.
+        :meth:`~noesis.teaching.Scenario.grow_view` the learner's, one
+        acquired concept at a time.
         """
         grown = mask | bit
         out = expanded | bit

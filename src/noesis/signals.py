@@ -68,8 +68,8 @@ class SignalSystem:
 
     @classmethod
     def from_pairs(cls, pairs: Iterable[tuple[str, str]]) -> "SignalSystem":
-        toks, tgts = zip(*pairs)
-        return cls(tuple(toks), tuple(tgts))
+        pairs = list(pairs)
+        return cls(tuple(tok for tok, _ in pairs), tuple(tgt for _, tgt in pairs))
 
     @cached_property
     def target_of(self) -> dict[str, str]:

@@ -12,8 +12,9 @@ identification (belief a point mass) times.
 masks, for episodes, posteriors, history trees and the exact search,
 which calls it once per search node for the node's outcomes; it tests
 whether a token parses through the rules that target its concept only.
-:func:`run_episode` keeps its state's expansion current one acquired
-concept at a time (:meth:`Mind.expand_add`).  Shortest acquisition
+:meth:`Scenario.view` computes a state's learner view (expansion,
+parsed-token count, capacity) and :meth:`Scenario.grow_view` grows it by
+one acquired concept, for episodes and both audits.  Shortest acquisition
 chains to the targets are computed once per scenario, by one
 breadth-first search that grows each state's expansion from its
 parent's in the same way (about 1 ms on a 400-concept chain, CPython
@@ -25,6 +26,7 @@ and the audit's global bound read them from there.
 from __future__ import annotations
 
 import random
+from collections import Counter
 from dataclasses import dataclass
 from functools import cached_property
 from typing import Callable, Iterable, Mapping, Optional, Sequence
@@ -66,6 +68,7 @@ _PRIOR_SUM_TOL = 1e-12
 _KERNEL_SUM_TOL = 1e-9
 
 StrategyKernel = Callable[[str, tuple[ParsedSignal, ...]], Mapping[str, float]]
+LearnerView = tuple[int, int, float]  # a state's expansion, parsed-token count and capacity in bits
 
 
 @dataclass(frozen=True)
@@ -121,6 +124,27 @@ class Scenario:
         space = self.mind.space
         chains = _first_hit_chains(self.mind, space.mask(self.targets))
         return {t: chains[space.bit(t)] for t in self.targets}
+
+    @cached_property
+    def _tokens_at(self) -> Counter[int]:
+        """The number of tokens teaching each concept, by concept position."""
+        return Counter(bit.bit_length() - 1 for bit in self.token_bits.values())
+
+    def view(self, mask: int) -> LearnerView:
+        """The learner's view at state ``mask``: its expansion, parsed-token count and capacity.
+
+        A token parses when its concept bit is in the expansion.
+        """
+        expanded = self.mind.expand_mask(mask)
+        n_parsed = sum(1 for bit in self.token_bits.values() if expanded & bit)
+        return expanded, n_parsed, capacity_from_count(n_parsed, len(self.token_bits))
+
+    def grow_view(self, view: LearnerView, mask: int, bit: int) -> LearnerView:
+        """``self.view(mask | bit)`` from ``view == self.view(mask)``, through :meth:`Mind.expand_add`."""
+        expanded, n_parsed, _ = view
+        grown = self.mind.expand_add(expanded, mask, bit)
+        n_parsed += sum(self._tokens_at[b.bit_length() - 1] for b in iter_bits(grown & ~expanded))
+        return grown, n_parsed, capacity_from_count(n_parsed, len(self.token_bits))
 
     def step(
         self, state_mask: int, laws: Sequence[Optional[Mapping[str, float]]], weights: Sequence[float]
@@ -369,14 +393,10 @@ def run_episode(
     theta_idx = scenario.target_index[theta]
     mind = scenario.mind
     concepts = mind.space.concepts
-    bits, fibers = scenario.token_bits, scenario.system.fibers
-    n_tokens = len(bits)
+    bits = scenario.token_bits
     mask = mind.axiom_mask
     state = mind.space.labels(mask)
-    # The state's expansion and its ordered-token count, kept current one
-    # acquired concept at a time; only rounds read them.
-    expanded = mind.expand_mask(mask) if horizon else mask
-    n_ordered = sum(1 for bit in bits.values() if expanded & bit)
+    view = scenario.view(mask)  # grown one acquired concept at a time
     belief = list(scenario.prior)
     history: tuple[ParsedSignal, ...] = ()
     tau: Optional[int] = None
@@ -399,15 +419,12 @@ def run_episode(
         )
         if emitted not in bits:
             raise UnknownConceptError(f"unknown signal token {emitted!r}")
-        parsed = emitted if expanded & bits[emitted] else None
+        parsed = emitted if view[0] & bits[emitted] else None
         child_mask, belief = _observe(scenario, strategy, history, mask, belief, parsed)
         if child_mask != mask:
             bit = child_mask ^ mask
-            grown = mind.expand_add(expanded, mask, bit)
-            n_ordered += sum(
-                len(fibers.get(concepts[b.bit_length() - 1], ())) for b in iter_bits(grown & ~expanded)
-            )
-            mask, expanded = child_mask, grown
+            view = scenario.grow_view(view, mask, bit)
+            mask = child_mask
             state = state | {concepts[bit.bit_length() - 1]}
         history = history + (parsed,)
         rounds.append(
@@ -418,7 +435,7 @@ def run_episode(
                 state=state,
                 belief=tuple(belief),
                 entropy_bits=entropy_bits(belief),
-                capacity_bits=capacity_from_count(n_ordered, n_tokens),
+                capacity_bits=view[2],
             )
         )
         if tau_id is None and identified():

@@ -181,6 +181,16 @@ def random_scenario(
     )
 
 
+def rephrased(rng: random.Random, scenario: Scenario) -> Scenario:
+    """The scenario with up to two more tokens for every concept, axioms included, in shuffled order."""
+    pairs = list(zip(scenario.system.tokens, scenario.system.targets))
+    for c in scenario.mind.space.concepts:
+        for _ in range(rng.randint(0, 2)):
+            pairs.append((f"r{len(pairs)}_{c}", c))
+    rng.shuffle(pairs)
+    return dataclasses.replace(scenario, system=SignalSystem.from_pairs(pairs))
+
+
 def some_zero_prior(rng: random.Random, scenario: Scenario) -> Scenario:
     """Zero the prior of some targets (never all) about half the time."""
     if len(scenario.targets) < 2 or rng.random() < 0.5:

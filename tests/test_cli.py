@@ -490,6 +490,31 @@ class TestErrors:
         assert err.startswith("error: ") and str(target) in err
         assert err.count("\n") == 1 and "Traceback" not in err
 
+    @pytest.mark.parametrize("top", ['"concepts"', "42", "[1, 2]"])
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["closure", "--mind"],
+            ["derive", "--target", "b", "--mind"],
+            ["reach", "--mind"],
+            ["distance", "--target", "b", "--mind"],
+            ["simulate", "--seed", "1", "--horizon", "1", "--scenario"],
+            ["audit", "--horizon", "1", "--scenario"],
+        ],
+    )
+    def test_top_level_not_an_object_exit_one(self, capsys, tmp_path, argv, top):
+        path = tmp_path / "f.json"
+        path.write_text(top)
+        assert _run(capsys, *argv, str(path)) == (1, "", f"error: {path}: top level must be an object\n")
+
+    def test_empty_signal_list_exit_one(self, capsys, fixtures_dir, tmp_path):
+        data = json.loads((fixtures_dir / "star.scenario").read_text())
+        data["signals"] = []
+        path = tmp_path / "s.scenario"
+        path.write_text(json.dumps(data))
+        code, out, err = _run(capsys, "value", "--scenario", str(path), "--horizon", "2")
+        assert (code, out, err) == (1, "", f"error: {path}: signal alphabet must be non-empty\n")
+
     def test_unknown_row_token_exit_one(self, capsys, fixtures_dir, tmp_path):
         data = json.loads((fixtures_dir / "star.scenario").read_text())
         data["strategy"] = {"kind": "broadcast", "row": ["z_b", "nope"]}

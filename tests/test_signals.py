@@ -32,6 +32,12 @@ class TestSignalSystem:
         with pytest.raises(InvalidMindError):
             SignalSystem(("z", ""), ("a", "b"))
 
+    def test_empty_pairs_name_the_empty_alphabet(self):
+        with pytest.raises(InvalidMindError, match="signal alphabet must be non-empty"):
+            SignalSystem.from_pairs([])
+        with pytest.raises(InvalidMindError, match="signal alphabet must be non-empty"):
+            SignalSystem.from_pairs(iter(()))
+
     def test_fibers_follow_alphabet_order(self):
         system = SignalSystem.from_pairs([("u", "a"), ("v", "b"), ("w", "a")])
         assert system.fiber("a") == ("u", "w")

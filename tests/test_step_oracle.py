@@ -2,7 +2,6 @@
 
 from __future__ import annotations
 
-import dataclasses
 import random
 
 import pytest
@@ -12,7 +11,6 @@ from hypothesis import strategies as st
 import helpers
 import oracle
 from noesis import (
-    SignalSystem,
     ZeroProbabilityError,
     build_history_tree,
     direct_strategy,
@@ -31,16 +29,6 @@ def _case(rng: random.Random):
     else:
         strategy = direct_strategy(scenario)
     return scenario, strategy, rng.randint(0, 3)
-
-
-def _rephrased(rng: random.Random, scenario):
-    """The scenario with one to three tokens for every concept, axioms included."""
-    pairs = list(zip(scenario.system.tokens, scenario.system.targets))
-    for c in scenario.mind.space.concepts:
-        for _ in range(rng.randint(0, 2)):
-            pairs.append((f"r{len(pairs)}_{c}", c))
-    rng.shuffle(pairs)
-    return dataclasses.replace(scenario, system=SignalSystem.from_pairs(pairs))
 
 
 def _known_heavy_kernel(seed: int, scenario):
@@ -143,7 +131,7 @@ class TestStepMatchesOracle:
     def test_episode_trace_with_rephrasings_and_known_concepts(self, rng):
         # Several tokens per concept, and kernels that keep teaching known
         # concepts, exercise the ordered-token count the episode keeps.
-        scenario = helpers.some_zero_prior(rng, _rephrased(rng, helpers.random_scenario(rng, max_concepts=7)))
+        scenario = helpers.some_zero_prior(rng, helpers.rephrased(rng, helpers.random_scenario(rng, max_concepts=7)))
         kind = rng.randrange(3)
         if kind == 0:
             strategy = _known_heavy_kernel(rng.randrange(1 << 30), scenario)

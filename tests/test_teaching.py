@@ -3,6 +3,8 @@ from __future__ import annotations
 import random
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import helpers
 from noesis import (
@@ -15,9 +17,12 @@ from noesis import (
     audit_all,
     broadcast_strategy,
     build_history_tree,
+    capacity,
     direct_strategy,
     enumerate_reachable,
     knowledge_update,
+    max_capacity,
+    ordered_signals,
     posterior_after,
     posterior_update,
     run_episode,
@@ -25,6 +30,7 @@ from noesis import (
     state_after,
     structural_distance,
 )
+from noesis.mind import iter_bits
 
 
 class TestScenarioInvariants:
@@ -45,6 +51,24 @@ class TestScenarioInvariants:
             Scenario(mind=mind1, system=system, targets=("b", "c"), prior=(0.7, 0.2))
         with pytest.raises(ScenarioError, match="prior"):
             Scenario(mind=mind1, system=system, targets=("b", "c"), prior=(1.2, -0.2))
+
+
+class TestLearnerView:
+    @given(st.randoms(use_true_random=False))
+    @settings(max_examples=100, deadline=None)
+    def test_grown_view_equals_fresh_view(self, rng):
+        # Rephrasings give concepts several tokens each, so a grown view
+        # must add every token of each newly ordered concept.
+        scenario = helpers.rephrased(rng, helpers.random_scenario(rng, max_concepts=7))
+        mind, system = scenario.mind, scenario.system
+        for mask in enumerate_reachable(mind).state_masks:
+            view = scenario.view(mask)
+            state = mind.space.labels(mask)
+            assert view[1] == len(ordered_signals(mind, system, state))
+            assert view[2] == capacity(mind, system, state)
+            for bit in iter_bits(view[0] & ~mask):
+                assert scenario.grow_view(view, mask, bit) == scenario.view(mask | bit)
+        assert scenario.view(mind.horizon_mask)[2] == max_capacity(mind, system)
 
 
 class TestKnowledgeUpdate:
