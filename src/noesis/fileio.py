@@ -22,7 +22,7 @@ import math
 from dataclasses import dataclass
 from functools import cached_property
 from pathlib import Path
-from typing import Any, Iterator, Mapping, Optional, Sequence
+from typing import Any, Callable, Iterator, Mapping, Optional, Sequence
 
 from .errors import FormatError, NoesisError
 from .mind import ConceptSpace, ExpansionRule, Mind
@@ -52,6 +52,23 @@ def _float_text(x: float) -> str:
     """A float at 12 significant digits, spelled as ``json`` spells floats."""
     text = repr(float(format(x, ".12g")))
     return _NONFINITE.get(text, text)
+
+
+class _TextMemo(dict):
+    """Each nonzero float's text, computed by ``text_of`` on first sight.
+
+    Zeros are never stored: ``0.0`` and ``-0.0`` are one key but two texts.
+    """
+
+    def __init__(self, text_of: Callable[[float], str]) -> None:
+        super().__init__()
+        self.text_of = text_of
+
+    def __missing__(self, x: float) -> str:
+        text = self.text_of(x)
+        if x:
+            self[x] = text
+        return text
 
 
 # The text of each plain scalar type; lists of one such type are written in one join.
@@ -104,7 +121,12 @@ def dump_json(value: Any) -> str:
     errors are ``json``'s: ``TypeError`` for a value or key it cannot write
     and ``ValueError`` for a container that holds itself.  Containers are
     opened and closed on an explicit stack, so nesting has no depth limit.
+
+    Each distinct nonzero float's text is computed once per call and kept
+    for the rest of it; zeros are always spelled afresh, since ``0.0`` and
+    ``-0.0`` compare equal but print as ``0.0`` and ``-0.0``.
     """
+    scalar_text = {**_SCALAR_TEXT, float: _TextMemo(_float_text).__getitem__}
     out: list[str] = []
     open_ids: set[int] = set()
     # One frame per open container: its (text before the entry, entry) pairs, closing text, id.
@@ -112,7 +134,7 @@ def dump_json(value: Any) -> str:
     while stack:
         entries, closing, ident = stack[-1]
         for head, item in entries:
-            text_of = _SCALAR_TEXT.get(type(item))
+            text_of = scalar_text.get(type(item))
             if text_of is None:
                 break
             out.append(head + text_of(item))
@@ -136,7 +158,7 @@ def dump_json(value: Any) -> str:
         closing = indent[:-2] + ("}" if is_dict else "]")
         if not is_dict:
             kinds = set(map(type, item))
-            text_of = _SCALAR_TEXT.get(kinds.pop()) if len(kinds) == 1 else None
+            text_of = scalar_text.get(kinds.pop()) if len(kinds) == 1 else None
             if text_of is not None:
                 out.append("[" + indent + ("," + indent).join(map(text_of, item)) + closing)
                 continue
@@ -422,6 +444,7 @@ def trace_to_csv(traces: Sequence[EpisodeTrace]) -> str:
     buf = io.StringIO()
     writer = csv.writer(buf, lineterminator="\n")
     writer.writerow(["seed", "theta", "t", "z", "y", "state", "belief", "entropy_bits", "capacity_bits"])
+    cell_text = _TextMemo(lambda p: f"{p:.12g}").__getitem__
     for trace in traces:
         for r in trace.rounds:
             writer.writerow(
@@ -432,9 +455,9 @@ def trace_to_csv(traces: Sequence[EpisodeTrace]) -> str:
                     r.emitted,
                     _parsed_to_json(r.parsed),
                     "|".join(sorted(r.state)),
-                    "|".join(f"{p:.12g}" for p in r.belief),
-                    f"{r.entropy_bits:.12g}",
-                    f"{r.capacity_bits:.12g}",
+                    "|".join(map(cell_text, r.belief)),
+                    cell_text(r.entropy_bits),
+                    cell_text(r.capacity_bits),
                 ]
             )
     return buf.getvalue()

@@ -45,7 +45,7 @@ __all__ = [
 
 
 def _check_label(label: str, kind: str) -> None:
-    if not isinstance(label, str) or not label or any(ch.isspace() for ch in label):
+    if not isinstance(label, str) or not label or any(map(str.isspace, label)):
         raise InvalidMindError(f"{kind} must be a non-empty token without whitespace, got {label!r}")
 
 
@@ -320,10 +320,10 @@ def validate_mind(mind: Mind) -> ValidationReport:
     degenerate: list[int] = []
     duplicates: list[int] = []
     seen: set[ExpansionRule] = set()
+    known = space.index.keys()
     for i, rule in enumerate(mind.rules):
-        for label in sorted(rule.prereqs):
-            if label not in space:
-                unknown.append((i, label))
+        if not known >= rule.prereqs:
+            unknown.extend((i, label) for label in sorted(rule.prereqs) if label not in space)
         if rule.target not in space:
             unknown.append((i, rule.target))
         if rule.target in rule.prereqs:

@@ -60,7 +60,7 @@ class SignalSystem:
             raise InvalidMindError("tokens and targets must have equal length")
         seen: set[str] = set()
         for tok in self.tokens:
-            if not tok or any(ch.isspace() for ch in tok):
+            if not tok or any(map(str.isspace, tok)):
                 raise InvalidMindError(f"bad signal token {tok!r}")
             if tok in seen:
                 raise InvalidMindError(f"duplicate signal token {tok!r}")

@@ -21,6 +21,14 @@ parent's in the same way (about 1 ms on a 400-concept chain, CPython
 3.11 on one core of a Xeon server), and cached as
 :attr:`Scenario.target_chains`; the direct strategy, the value bounds
 and the audit's global bound read them from there.
+
+An episode round queries the strategy kernel once per live target (one
+of positive belief), and once for the realized target whatever its
+belief: the law it samples from is the law the filter reads.  The
+round's random substream is built only when that law puts positive mass
+on more than one token; a one-token law emits its token whatever the
+draw, and every round has its own substream, so skipping the draw
+changes no trace.
 """
 
 from __future__ import annotations
@@ -96,9 +104,10 @@ class Scenario:
                 raise ScenarioError(f"targets: no signal token teaches {t!r}")
         if len(self.prior) != len(self.targets):
             raise ScenarioError("prior: must have one weight per target")
-        if any(p < 0.0 for p in self.prior):
+        # Both tests are written so that a NaN weight, for which every comparison is false, fails.
+        if not all(p >= 0.0 for p in self.prior):
             raise ScenarioError("prior: weights must be nonnegative")
-        if abs(sum(self.prior) - 1.0) > _PRIOR_SUM_TOL:
+        if not abs(sum(self.prior) - 1.0) <= _PRIOR_SUM_TOL:
             raise ScenarioError(f"prior: sums to {sum(self.prior)!r}, not 1")
 
     @cached_property
@@ -200,8 +209,9 @@ def emission_distribution(
 ) -> Mapping[str, float]:
     dist = strategy(target, history)
     total = sum(dist.values())
-    # Written so that a NaN probability, for which every comparison is false, fails.
-    if not abs(total - 1.0) <= _KERNEL_SUM_TOL or not all(p >= 0.0 for p in dist.values()):
+    # A NaN probability makes the sum NaN, which fails the first test; an
+    # empty law fails it too, before ``min`` would see no values.
+    if not abs(total - 1.0) <= _KERNEL_SUM_TOL or not min(dist.values()) >= 0.0:
         raise StrategyError(
             f"kernel for target {target!r} at round {len(history) + 1} is not a distribution"
         )
@@ -219,11 +229,14 @@ def emission_laws(
 
 
 def _observe(
-    scenario: Scenario, strategy: StrategyKernel, history: tuple, state_mask: int,
-    belief: Sequence[float], parsed: ParsedSignal,
+    scenario: Scenario, laws: Sequence[Optional[Mapping[str, float]]], history: tuple,
+    state_mask: int, belief: Sequence[float], parsed: ParsedSignal,
 ) -> tuple[int, list[float]]:
-    """Filter the belief through one parsed observation; returns (state mask, belief)."""
-    outcomes = scenario.step(state_mask, emission_laws(scenario, strategy, history, belief), belief)
+    """Filter the belief through one parsed observation; returns (state mask, belief).
+
+    ``laws`` are the targets' next-token laws, as :func:`emission_laws` gives them.
+    """
+    outcomes = scenario.step(state_mask, laws, belief)
     if parsed not in outcomes:
         raise ZeroProbabilityError(f"history {history + (parsed,)} has probability zero")
     state_mask, joint = outcomes[parsed]
@@ -239,7 +252,9 @@ def posterior_after(
     belief = list(scenario.prior)
     mask = scenario.mind.axiom_mask
     for t, parsed in enumerate(history):
-        mask, belief = _observe(scenario, strategy, history[:t], mask, belief, parsed)
+        prefix = history[:t]
+        laws = emission_laws(scenario, strategy, prefix, belief)
+        mask, belief = _observe(scenario, laws, prefix, mask, belief, parsed)
     return tuple(belief)
 
 
@@ -379,9 +394,14 @@ def run_episode(
 
     Randomness is split into named substreams so traces are bit-exact
     reproducible: the target is drawn from ``Random(f"{seed}:theta")`` and
-    round ``t`` from ``Random(f"{seed}:round:{t}")``.  Pass ``theta`` to
-    pin the target instead of sampling it.  The belief is filtered
-    exactly, never estimated.
+    round ``t`` from ``Random(f"{seed}:round:{t}")``; that substream is
+    built only when round ``t``'s law has more than one positive token.
+    Pass ``theta`` to pin the target instead of sampling it.  The belief is
+    filtered exactly, never estimated.
+
+    Each round calls ``strategy`` once for ``theta``, then once for every
+    other target of positive belief, in target order; ``theta``'s law
+    serves both the emission and the filter.
     """
     if horizon < 0:
         raise ValueError("horizon must be nonnegative")
@@ -391,6 +411,7 @@ def run_episode(
         raise ScenarioError(f"pinned target {theta!r} is not among the scenario targets")
 
     theta_idx = scenario.target_index[theta]
+    targets = scenario.targets
     mind = scenario.mind
     concepts = mind.space.concepts
     bits = scenario.token_bits
@@ -413,14 +434,19 @@ def run_episode(
     rounds: list[Round] = []
     for t in range(1, horizon + 1):
         dist = emission_distribution(strategy, theta, history)
-        tokens = [tok for tok in dist if dist[tok] > 0.0]
-        emitted = _sample(
-            random.Random(f"{seed}:round:{t}"), tokens, [dist[tok] for tok in tokens]
-        )
+        tokens = [tok for tok, p in dist.items() if p > 0.0]
+        if len(tokens) == 1:
+            emitted = tokens[0]
+        else:
+            emitted = _sample(random.Random(f"{seed}:round:{t}"), tokens, [dist[tok] for tok in tokens])
         if emitted not in bits:
             raise UnknownConceptError(f"unknown signal token {emitted!r}")
         parsed = emitted if view[0] & bits[emitted] else None
-        child_mask, belief = _observe(scenario, strategy, history, mask, belief, parsed)
+        laws = [
+            dist if i == theta_idx else emission_distribution(strategy, target, history) if w > 0.0 else None
+            for i, (target, w) in enumerate(zip(targets, belief))
+        ]
+        child_mask, belief = _observe(scenario, laws, history, mask, belief, parsed)
         if child_mask != mask:
             bit = child_mask ^ mask
             view = scenario.grow_view(view, mask, bit)

@@ -18,6 +18,7 @@ from noesis import (
     write_trace,
 )
 from noesis.fileio import dump_json, trace_from_dict, trace_to_dict
+from noesis.teaching import EpisodeTrace, Round
 
 
 class TestLoadMind:
@@ -232,6 +233,17 @@ class TestTraces:
         lines = text.strip().split("\n")
         assert lines[0].startswith("seed,theta,t,z,y,state,belief")
         assert len(lines) == 3
+
+    def test_csv_belief_cells_keep_signed_zeros(self):
+        first = Round(1, "z_b", None, frozenset({"a"}), (-0.0, 0.5, 0.5, 0.0), 1.0, 0.5)
+        second = Round(2, "z_b", "z_b", frozenset({"a", "b"}), (0.0, -0.0, 1 / 3, 2 / 3), 1 / 3, 1 / 3)
+        trace = EpisodeTrace("d2", 4, 2, (first, second), None, None)
+        rows = (
+            "4,d2,1,z_b,_null_,a,-0|0.5|0.5|0,1,0.5\n"
+            "4,d2,2,z_b,z_b,a|b,0|-0|0.333333333333|0.666666666667,0.333333333333,0.333333333333\n"
+        )
+        want = "seed,theta,t,z,y,state,belief,entropy_bits,capacity_bits\n" + rows * 2
+        assert trace_to_csv([trace, trace]) == want
 
     def test_dump_json_rounds_floats(self):
         text = dump_json({"p": 0.1 + 0.2})

@@ -78,6 +78,21 @@ def test_subclasses_and_shared_children(value):
 
 @pytest.mark.parametrize(
     "value",
+    [
+        [0.0, -0.0],
+        [-0.0, 0.0, {"z": -0.0}, [0.0, 1, -0.0]],
+        [1 / 3, 0.5, 1 / 3, {"p": 1 / 3, "q": [0.5, 1 / 3]}, 0.1 + 0.2, 0.3],
+        [math.nan, math.inf, -math.inf, math.nan, {"a": math.inf, "b": [-math.inf, math.nan]}],
+        [float("nan"), float("nan"), -math.nan],
+    ],
+    ids=["signed zeros", "signed zeros nested", "repeated floats", "non-finite", "distinct nans"],
+)
+def test_float_examples(value):
+    assert dump_json(value) == oracle.dump_json(value)
+
+
+@pytest.mark.parametrize(
+    "value",
     [{1, 2}, [1, frozenset()], {"a": {(1,): 2}}, {"a": object()}, [object(), {(1,): 2}], {(1,): {1}},
      {b"k": 1}],
     ids=["set", "nested frozenset", "tuple key", "object", "first error wins", "key before value",

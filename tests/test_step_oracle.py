@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import dataclasses
 import random
 
 import pytest
@@ -12,9 +13,11 @@ import helpers
 import oracle
 from noesis import (
     ZeroProbabilityError,
+    broadcast_strategy,
     build_history_tree,
     direct_strategy,
     exact_value_tiny,
+    parse,
     posterior_after,
     run_episode,
 )
@@ -51,6 +54,28 @@ def _known_heavy_kernel(seed: int, scenario):
             law: dict[str, float] = {}
             for tok, w in zip(support, weights):
                 law[tok] = law.get(tok, 0.0) + w / sum(weights)
+            memo[key] = law
+        return memo[key]
+
+    return kernel
+
+
+def _one_token_kernel(seed: int, scenario):
+    """A history-dependent kernel whose every law has one positive token among zero entries.
+
+    Zero entries may come before or after the positive one, whose mass is
+    1 or falls short of 1 by less than the kernel tolerance.
+    """
+    tokens = scenario.system.tokens
+    memo: dict[tuple, dict[str, float]] = {}
+
+    def kernel(target: str, history: tuple) -> dict[str, float]:
+        key = (target, len(history), history[-1] if history else "")
+        if key not in memo:
+            rng = random.Random(f"{seed}:{key}")
+            support = rng.sample(tokens, rng.randint(1, min(4, len(tokens))))
+            law = dict.fromkeys(support, 0.0)
+            law[rng.choice(support)] = rng.choice((1.0, 1.0 - 2e-10))
             memo[key] = law
         return memo[key]
 
@@ -149,6 +174,54 @@ class TestStepMatchesOracle:
                 build_history_tree(scenario, strategy, horizon),
                 oracle.build_history_tree(scenario, strategy, horizon),
             )
+
+    @given(st.randoms(use_true_random=False))
+    @settings(max_examples=100, deadline=None)
+    def test_one_token_laws_give_the_oracle_trace_exactly(self, rng):
+        # One positive token per law: the round is not drawn, and both
+        # routes multiply the same weights by the same masses.
+        scenario = helpers.some_zero_prior(rng, helpers.rephrased(rng, helpers.random_scenario(rng)))
+        strategy = _one_token_kernel(rng.randrange(1 << 30), scenario)
+        live = [t for t, w in zip(scenario.targets, scenario.prior) if w > 0.0]
+        horizon, seed = rng.randint(0, 8), rng.randrange(1000)
+        theta = rng.choice((None, rng.choice(live)))
+        assert run_episode(scenario, strategy, horizon, seed, theta=theta) == oracle.run_episode(
+            scenario, strategy, horizon, seed, theta=theta
+        )
+
+    @given(st.randoms(use_true_random=False))
+    @settings(max_examples=100, deadline=None)
+    def test_pinned_zero_prior_theta(self, rng):
+        scenario = helpers.random_scenario(rng)
+        while len(scenario.targets) < 2:
+            scenario = helpers.random_scenario(rng)
+        zero = rng.randrange(len(scenario.targets))
+        weights = [0.0 if i == zero else w for i, w in enumerate(scenario.prior)]
+        scenario = dataclasses.replace(scenario, prior=tuple(w / sum(weights) for w in weights))
+        theta = scenario.targets[zero]
+        if rng.random() < 0.5:
+            strategy = _one_token_kernel(rng.randrange(1 << 30), scenario)
+        else:
+            strategy = broadcast_strategy(rng.choices(scenario.system.tokens, k=8))
+        seed = rng.randrange(1000)
+        for horizon in range(8):
+            try:
+                want = oracle.run_episode(scenario, strategy, horizon, seed, theta=theta)
+            except ZeroDivisionError:
+                break  # the oracle's episode divides by the zero total of round ``horizon``
+            assert run_episode(scenario, strategy, horizon, seed, theta=theta) == want
+            before = want
+        else:
+            return
+        with pytest.raises(ZeroProbabilityError) as got:
+            run_episode(scenario, strategy, horizon, seed, theta=theta)
+        # the oracle's filter rejects the same history with the same message
+        prefix = tuple(r.parsed for r in before.rounds)
+        state = before.rounds[-1].state if before.rounds else scenario.mind.axioms
+        (token,) = [tok for tok, p in strategy(theta, prefix).items() if p > 0.0]
+        with pytest.raises(ZeroProbabilityError) as want_error:
+            oracle.posterior_after(scenario, strategy, prefix + (parse(scenario.mind, scenario.system, token, state),))
+        assert str(got.value) == str(want_error.value)
 
     @given(st.randoms(use_true_random=False))
     @settings(max_examples=60, deadline=None)

@@ -1,6 +1,9 @@
 from __future__ import annotations
 
+import dataclasses
+import math
 import random
+from collections import Counter
 
 import pytest
 from hypothesis import given, settings
@@ -51,6 +54,11 @@ class TestScenarioInvariants:
             Scenario(mind=mind1, system=system, targets=("b", "c"), prior=(0.7, 0.2))
         with pytest.raises(ScenarioError, match="prior"):
             Scenario(mind=mind1, system=system, targets=("b", "c"), prior=(1.2, -0.2))
+
+    @pytest.mark.parametrize("prior", [(math.nan, 0.25, 0.25, 0.25), (0.25, 0.25, 0.25, math.nan)])
+    def test_nan_prior_weight_rejected(self, prior):
+        with pytest.raises(ScenarioError, match="^prior: "):
+            dataclasses.replace(helpers.star_scenario(), prior=prior)
 
 
 class TestLearnerView:
@@ -220,6 +228,34 @@ class TestRunEpisode:
                 # chain-then-name completes within the structural depth plus one
                 assert trace.tau is not None and trace.tau <= dist + 1
 
+    @given(st.randoms(use_true_random=False))
+    @settings(max_examples=60, deadline=None)
+    def test_each_live_target_is_queried_once_per_round(self, rng):
+        scenario = helpers.some_zero_prior(rng, helpers.random_scenario(rng))
+        kernel = helpers.random_kernel(rng.randrange(1 << 30), scenario)
+        calls: list[tuple[int, str]] = []
+
+        def counting(target: str, history: tuple) -> dict[str, float]:
+            calls.append((len(history) + 1, target))
+            return kernel(target, history)
+
+        theta = rng.choice(scenario.targets)
+        try:
+            trace = run_episode(scenario, counting, rng.randint(0, 6), seed=rng.randrange(1000), theta=theta)
+        except ZeroProbabilityError:
+            # theta has prior 0 and no live target can emit what it emitted
+            assert scenario.prior_of(theta) == 0.0
+            assert max(Counter(calls).values()) == 1
+            return
+        beliefs = [scenario.prior] + [r.belief for r in trace.rounds]
+        want = Counter(
+            (t, target)
+            for t in range(1, trace.horizon + 1)
+            for target, w in zip(scenario.targets, beliefs[t - 1])
+            if w > 0.0 or target == theta
+        )
+        assert Counter(calls) == want
+
     def test_pinned_theta_must_be_a_target(self, star_scenario):
         with pytest.raises(ScenarioError):
             run_episode(star_scenario, direct_strategy(star_scenario), 1, seed=0, theta="b")
@@ -237,6 +273,20 @@ class TestZeroWeightTargets:
         scenario = _fork_scenario()
         with pytest.raises(ZeroProbabilityError):
             run_episode(scenario, direct_strategy(scenario), 2, seed=0, theta="c")
+
+    def test_pinned_zero_prior_target_is_queried_once_per_round(self):
+        # a shared row keeps theta's emission possible, so the episode runs on
+        scenario = _fork_scenario()
+        row = broadcast_strategy(("z_b", "z_c", "z_b"))
+        calls = []
+
+        def counting(target: str, history: tuple) -> dict[str, float]:
+            calls.append((len(history) + 1, target))
+            return row(target, history)
+
+        trace = run_episode(scenario, counting, 3, seed=0, theta="c")
+        assert [r.belief for r in trace.rounds] == [(1.0, 0.0)] * 3
+        assert calls == [(1, "c"), (1, "b"), (2, "c"), (2, "b"), (3, "c"), (3, "b")]
 
     def test_zero_weight_kernel_is_never_consulted(self):
         # the row for 'c' runs out after one round, but 'c' has prior 0
