@@ -45,6 +45,7 @@ __all__ = [
 
 
 _escape = json.encoder.encode_basestring_ascii
+_NULL_TOKEN = "_null_"  # stands in for the unparseable observation in traces, so no signal may use it
 _NONFINITE = {"nan": "NaN", "inf": "Infinity", "-inf": "-Infinity"}
 
 
@@ -304,6 +305,10 @@ def load_scenario_bundle(path: str | Path) -> LoadedScenario:
         if not isinstance(entry, dict):
             raise FormatError(f"{where}: signals[{i}] must be an object")
         token = _need(entry, "token", str, f"{where}: signals[{i}]")
+        if token == _NULL_TOKEN:
+            raise FormatError(
+                f"{where}: signals[{i}]: token {_NULL_TOKEN!r} is reserved for the null observation"
+            )
         target = _need(entry, "target", str, f"{where}: signals[{i}]")
         if target not in mind.space:
             raise FormatError(f"{where}: signals[{i}]: unknown concept {target!r}")
@@ -315,6 +320,8 @@ def load_scenario_bundle(path: str | Path) -> LoadedScenario:
     if any(w < 0 for w in weights):
         raise FormatError(f"{where}: field 'prior' has a negative weight")
     total = sum(weights)
+    if not math.isfinite(total):
+        raise FormatError(f"{where}: field 'prior' overflows when summed")
     if total <= 0:
         raise FormatError(f"{where}: field 'prior' must have positive total weight")
     if abs(total - 1.0) > 1e-12:
@@ -360,10 +367,9 @@ def scenario_digest(scenario: Scenario, strategy: Optional[StrategySpec] = None)
     return hashlib.sha256(blob).hexdigest()
 
 
-_NULL_TOKEN = "_null_"  # stands in for the unparseable observation in files
-
-
 def _parsed_to_json(parsed: Optional[str]) -> str:
+    if parsed == _NULL_TOKEN:
+        raise FormatError(f"parsed token {_NULL_TOKEN!r} would read back as the null observation")
     return _NULL_TOKEN if parsed is None else parsed
 
 

@@ -134,26 +134,25 @@ def deterministic_value(mind: Mind, system: SignalSystem, goal: str, t: int) -> 
 
 
 # Within these caps at most 3 concepts are added, so the memo holds at most
-# 8 state masks x 7 live-target sets x 4 depths = 224 keys.  Each makes one
-# step call and at most 4 outcomes x 7 blocks = 28 child lookups, then takes
-# the max over at most 4^3 = 64 labelled partitions: the search needs no cap
-# of its own.
+# 8 state masks x 7 live-target sets x 4 counts of rounds left = 224 keys.
+# Each makes one view call and at most 4 outcomes x 7 blocks = 28 child
+# lookups, then takes the max over at most 4^3 = 64 maps from live targets to
+# outcomes: the search needs no cap of its own.
 _EXACT_MAX_TARGETS = 3
 _EXACT_MAX_TOKENS = 3
 _EXACT_MAX_HORIZON = 3
 
 
-@functools.cache  # keyed by live-target tuples: 7 of them within the caps
-def _set_partitions(items: tuple[int, ...]) -> tuple[tuple[tuple[int, ...], ...], ...]:
-    """Every set partition of ``items``, its blocks ordered by least member."""
-    partitions: list[tuple[tuple[int, ...], ...]] = [()]
-    for item in items:
-        partitions = [
-            blocks[:j] + (blocks[j] + (item,),) + blocks[j + 1 :]
-            for blocks in partitions
-            for j in range(len(blocks))
-        ] + [blocks + ((item,),) for blocks in partitions]
-    return tuple(partitions)
+@functools.cache  # keyed by (live targets, outcomes): at most 3 x 4 pairs within the caps
+def _labelled_partitions(n: int, c: int) -> tuple[tuple[tuple[tuple[int, ...], int], ...], ...]:
+    """Every map of ``n`` positions to ``c`` labels, as (positions, label) blocks by least member."""
+    table = []
+    for labels in itertools.product(range(c), repeat=n):
+        blocks: dict[int, list[int]] = {}
+        for position, label in enumerate(labels):
+            blocks.setdefault(label, []).append(position)
+        table.append(tuple((tuple(positions), label) for label, positions in blocks.items()))
+    return tuple(table)
 
 
 def exact_value_tiny(scenario: Scenario, t: int) -> float:
@@ -162,21 +161,19 @@ def exact_value_tiny(scenario: Scenario, t: int) -> float:
     Searches all deterministic history-dependent strategies: at each
     search node the teacher picks one token per live target.  Under
     point laws the weights passed down are the prior restricted to the
-    live targets, so ``(state, live targets, depth)`` fixes a node's
-    value and a node reached along several histories is searched once.
+    live targets, so ``(state, live targets, rounds left)`` fixes a
+    node's value, and each node is searched once.
 
-    A node makes one :meth:`Scenario.step` call, with a uniform law over
-    the alphabet, for its outcomes: each token that parses (a known
-    concept's token included) and the null observation if some token
-    does not.  A choice of tokens splits the live targets into blocks,
-    one per outcome, so the node's value is the max over set partitions
-    of the live targets with distinct outcomes as labels, each block
-    worth its child's value.  Every block's value under every outcome
-    is looked up once; a partition's blocks are summed from ``0.0`` in
-    order of their least member, the order ``step`` reports outcomes
-    in, so the floats are those of trying every token choice.  Hard caps
-    keep the search tractable; exceeding them raises
-    :class:`CapExceededError`, naming the cap and the value reached.
+    A node's outcomes come from one :meth:`Scenario.view` call: the child
+    of each token that parses (a known concept's token included), and
+    the null observation if some token does not.  Its value is the max
+    over maps from the live targets to the outcomes, each block of
+    targets sharing an outcome worth that child's value, looked up once
+    per block and outcome.  A map's blocks are summed from ``0.0`` in
+    order of least member, as :meth:`Scenario.step` groups outcomes, so
+    the floats are those of trying every token choice.  Exceeding the
+    hard caps raises :class:`CapExceededError`, naming the cap and the
+    value reached.
     """
     if t < 0:
         raise ValueError("horizon must be nonnegative")
@@ -197,40 +194,37 @@ def exact_value_tiny(scenario: Scenario, t: int) -> float:
     space = scenario.mind.space
     prior = scenario.prior
     target_bits = [space.bit(target) for target in scenario.targets]
-    uniform = [{tok: 1.0 / n_tokens for tok in scenario.system.tokens}]
+    token_bits = scenario.token_bits.values()
     memo: dict[tuple[int, tuple[int, ...], int], float] = {}
 
-    def best(state_mask: int, live: tuple[int, ...], depth: int) -> float:
-        key = (state_mask, live, depth)
+    def best(state_mask: int, live: tuple[int, ...], left: int) -> float:
+        key = (state_mask, live, left)
         if key in memo:
             return memo[key]
         if len(live) == 1 and target_bits[live[0]] & state_mask:
-            return prior[live[0]]  # identified and acquired: completed at this depth
-        if depth == t:
+            return prior[live[0]]  # identified and acquired: completed with rounds to spare
+        if left == 0:
             return 0.0
-        children = [child for child, _ in scenario.step(state_mask, uniform, [1.0]).values()]
-        labels = range(len(children))
-        rows: dict[tuple[int, ...], list[float]] = {}  # block -> its value under each outcome
+        expanded, n_parsed, _ = scenario.view(state_mask)
+        children = [state_mask | bit for bit in token_bits if expanded & bit]
+        if n_parsed < n_tokens:
+            children.append(state_mask)  # the null observation
+        rows: dict[tuple[int, ...], list[float]] = {}  # block positions -> value under each outcome
         value = 0.0
-        for blocks in _set_partitions(live):
-            if len(blocks) > len(children):
-                continue  # no labelling, and its blocks may be no strategy's children
-            block_rows = []
-            for block in blocks:
-                row = rows.get(block)
+        for blocks in _labelled_partitions(len(live), len(children)):
+            total = 0.0
+            for positions, label in blocks:
+                row = rows.get(positions)
                 if row is None:
-                    row = rows[block] = [best(child, block, depth + 1) for child in children]
-                block_rows.append(row)
-            for labelling in itertools.permutations(labels, len(blocks)):
-                total = 0.0
-                for row, k in zip(block_rows, labelling):
-                    total += row[k]
-                if total > value:
-                    value = total
+                    block = tuple(live[p] for p in positions)
+                    row = rows[positions] = [best(child, block, left - 1) for child in children]
+                total += row[label]
+            if total > value:
+                value = total
         memo[key] = value
         return value
 
-    return best(scenario.mind.axiom_mask, tuple(i for i, p in enumerate(prior) if p > 0.0), 0)
+    return best(scenario.mind.axiom_mask, tuple(i for i, p in enumerate(prior) if p > 0.0), t)
 
 
 @dataclass(frozen=True)

@@ -9,16 +9,16 @@ belief; they record completion (target acquired and identified) and
 identification (belief a point mass) times.
 
 :meth:`Scenario.step` is the one place a round is computed, on state
-masks, for episodes, posteriors, history trees and the exact search,
-which calls it once per search node for the node's outcomes; it tests
-whether a token parses through the rules that target its concept only.
+masks, for episodes, posteriors and history trees; it tests whether a
+token parses through the rules that target its concept only.
 :meth:`Scenario.view` computes a state's learner view (expansion,
 parsed-token count, capacity) and :meth:`Scenario.grow_view` grows it by
-one acquired concept, for episodes and both audits.  Shortest acquisition
-chains to the targets are computed once per scenario, by one
-breadth-first search that grows each state's expansion from its
-parent's in the same way (about 1 ms on a 400-concept chain, CPython
-3.11 on one core of a Xeon server), and cached as
+one acquired concept, for episodes and both audits; the exact search
+reads each search node's outcomes from one view and never steps.
+Shortest acquisition chains to the targets are computed once per
+scenario, by one breadth-first search that grows each state's expansion
+from its parent's in the same way (about 1 ms on a 400-concept chain,
+CPython 3.11 on one core of a Xeon server), and cached as
 :attr:`Scenario.target_chains`; the direct strategy, the value bounds
 and the audit's global bound read them from there.
 

@@ -22,7 +22,11 @@ their nodes: the exact value, maximized afresh at every history through
 mind at every product state for every token.  The memoized exact value
 that tried every token assignment at each node, one ``step`` call per
 assignment, before it maximized over labelled partitions of the live
-targets, comes with them.
+targets, comes with them, and so does the search that maximized over
+set partitions of the live targets times injective labellings of their
+blocks, with one uniform-law ``step`` call per node for its outcomes,
+before one table of maps from live targets to outcomes replaced both
+enumerations.
 
 The fifth part is the recursive history tree and the dense audit that
 the explicit-stack walks replaced: every internal node builds its
@@ -167,6 +171,8 @@ def run_episode(scenario, strategy, horizon: int, seed: int, theta: Optional[str
         like = parsed_likelihood(scenario, strategy, history, state, parsed)
         belief = [b * l for b, l in zip(belief, like)]
         total = sum(belief)
+        if total <= 0.0:
+            raise ZeroProbabilityError(f"history {history + (parsed,)} has probability zero")
         belief = [b / total for b in belief]
         state = knowledge_update(scenario.mind, scenario.system, state, parsed)
         history = history + (parsed,)
@@ -544,6 +550,75 @@ def exact_value_memoized(scenario: Scenario, t: int) -> float:
         return value
 
     return best(scenario.mind.axiom_mask, scenario.prior, 0)
+
+
+def _set_partitions(items: tuple[int, ...]) -> tuple[tuple[tuple[int, ...], ...], ...]:
+    """Every set partition of ``items``, its blocks ordered by least member."""
+    partitions: list[tuple[tuple[int, ...], ...]] = [()]
+    for item in items:
+        partitions = [
+            blocks[:j] + (blocks[j] + (item,),) + blocks[j + 1 :]
+            for blocks in partitions
+            for j in range(len(blocks))
+        ] + [blocks + ((item,),) for blocks in partitions]
+    return tuple(partitions)
+
+
+def exact_value_partitions(scenario: Scenario, t: int) -> float:
+    """The exact value searched once per ``(state, live targets, depth)``, over partitions.
+
+    Each node makes one :meth:`Scenario.step` call, with a uniform law
+    over the alphabet, for its outcomes, then maximizes over every set
+    partition of the live targets with at most as many blocks as
+    outcomes, times every injective labelling of its blocks by outcomes.
+    """
+    if t < 0:
+        raise ValueError("horizon must be nonnegative")
+    n_tokens = len(scenario.system.tokens)
+    if len(scenario.targets) > _EXACT_MAX_TARGETS:
+        raise CapExceededError(f"exact search caps targets at {_EXACT_MAX_TARGETS}")
+    if n_tokens > _EXACT_MAX_TOKENS:
+        raise CapExceededError(f"exact search caps the alphabet at {_EXACT_MAX_TOKENS}")
+    if t > _EXACT_MAX_HORIZON:
+        raise CapExceededError(f"exact search caps the horizon at {_EXACT_MAX_HORIZON}")
+
+    space = scenario.mind.space
+    prior = scenario.prior
+    target_bits = [space.bit(target) for target in scenario.targets]
+    uniform = [{tok: 1.0 / n_tokens for tok in scenario.system.tokens}]
+    memo: dict[tuple[int, tuple[int, ...], int], float] = {}
+
+    def best(state_mask: int, live: tuple[int, ...], depth: int) -> float:
+        key = (state_mask, live, depth)
+        if key in memo:
+            return memo[key]
+        if len(live) == 1 and target_bits[live[0]] & state_mask:
+            return prior[live[0]]  # identified and acquired: completed at this depth
+        if depth == t:
+            return 0.0
+        children = [child for child, _ in scenario.step(state_mask, uniform, [1.0]).values()]
+        labels = range(len(children))
+        rows: dict[tuple[int, ...], list[float]] = {}  # block -> its value under each outcome
+        value = 0.0
+        for blocks in _set_partitions(live):
+            if len(blocks) > len(children):
+                continue  # no labelling, and its blocks may be no strategy's children
+            block_rows = []
+            for block in blocks:
+                row = rows.get(block)
+                if row is None:
+                    row = rows[block] = [best(child, block, depth + 1) for child in children]
+                block_rows.append(row)
+            for labelling in itertools.permutations(labels, len(blocks)):
+                total = 0.0
+                for row, k in zip(block_rows, labelling):
+                    total += row[k]
+                if total > value:
+                    value = total
+        memo[key] = value
+        return value
+
+    return best(scenario.mind.axiom_mask, tuple(i for i, p in enumerate(prior) if p > 0.0), 0)
 
 
 def broadcast_min_length(

@@ -515,6 +515,26 @@ class TestErrors:
         code, out, err = _run(capsys, "value", "--scenario", str(path), "--horizon", "2")
         assert (code, out, err) == (1, "", f"error: {path}: signal alphabet must be non-empty\n")
 
+    @pytest.mark.parametrize("command", ["simulate", "audit", "value"])
+    def test_null_token_spelling_exit_one(self, capsys, fixtures_dir, tmp_path, command):
+        # "_null_" is how traces spell the null observation, so no signal may use it.
+        data = json.loads((fixtures_dir / "star.scenario").read_text())
+        data["signals"][1]["token"] = "_null_"
+        path = tmp_path / "s.scenario"
+        path.write_text(json.dumps(data))
+        argv = [command, "--scenario", str(path), "--horizon", "2"]
+        code, out, err = _run(capsys, *(argv + ["--seed", "1"] if command == "simulate" else argv))
+        want = f"error: {path}: signals[1]: token '_null_' is reserved for the null observation\n"
+        assert (code, out, err) == (1, "", want)
+
+    def test_prior_sum_overflow_exit_one(self, capsys, fixtures_dir, tmp_path):
+        data = json.loads((fixtures_dir / "star.scenario").read_text())
+        data["prior"] = [1e308, 1e308, 0, 0]
+        path = tmp_path / "s.scenario"
+        path.write_text(json.dumps(data))
+        code, out, err = _run(capsys, "value", "--scenario", str(path), "--horizon", "2")
+        assert (code, out, err) == (1, "", f"error: {path}: field 'prior' overflows when summed\n")
+
     def test_unknown_row_token_exit_one(self, capsys, fixtures_dir, tmp_path):
         data = json.loads((fixtures_dir / "star.scenario").read_text())
         data["strategy"] = {"kind": "broadcast", "row": ["z_b", "nope"]}

@@ -4,8 +4,11 @@ import json
 
 import pytest
 
+import helpers
 from noesis import (
     FormatError,
+    Scenario,
+    SignalSystem,
     direct_strategy,
     load_mind,
     load_scenario,
@@ -145,6 +148,30 @@ class TestLoadScenario:
         with pytest.raises(FormatError, match="field 'prior'"):
             load_scenario_bundle(path)
 
+    @pytest.mark.parametrize(
+        "prior", [[1e308, 1e308, 0, 0], [1e308, 1e308, 1e308, 1e308], [1.7e308, 1, 1, 1e308]]
+    )
+    def test_prior_sum_overflow_named(self, tmp_path, fixtures_dir, prior):
+        # Each weight is finite, but their sum is inf, which would normalize every weight to 0.0.
+        path = _star_with(tmp_path, fixtures_dir, prior=prior)
+        with pytest.raises(FormatError, match=r"field 'prior' overflows when summed$"):
+            load_scenario_bundle(path)
+
+    def test_large_finite_prior_sum_is_normalized(self, tmp_path, fixtures_dir):
+        path = _star_with(tmp_path, fixtures_dir, prior=[8e307, 8e307, 0, 0])
+        bundle = load_scenario_bundle(path)
+        assert bundle.scenario.prior == (0.5, 0.5, 0.0, 0.0)
+        assert bundle.notes == ("prior weights sum to 1.6e+308; normalized to 1",)
+
+    def test_null_token_spelling_rejected(self, tmp_path, fixtures_dir):
+        data = json.loads((fixtures_dir / "star.scenario").read_text())
+        data["signals"].append({"token": "_null_", "target": "b"})
+        path = tmp_path / "s.scenario"
+        path.write_text(json.dumps(data))
+        reserved = r"signals\[5\]: token '_null_' is reserved for the null observation"
+        with pytest.raises(FormatError, match=reserved):
+            load_scenario_bundle(path)
+
     def test_prior_accepts_ints_and_floats(self, tmp_path, fixtures_dir):
         path = _star_with(tmp_path, fixtures_dir, prior=[1, 1.0, 2, 0])
         assert load_scenario_bundle(path).scenario.prior == (0.25, 0.25, 0.5, 0.0)
@@ -225,6 +252,20 @@ class TestTraces:
         assert trace.rounds[0].parsed is None  # the first token is unparseable
         again, _ = trace_from_dict(trace_to_dict(trace))
         assert again == trace
+
+    def test_writers_refuse_a_parsed_null_spelling(self):
+        # A token spelled like the null observation would read back as None,
+        # so read-then-write would not be a fixed point; the writers refuse it.
+        mind = helpers.make_mind(["a", "b", "c"], ["a"], [(["a"], "b"), (["b"], "c")])
+        system = SignalSystem.from_pairs([("_null_", "b"), ("z_c", "c")])
+        scenario = Scenario(mind=mind, system=system, targets=("c",), prior=(1.0,))
+        trace = run_episode(scenario, direct_strategy(scenario), 2, seed=3)
+        assert trace.rounds[0].parsed == "_null_"
+        refused = "parsed token '_null_' would read back as the null observation"
+        with pytest.raises(FormatError, match=refused):
+            trace_to_dict(trace)
+        with pytest.raises(FormatError, match=refused):
+            trace_to_csv([trace])
 
     def test_csv_export(self, star_scenario):
         strategy = direct_strategy(star_scenario)

@@ -1,16 +1,17 @@
 """The planner's searches against the searches they replaced.
 
-``exact_value_tiny`` searches each ``(state, live targets, depth)`` node
-once, with one ``Scenario.step`` call and a max over labelled partitions
-of the live targets, and ``broadcast_min_length`` is an A* search that
-expands each state of each mind once; the oracles in ``oracle.py``
-expand afresh at every history, try every token assignment at each
-node, and search breadth-first at every product state.  Values must
-match exactly, the CLI bytes must not move, and the work counts must
-fall.  The exact search's caps fire where the oracle's do; the A*
-search stores other product states than the breadth-first one, so its
-cap has its own threshold, never above the oracle's on the broadcast
-construction.
+``exact_value_tiny`` searches each ``(state, live targets, rounds left)``
+node once, with one ``Scenario.view`` call for its outcomes and a max
+over one cached table of maps from the live targets to the outcomes,
+and ``broadcast_min_length`` is an A* search that expands each state of
+each mind once; the oracles in ``oracle.py`` expand afresh at every
+history, try every token assignment at each node, maximize over set
+partitions times injective labellings, and search breadth-first at
+every product state.  Values must match exactly, the CLI bytes must not
+move, and the work counts must fall.  The exact search's caps fire
+where the oracle's do; the A* search stores other product states than
+the breadth-first one, so its cap has its own threshold, never above
+the oracle's on the broadcast construction.
 """
 
 from __future__ import annotations
@@ -52,6 +53,57 @@ def test_exact_value_is_bit_identical(rng):
         got = exact_value_tiny(scenario, t)
         assert got == oracle.exact_value_memoized(scenario, t)
         assert got == oracle.exact_value_per_history(scenario, t)
+        assert got == oracle.exact_value_partitions(scenario, t)
+
+
+def _tiny_with_synonyms(rng: random.Random) -> Scenario:
+    """A tiny scenario whose spare tokens rephrase a target or name an axiom or any concept.
+
+    It keeps one or two targets, so the alphabet can grow to the cap of
+    three tokens; the tokens come in shuffled order.
+    """
+    base = helpers.random_tiny_scenario(rng)
+    n = rng.randint(1, min(2, len(base.targets)))
+    targets = base.targets[:n]
+    pairs = [(f"z_{c}", c) for c in targets]
+    pool = list(targets) + sorted(base.mind.axioms) + list(base.mind.space.concepts)
+    for _ in range(rng.randint(1, 3 - n)):
+        c = rng.choice(pool)
+        pairs.append((f"r{len(pairs)}_{c}", c))
+    rng.shuffle(pairs)
+    total = sum(base.prior[:n])
+    prior = tuple(p / total for p in base.prior[:n])
+    return Scenario(mind=base.mind, system=SignalSystem.from_pairs(pairs), targets=targets, prior=prior)
+
+
+@given(st.randoms(use_true_random=False))
+@settings(max_examples=150, deadline=None)
+def test_exact_value_with_synonyms_is_bit_identical(rng):
+    # Rephrasings give one child mask to several outcomes, and a known
+    # concept's token parses and changes nothing.
+    scenario = helpers.some_zero_prior(rng, _tiny_with_synonyms(rng))
+    for t in range(4):
+        got = exact_value_tiny(scenario, t)
+        assert got == oracle.exact_value_memoized(scenario, t)
+        assert got == oracle.exact_value_per_history(scenario, t)
+        assert got == oracle.exact_value_partitions(scenario, t)
+
+
+@pytest.mark.parametrize("n, c", [(n, c) for n in range(4) for c in range(1, 5)])
+def test_labelled_partitions_are_the_maps_to_outcomes(n, c):
+    table = planner._labelled_partitions(n, c)
+    assert len(table) == c**n
+    maps = set()
+    for blocks in table:
+        positions = [p for block, _ in blocks for p in block]
+        labels = [label for _, label in blocks]
+        assert sorted(positions) == list(range(n))
+        assert len(set(labels)) == len(labels) and all(0 <= k < c for k in labels)
+        assert all(block == tuple(sorted(block)) for block, _ in blocks)
+        least = [block[0] for block, _ in blocks]
+        assert least == sorted(least)
+        maps.add(tuple(sorted((p, label) for block, label in blocks for p in block)))
+    assert len(maps) == c**n
 
 
 def test_outcomes_with_one_child_mask_stay_apart():
@@ -87,20 +139,20 @@ def test_exact_value_with_zero_weight_targets(targets, prior):
 
 
 def _expanded_nodes(scenario: Scenario, t: int) -> set[tuple[int, tuple[int, ...], int]]:
-    """The ``(state, live targets, depth)`` nodes at which the exact search picks tokens."""
+    """The ``(state, live targets, rounds left)`` nodes at which the exact search picks tokens."""
     bits = [scenario.mind.space.bit(target) for target in scenario.targets]
     point_laws = [{tok: 1.0} for tok in scenario.system.tokens]
     seen: set = set()
     expanded: set = set()
-    todo = [(scenario.mind.axiom_mask, scenario.prior, 0)]
+    todo = [(scenario.mind.axiom_mask, scenario.prior, t)]
     while todo:
-        mask, joint, depth = todo.pop()
+        mask, joint, left = todo.pop()
         live = tuple(i for i, p in enumerate(joint) if p > 0.0)
-        key = (mask, live, depth)
+        key = (mask, live, left)
         if key in seen:
             continue
         seen.add(key)
-        if (len(live) == 1 and bits[live[0]] & mask) or depth == t:
+        if (len(live) == 1 and bits[live[0]] & mask) or left == 0:
             continue
         expanded.add(key)
         for assignment in itertools.product(point_laws, repeat=len(live)):
@@ -108,7 +160,7 @@ def _expanded_nodes(scenario: Scenario, t: int) -> set[tuple[int, tuple[int, ...
             for i, law in zip(live, assignment):
                 laws[i] = law
             for child, sub in scenario.step(mask, laws, joint).values():
-                todo.append((child, sub, depth + 1))
+                todo.append((child, sub, left - 1))
     return expanded
 
 
@@ -125,14 +177,16 @@ def _count_calls(monkeypatch, cls, name):
 
 
 def _assert_steps_once_per_node(monkeypatch, scenario: Scenario) -> None:
+    # The exact search reads each expanded node's outcomes from one view
+    # and never steps; the per-history oracle steps more often than that.
     nodes = _expanded_nodes(scenario, 3)
-    calls = _count_calls(monkeypatch, Scenario, "step")
+    views = _count_calls(monkeypatch, Scenario, "view")
+    steps = _count_calls(monkeypatch, Scenario, "step")
     value = exact_value_tiny(scenario, 3)
-    memoized = len(calls)
+    assert len(views) == len(nodes)
+    assert not steps
     assert value == oracle.exact_value_per_history(scenario, 3)
-    per_history = len(calls) - memoized
-    assert memoized == len(nodes)
-    assert memoized < per_history
+    assert len(nodes) < len(steps)
 
 
 def test_exact_value_steps_once_per_node(monkeypatch):
