@@ -201,13 +201,28 @@ def _cmd_derive(args) -> str:
     )
 
 
+def _states_csv(states: list[tuple[str, ...]], labels: tuple[str, ...]) -> str:
+    """The states as a one-column CSV, labels joined by ``|``, as ``csv.writer`` writes it.
+
+    Labels hold no whitespace, so only a row with ``,`` or ``"`` is quoted
+    (its quotes doubled), and one check per mind finds out whether any row
+    can need it.  The empty state is written ``""`` so that it reads back
+    as one empty field.
+    """
+    rows = ["|".join(s) for s in states]
+    if any("," in label or '"' in label for label in labels):
+        rows = ['"' + r.replace('"', '""') + '"' if "," in r or '"' in r else r for r in rows]
+    if rows and not rows[0]:  # the empty state sorts first
+        rows[0] = '""'
+    return "\n".join(["state", *rows]) + "\n"
+
+
 def _cmd_reach(args) -> str:
     mind = fileio.load_mind(args.mind)
     family = _capped(enumerate_reachable, mind, cap=args.cap)
     states = family.sorted_label_tuples()
     if args.format == "csv":
-        lines = ["state"] + ["|".join(s) for s in states]
-        return "\n".join(lines) + "\n"
+        return _states_csv(states, mind.space.concepts)
     report = check_learning_space(family, family.axioms)
     return fileio.dump_json(
         {

@@ -120,10 +120,6 @@ class ConceptSpace:
     def labels(self, mask: int) -> frozenset[str]:
         return frozenset(self.concepts[bit.bit_length() - 1] for bit in iter_bits(mask))
 
-    def sorted_labels(self, mask: int) -> tuple[str, ...]:
-        """Labels of ``mask`` in space order."""
-        return tuple(self.concepts[bit.bit_length() - 1] for bit in iter_bits(mask))
-
 
 @dataclass(frozen=True)
 class ExpansionRule:

@@ -59,6 +59,11 @@ The tenth part is the sparse audit's general restricted mutual
 information, through which it computed the erasure half of the
 relativity law (the parsed table restricted to its null column) before
 that half read each row's null cell alone.
+
+The eleventh part is the reachable family's sort as it was: every state
+spelled bit by bit, its labels sorted, and the tuples sorted by length,
+then by their labels, before one integer rank key per state and tables
+per byte replaced it.
 """
 
 from __future__ import annotations
@@ -1091,3 +1096,17 @@ def restricted_mi(table: list[list[tuple[int, float]]], keep: bytes) -> float:
     if mass <= 0.0:
         return 0.0
     return mutual_information_cells([[(j, p / mass) for j, p in row] for row in sub])
+
+
+# --- the sort of the reachable family by label tuples --------------------------
+
+
+def sorted_label_tuples(family: ReachableFamily) -> list[tuple[str, ...]]:
+    """All states as tuples of sorted labels, sorted by size, then by the tuples."""
+    concepts = family.space.concepts
+    out = [
+        tuple(sorted(tuple(concepts[bit.bit_length() - 1] for bit in iter_bits(m))))
+        for m in family.state_masks
+    ]
+    out.sort(key=lambda t: (len(t), t))
+    return out

@@ -1,5 +1,7 @@
 from __future__ import annotations
 
+import csv
+import io
 import json
 import os
 import subprocess
@@ -107,6 +109,51 @@ class TestReach:
         monkeypatch.setenv("NOESIS_NODE_CAP", "2")
         code, _, _ = _run(capsys, "reach", "--mind", str(fixtures_dir / "diamond.mind"))
         assert code == 2
+
+    @staticmethod
+    def _csv(capsys, tmp_path, mind: dict) -> str:
+        path = tmp_path / "m.mind"
+        path.write_text(json.dumps(mind), encoding="utf-8")
+        code, out, _ = _run(capsys, "reach", "--mind", str(path), "--format", "csv")
+        assert code == 0
+        return out
+
+    @staticmethod
+    def _written_by_csv_writer(rows: list[str]) -> str:
+        buf = io.StringIO()
+        writer = csv.writer(buf, lineterminator="\n")
+        writer.writerows([row] for row in ["state", *rows])
+        return buf.getvalue()
+
+    def test_csv_quotes_rows_with_commas_and_quotes(self, capsys, tmp_path):
+        mind = {
+            "concepts": ["r", "x,y", 'q"z'],
+            "axioms": ["r"],
+            "rules": [{"prereqs": ["r"], "target": "x,y"}, {"prereqs": ["r"], "target": 'q"z'}],
+        }
+        out = self._csv(capsys, tmp_path, mind)
+        rows = ["r", 'q"z|r', "r|x,y", 'q"z|r|x,y']
+        assert list(csv.reader(io.StringIO(out))) == [[row] for row in ["state", *rows]]
+        assert out == self._written_by_csv_writer(rows)
+
+    def test_csv_writes_the_empty_state_as_an_empty_field(self, capsys, tmp_path):
+        mind = {
+            "concepts": ["a", "b"],
+            "axioms": [],
+            "rules": [{"prereqs": [], "target": "a"}, {"prereqs": ["a"], "target": "b"}],
+        }
+        out = self._csv(capsys, tmp_path, mind)
+        rows = ["", "a", "a|b"]
+        assert list(csv.reader(io.StringIO(out))) == [[row] for row in ["state", *rows]]
+        assert out == self._written_by_csv_writer(rows)
+
+    def test_csv_of_plain_labels_is_unquoted(self, capsys, fixtures_dir):
+        code, out, _ = _run(
+            capsys, "reach", "--mind", str(fixtures_dir / "diamond.mind"), "--format", "csv"
+        )
+        assert code == 0
+        rows = ["a", "a|b", "a|c", "a|b|c", "a|b|c|d"]
+        assert out == "\n".join(["state", *rows]) + "\n" == self._written_by_csv_writer(rows)
 
 
 _CAPPED_COMMANDS = {

@@ -70,7 +70,6 @@ class TestConceptSpace:
     def test_mask_labels_round_trip(self):
         space = ConceptSpace(("a", "b", "c"))
         assert space.labels(space.mask({"c", "a"})) == frozenset({"a", "c"})
-        assert space.sorted_labels(space.mask({"c", "a"})) == ("a", "c")
         with pytest.raises(UnknownConceptError):
             space.mask({"z"})
 

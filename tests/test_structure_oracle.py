@@ -1,7 +1,8 @@
 """Differential tests: the mask-level learning-space check and the horizon
-capacity against the frozenset check and the per-state capacity scan, and
-the reachable family, which reads its moves off its states, against the
-enumeration that stored them."""
+capacity against the frozenset check and the per-state capacity scan, the
+reachable family, which reads its moves off its states, against the
+enumeration that stored them, and the family's sort by rank keys and byte
+tables against the sort of label tuples."""
 
 from __future__ import annotations
 
@@ -16,6 +17,8 @@ import helpers
 import oracle
 from noesis import (
     CapExceededError,
+    ConceptSpace,
+    ExpansionRule,
     Mind,
     Scenario,
     SignalSystem,
@@ -167,6 +170,44 @@ class TestReachableFamilyMatchesOracle:
                 calls.clear()
                 assert got == _family_or_cap_error(oracle.enumerate_reachable, mind, cap)
                 assert got_calls == calls
+
+
+def _labels(rng: random.Random) -> list[str]:
+    """1 to 20 distinct short labels over a few letters, some non-ASCII, in random order.
+
+    Short labels over few letters make some labels prefixes of others
+    ("a", "ab"), and the random order differs from code-point order.
+    """
+    n = rng.randint(1, 20)
+    labels: dict[str, None] = {}
+    while len(labels) < n:
+        labels["".join(rng.choices("abZé日Ω", k=rng.randint(1, 3)))] = None
+    return list(labels)
+
+
+class TestSortedLabelTuplesMatchOracle:
+    @given(st.randoms(use_true_random=False))
+    @settings(max_examples=300, deadline=None)
+    def test_random_minds(self, rng):
+        space = ConceptSpace(tuple(_labels(rng)))
+        family = enumerate_reachable(helpers.random_mind(rng, max_rules=12, space=space))
+        want = oracle.sorted_label_tuples(family)
+        assert family.sorted_label_tuples() == want
+        assert family.states() == [frozenset(t) for t in want]
+
+    def test_empty_state_alone(self):
+        mind = helpers.make_mind(("é", "a", "ab"), (), [])
+        family = enumerate_reachable(mind)
+        assert family.sorted_label_tuples() == oracle.sorted_label_tuples(family) == [()]
+
+    def test_chain_of_two_thousand(self):
+        labels = tuple(f"c{i}" for i in range(2000))
+        rules = tuple(ExpansionRule(frozenset({a}), b) for a, b in zip(labels, labels[1:]))
+        family = enumerate_reachable(Mind(ConceptSpace(labels), frozenset({"c0"}), rules))
+        # The states are the prefixes of the chain; sorted label tuples put c10 before c2.
+        assert family.sorted_label_tuples() == [
+            tuple(sorted(labels[: k + 1])) for k in range(len(labels))
+        ]
 
 
 class TestHorizonCapacityMatchesOracle:
