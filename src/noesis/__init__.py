@@ -113,7 +113,6 @@ from .teaching import (
     direct_strategy,
     knowledge_update,
     posterior_after,
-    posterior_update,
     run_episode,
     scripted_strategy,
     state_after,

@@ -4,8 +4,11 @@ A knowledge state is reachable when it can be built from the axioms by
 adding one currently-unlockable concept at a time.  The family of all
 such states is union-closed, accessible above the axioms, and spans from
 the axiom set up to the understanding horizon; shifting every state by
-the axioms yields an antimatroid.  The converse also holds: any family
-with those properties is the reachable family of a canonical mind.
+the axioms yields an antimatroid.  That is a theorem (proved in
+:func:`enumerate_reachable`'s docstring), so ``reach`` prints those four
+flags without checking them; :func:`check_learning_space` verifies them
+on arbitrary families.  The converse also holds: any family with those
+properties is the reachable family of a canonical mind.
 
 One breadth-first search over knowledge states (``_breadth_first``)
 serves the family, which keeps only its states and reads its moves off
@@ -227,6 +230,21 @@ def enumerate_reachable(mind: Mind, *, cap: int = DEFAULT_STATE_CAP) -> Reachabl
 
     Raises :class:`CapExceededError` once more than ``cap`` states are
     discovered (the family can be exponential in the concept count).
+
+    The family is an axiom-based learning space (Korte, Lovász and
+    Schrader, *Greedoids*, 1991; Falmagne and Doignon, *Learning Spaces*,
+    2011), so ``reach`` prints the four flags of
+    :func:`check_learning_space` as true without checking them:
+
+    - Accessible: every state after the axioms was found by adding one
+      concept to a family state, so removing that concept leaves one.
+    - Union-closed: expansion is monotone, so a concept unlockable at a
+      state is unlockable at every superset; S ∪ T is reached from S by
+      adding T's concepts in the order T reached them.
+    - Floor: every state contains the axioms, and the axioms are a state.
+    - Shift: removing the axioms from every state is one-to-one on
+      supersets of the axioms and keeps unions and one-concept steps, so
+      the shifted family is an antimatroid.
     """
     parent: dict[int, int] = {}
     for _ in _breadth_first(mind, parent):
@@ -263,25 +281,18 @@ def _family_sets(family: FamilyLike) -> list[frozenset[str]]:
     return [frozenset(s) for s in family]
 
 
-def _family_masks(family: FamilyLike, axioms: AbstractSet[str]) -> tuple[AbstractSet[int], int]:
-    """The family's states and the axioms as masks over one label index.
-
-    A :class:`ReachableFamily` keeps its own masks; labels outside its
-    space (only axioms can be) take the bits above it.
-    """
-    if isinstance(family, ReachableFamily):
-        index, sets = dict(family.space.index), []
-    else:
-        index, sets = {}, [frozenset(s) for s in family]
+def _family_masks(family: FamilyLike, axioms: AbstractSet[str]) -> tuple[set[int], int]:
+    """The family's states and the axioms as masks over one label index."""
+    sets = _family_sets(family)
     axioms = frozenset(axioms)
+    index: dict[str, int] = {}
     for label in itertools.chain(axioms, *sets):
         index.setdefault(label, len(index))
 
     def mask(labels: frozenset[str]) -> int:
         return sum(1 << index[label] for label in labels)
 
-    states = family.state_masks if isinstance(family, ReachableFamily) else {mask(s) for s in sets}
-    return states, mask(axioms)
+    return {mask(s) for s in sets}, mask(axioms)
 
 
 def _accessible_union_closed(states: AbstractSet[int], base: int) -> tuple[bool, bool]:
@@ -317,6 +328,11 @@ def check_learning_space(family: FamilyLike, axioms: AbstractSet[str]) -> Learni
 
     The family need not come from a mind; degenerate inputs are accepted
     so negative examples (union-closed but inaccessible) can be tested.
+    A family from :func:`enumerate_reachable` passes by theorem (see its
+    docstring), so ``reach`` prints the flags without calling this; a
+    :class:`ReachableFamily` is read through its label sets like any
+    other family.
+
     Union closure of an accessible family uses the local characterization
     of antimatroids (Korte, Lovász and Schrader, *Greedoids*, 1991;
     Doignon and Falmagne, *Knowledge Spaces*, 1999): it holds iff

@@ -61,7 +61,6 @@ __all__ = [
     "knowledge_update",
     "state_after",
     "posterior_after",
-    "posterior_update",
     "direct_strategy",
     "scripted_strategy",
     "broadcast_strategy",
@@ -256,16 +255,6 @@ def posterior_after(
         laws = emission_laws(scenario, strategy, prefix, belief)
         mask, belief = _observe(scenario, laws, prefix, mask, belief, parsed)
     return tuple(belief)
-
-
-def posterior_update(
-    scenario: Scenario,
-    strategy: StrategyKernel,
-    history: Sequence[ParsedSignal],
-    parsed: ParsedSignal,
-) -> tuple[float, ...]:
-    """One Bayes step: the belief after observing ``parsed`` next."""
-    return posterior_after(scenario, strategy, tuple(history) + (parsed,))
 
 
 def direct_strategy(scenario: Scenario) -> StrategyKernel:

@@ -98,6 +98,20 @@ class TestReach:
         assert ["a", "b", "c", "d"] in data["states"]
         assert data["learning_space"]["union_closed"] is True
 
+    @pytest.mark.parametrize("name", ["diamond", "arithmetic"])
+    def test_json_flags_are_not_rechecked(self, capsys, fixtures_dir, monkeypatch, name):
+        # The flags hold by theorem (enumerate_reachable); reach runs no check.
+        def checked(*args):
+            raise AssertionError("reach ran the learning-space check")
+
+        monkeypatch.setattr("noesis.reachability._accessible_union_closed", checked)
+        code, out, _ = _run(
+            capsys, "reach", "--mind", str(fixtures_dir / f"{name}.mind"), "--format", "json"
+        )
+        assert code == 0
+        golden = Path(__file__).resolve().parent / "golden" / f"reach-{name}.json"
+        assert out.encode() == golden.read_bytes()
+
     def test_cap_flag_gives_exit_two(self, capsys, fixtures_dir):
         code, _, err = _run(
             capsys, "reach", "--mind", str(fixtures_dir / "diamond.mind"), "--cap", "2"

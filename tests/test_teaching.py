@@ -27,7 +27,6 @@ from noesis import (
     max_capacity,
     ordered_signals,
     posterior_after,
-    posterior_update,
     run_episode,
     scripted_strategy,
     state_after,
@@ -94,11 +93,11 @@ class TestPosterior:
     def test_full_interaction_posteriors(self, arithmetic_scenario):
         strategy = scripted_strategy(helpers.arithmetic_script())
         third = 1.0 / 3.0
-        assert posterior_update(arithmetic_scenario, strategy, (), "z_b") == pytest.approx(
+        assert posterior_after(arithmetic_scenario, strategy, ("z_b",)) == pytest.approx(
             (third, third, third), abs=1e-9
         )
-        assert posterior_update(
-            arithmetic_scenario, strategy, ("z_b",), "z_c"
+        assert posterior_after(
+            arithmetic_scenario, strategy, ("z_b", "z_c")
         ) == pytest.approx((0.0, 0.5, 0.5), abs=1e-9)
         assert posterior_after(
             arithmetic_scenario, strategy, ("z_b", "z_c", "z_d")
@@ -108,14 +107,14 @@ class TestPosterior:
         strategy = broadcast_strategy(("z_b", "z_1", "z_2"))
         history: tuple = ()
         for parsed in ("z_b", "z_1", "z_2"):
-            belief = posterior_update(star_scenario, strategy, history, parsed)
+            belief = posterior_after(star_scenario, strategy, history + (parsed,))
             assert belief == pytest.approx(star_scenario.prior, abs=1e-12)
             history += (parsed,)
 
     def test_zero_probability_history_rejected(self, arithmetic_scenario):
         strategy = scripted_strategy(helpers.arithmetic_script())
         with pytest.raises(ZeroProbabilityError):
-            posterior_update(arithmetic_scenario, strategy, (), "z_c")
+            posterior_after(arithmetic_scenario, strategy, ("z_c",))
 
 
 class TestStrategies:
