@@ -11,15 +11,20 @@ unordered concepts, the total-information identity at identification,
 the trajectory capacity budget, and the global floor on expected
 completion time.
 
+Both tree walks expand a node through one routine, :func:`_expand`.
+It parses the node's emissions through the node's learner view, kept
+in one table per walk with one view per distinct state, and grows a
+view from it (:meth:`Scenario.grow_view`) for each new child state that
+will itself be expanded, so no walk reads the rules per node.
+
 :func:`audit_history` gives the same node count and report without
 building the tree: one depth-first walk checks each node's laws when it
 expands it and keeps only the pending children on its stack, each with
-its history tuple, and one learner view per distinct state, grown from
-its parent's (:meth:`Scenario.grow_view`), so a chain audit's law work
-per node does not grow with the chain.  These, not the tree, are its
-memory; a view's state mask and expansion hold up to one bit per concept
-each, so on a long chain the views, not the history tuples, are most of
-it.  Both audits feed one per-node law routine and one expected-completion
+its history tuple, and its view table, so a chain audit's law work per
+node does not grow with the chain.  These, not the tree, are its memory;
+a view's state mask and expansion hold up to one bit per concept each,
+so on a long chain the views, not the history tuples, are most of it.
+Both audits feed one per-node law routine and one expected-completion
 walk (:class:`_Checks`), in the same pre-order, so their floats agree.
 
 Every walk uses an explicit stack, so a tree's depth is bounded by its
@@ -134,11 +139,22 @@ def _children(outcomes: dict, column: dict[str, int]) -> list[tuple]:
 
 def _expand(
     scenario: Scenario, strategy: StrategyKernel, history: tuple, mask: int, joint: list[float],
-    column: dict[str, int],
-) -> tuple[list, list[tuple]]:
-    """One node's kernel laws and its children (see :func:`_children`)."""
+    column: dict[str, int], views: dict[int, LearnerView], horizon: int,
+) -> tuple[list, LearnerView, list[tuple]]:
+    """One node's kernel laws, its learner view and its children (see :func:`_children`).
+
+    ``views`` maps state masks to learner views and holds the node's own;
+    a child whose depth is below ``horizon``, so that it will itself be
+    expanded, gets its state's view grown from the node's.
+    """
     laws = emission_laws(scenario, strategy, history, joint)
-    return laws, _children(scenario.step(mask, laws, joint), column)
+    view = views[mask]
+    children = _children(scenario.step(mask, view[0], laws, joint), column)
+    if len(history) + 1 < horizon:
+        for child in children:
+            if child[1] not in views:
+                views[child[1]] = scenario.grow_view(view, mask, child[1] ^ mask)
+    return laws, view, children
 
 
 def build_history_tree(
@@ -162,9 +178,11 @@ def build_history_tree(
     zero_row = (0.0,) * len(tokens)
     labels = scenario.mind.space.labels
     states: dict[int, frozenset[str]] = {}  # one label set per distinct state
+    axioms = scenario.mind.axiom_mask
+    views = {axioms: scenario.view(axioms)}
     root = None
     made = 0
-    root_outcome = {None: (scenario.mind.axiom_mask, list(scenario.prior))}
+    root_outcome = {None: (axioms, list(scenario.prior))}
     # (parent, (outcome, mask, joint, prob, belief, entropy), history), popped in pre-order
     stack: list = [(None, _children(root_outcome, column)[0], ())]
     while stack:
@@ -190,7 +208,7 @@ def build_history_tree(
             parent.children[parsed] = node
         if len(history) == horizon:
             continue
-        laws, children = _expand(scenario, strategy, history, mask, joint, column)
+        laws, _, children = _expand(scenario, strategy, history, mask, joint, column, views, horizon)
         node.emission = tuple([
             zero_row if law is None else _emission_row(b, law, column, zero_row)
             for b, law in zip(belief, laws)
@@ -559,9 +577,8 @@ def audit_history(
     node's laws are checked when it is expanded, from its children's
     probabilities and entropies and from emission cells read straight off
     the kernel laws.  Only the pending children are kept, each with its
-    history tuple.  Each state's view is grown from its parent's
-    (:meth:`Scenario.grow_view`) and kept by state mask, one entry per
-    distinct state reached.
+    history tuple, and :func:`_expand`'s view table, one entry per
+    distinct state expanded.
     """
     if horizon < 0:
         raise ValueError("horizon must be nonnegative")
@@ -581,16 +598,11 @@ def audit_history(
         depth = len(history)
         children = ()
         if depth < horizon:
-            laws, children = _expand(scenario, strategy, history, mask, joint, column)
+            laws, view, children = _expand(scenario, strategy, history, mask, joint, column, views, horizon)
         alive = checks.completion(alive, joint, prob, mask, depth, not children)
         if not children:
             checks.leaf(entropy)
             continue
-        view = views[mask]
-        if depth + 1 < horizon:
-            for child in children:
-                if child[1] not in views:
-                    views[child[1]] = scenario.grow_view(view, mask, child[1] ^ mask)
         checks.internal(
             history, prob, entropy, [(c[3], c[5]) for c in children],
             _law_cells(belief, laws, column), view[0], view[2],

@@ -9,11 +9,11 @@ primitives everything else in the package is built on.
 Concept sets are manipulated internally as bit masks over the space's
 concept ordering; the public functions accept and return plain
 ``frozenset`` values of concept labels.  A mind compiles its rules once,
-with two indexes built on first use, both by concept position: by
-target, for testing whether one concept is ordered, and by prerequisite,
-for growing an expansion, a closure or a derivation one acquired concept
-at a time.  The closure of the axioms, the understanding horizon, is
-computed once per mind (:attr:`Mind.horizon_mask`).
+with one index built on first use: by prerequisite position, for growing
+an expansion, a closure or a derivation one acquired concept at a time.
+Whether a concept is ordered is read off the state's expansion.  The
+closure of the axioms, the understanding horizon, is computed once per
+mind (:attr:`Mind.horizon_mask`).
 """
 
 from __future__ import annotations
@@ -187,15 +187,6 @@ class Mind:
                 out |= target_bit
         return out
 
-    def is_ordered_mask(self, mask: int, bit: int) -> bool:
-        """Whether concept ``bit`` is in ``expand_mask(mask)``, read from its own rules only."""
-        if mask & bit:
-            return True
-        for prereq_mask in self._compiled.prereqs_of[bit.bit_length() - 1]:
-            if prereq_mask & ~mask == 0:
-                return True
-        return False
-
     def expand_add(self, expanded: int, mask: int, bit: int) -> int:
         """``expand_mask(mask | bit)``, given ``expanded == expand_mask(mask)``.
 
@@ -249,17 +240,9 @@ class Mind:
 
 @dataclass(frozen=True)
 class _CompiledMind:
-    size: int  # concept count; the indexes below are lists by concept position
+    size: int  # concept count; the index below is a list by concept position
     axiom_mask: int
     rules: tuple[tuple[int, int], ...]  # (prerequisite mask, target bit), one per rule
-
-    @cached_property
-    def prereqs_of(self) -> list[list[int]]:
-        """Target position -> the prerequisite masks of the rules unlocking it."""
-        out: list[list[int]] = [[] for _ in range(self.size)]
-        for prereq_mask, target_bit in self.rules:
-            out[target_bit.bit_length() - 1].append(prereq_mask)
-        return out
 
     @cached_property
     def rules_needing(self) -> list[list[int]]:
@@ -367,7 +350,8 @@ def understanding_horizon(mind: Mind) -> frozenset[str]:
 
 def is_ordered(mind: Mind, state: Iterable[str], concept: str) -> bool:
     """True iff ``concept`` is known or unlocked by one rule firing at ``state``."""
-    return mind.is_ordered_mask(mind.space.mask(state), mind.space.bit(concept))
+    mask, bit = mind.space.mask(state), mind.space.bit(concept)
+    return bool(mask & bit or mind.expand_mask(mask) & bit)
 
 
 _ORACLE_SPACE_CAP = 12

@@ -19,6 +19,7 @@ from __future__ import annotations
 import functools
 import heapq
 import itertools
+import sys
 from dataclasses import dataclass
 from typing import Optional, Sequence
 
@@ -87,7 +88,8 @@ def value_lower(scenario: Scenario, t: int) -> float:
         return 0.0
     dists = _distances(scenario)
     expected_direct = sum(p * (d + 1) for p, d in zip(scenario.prior, dists))
-    markov = max(0.0, 1.0 - expected_direct / t)
+    # A horizon past the largest float makes E/t round to nothing against 1.
+    markov = max(0.0, 1.0 - expected_direct / min(t, sys.float_info.max))
     exact_direct = sum(p for p, d in zip(scenario.prior, dists) if d + 1 <= t)
     return max(markov, exact_direct)
 
@@ -255,7 +257,10 @@ def allocate(learners: int, budget: int, depth: int) -> AllocationPlan:
         raise ValueError("depth must be at least 1")
     completed = min(learners, budget // depth)
     rounds = (depth,) * completed + (0,) * (learners - completed)
-    even_rounds = budget / learners
+    try:
+        even_rounds = budget / learners
+    except OverflowError:
+        raise ValueError(f"budget {budget} is too large: its even split has no finite float value") from None
     even_completed = learners if budget // learners >= depth else 0
     return AllocationPlan(
         learners=learners,
@@ -331,14 +336,20 @@ def broadcast_construct(k: int, depth: int) -> BroadcastInstance:
 
 
 def broadcast_check(instance: BroadcastInstance, sequence: Sequence[str]) -> tuple[bool, ...]:
-    """Replay a shared token sequence for every mind; True where the target lands."""
+    """Replay a shared token sequence for every mind; True where the target lands.
+
+    Each mind's expansion is kept beside its state and grown
+    (:meth:`Mind.expand_add`) when a token adds a concept.
+    """
     space = instance.space
     target_bit = space.bit(instance.target)
     states = [mind.axiom_mask for mind in instance.minds]
+    expanded = [mind.expand_mask(mask) for mind, mask in zip(instance.minds, states)]
     for token in sequence:
         concept_bit = space.bit(instance.system.concept_of(token))
         for i, mind in enumerate(instance.minds):
-            if mind.is_ordered_mask(states[i], concept_bit):
+            if expanded[i] & concept_bit and not states[i] & concept_bit:
+                expanded[i] = mind.expand_add(expanded[i], states[i], concept_bit)
                 states[i] |= concept_bit
     return tuple(bool(s & target_bit) for s in states)
 

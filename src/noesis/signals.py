@@ -17,7 +17,7 @@ from functools import cached_property
 from typing import Iterable, Mapping, Optional, Sequence
 
 from .errors import InvalidMindError, UnknownConceptError
-from .mind import Mind, understanding_horizon
+from .mind import Mind, is_ordered, understanding_horizon
 
 __all__ = [
     "ParsedSignal",
@@ -100,9 +100,7 @@ class SignalSystem:
 
 def parse(mind: Mind, system: SignalSystem, token: str, state: Iterable[str]) -> ParsedSignal:
     """The token itself when its concept is ordered at ``state``, else None."""
-    concept = system.concept_of(token)
-    mask = mind.space.mask(state)
-    return token if mind.is_ordered_mask(mask, mind.space.bit(concept)) else None
+    return token if is_ordered(mind, state, system.concept_of(token)) else None
 
 
 def ordered_signals(mind: Mind, system: SignalSystem, state: Iterable[str]) -> frozenset[str]:
@@ -200,15 +198,22 @@ def experiment_matrix(
     raw_laws: Mapping[str, Mapping[str, float]],
     targets: Sequence[str] | None = None,
 ) -> ExperimentMatrix:
-    """Push per-target raw-signal laws through the parser at ``state``."""
+    """Push per-target raw-signal laws through the parser at ``state``.
+
+    The state is expanded once, when the first token is parsed.
+    """
     order = tuple(targets) if targets is not None else tuple(raw_laws)
     outcomes: tuple[ParsedSignal, ...] = tuple(system.tokens) + (None,)
     col = {y: i for i, y in enumerate(outcomes)}
+    expanded = None
     rows: list[tuple[float, ...]] = []
     for target in order:
         row = [0.0] * len(outcomes)
         for token, p in raw_laws[target].items():
-            row[col[parse(mind, system, token, state)]] += p
+            concept = system.concept_of(token)
+            if expanded is None:
+                expanded = mind.expand_mask(mind.space.mask(state))
+            row[col[token] if expanded & mind.space.bit(concept) else -1] += p
         rows.append(tuple(row))
     return ExperimentMatrix(order, outcomes, tuple(rows))
 

@@ -9,12 +9,14 @@ belief; they record completion (target acquired and identified) and
 identification (belief a point mass) times.
 
 :meth:`Scenario.step` is the one place a round is computed, on state
-masks, for episodes, posteriors and history trees; it tests whether a
-token parses through the rules that target its concept only.
-:meth:`Scenario.view` computes a state's learner view (expansion,
-parsed-token count, capacity) and :meth:`Scenario.grow_view` grows it by
-one acquired concept, for episodes and both audits; the exact search
-reads each search node's outcomes from one view and never steps.
+masks, for episodes, posteriors and history trees; it parses through the
+caller's learner view (a token parses when its concept is in the view's
+expansion) and reads no rule.  :meth:`Scenario.view` computes a state's
+view (expansion, parsed-token count, capacity) and
+:meth:`Scenario.grow_view` grows it by one acquired concept; episodes,
+posteriors and both audits call ``view`` once, at the root, and
+``grow_view`` once per new state.  The exact search reads each search
+node's outcomes from one view and never steps.
 Shortest acquisition chains to the targets are computed once per
 scenario, by one breadth-first search that grows each state's expansion
 from its parent's in the same way (about 1 ms on a 400-concept chain,
@@ -155,19 +157,19 @@ class Scenario:
         return grown, n_parsed, capacity_from_count(n_parsed, len(self.token_bits))
 
     def step(
-        self, state_mask: int, laws: Sequence[Optional[Mapping[str, float]]], weights: Sequence[float]
+        self, state_mask: int, expanded: int, laws: Sequence[Optional[Mapping[str, float]]],
+        weights: Sequence[float],
     ) -> dict[ParsedSignal, tuple[int, list[float]]]:
         """One teaching round on masks: parse every emission and group by outcome.
 
-        A token parses when its concept is ordered, tested through the
-        rules that target that concept only.
+        ``expanded`` is the expansion of ``state_mask``, the first entry of
+        its learner view; a token parses when its concept bit is in it.
 
         ``laws[i]`` is target ``i``'s next-token law; it is never read when
         ``weights[i]`` is 0.  Maps each parsed outcome of positive mass to
         the next state and the weights ``weights[i] * P(outcome | target i)``,
         in order of first occurrence.
         """
-        ordered = self.mind.is_ordered_mask
         bits = self.token_bits
         out: dict[ParsedSignal, tuple[int, list[float]]] = {}
         for i, w in enumerate(weights):
@@ -177,7 +179,7 @@ class Scenario:
                 bit = bits.get(tok)
                 if bit is None:
                     raise UnknownConceptError(f"unknown signal token {tok!r}")
-                parsed = tok if ordered(state_mask, bit) else None
+                parsed = tok if expanded & bit else None
                 entry = out.get(parsed)
                 if entry is None:
                     entry = out[parsed] = (state_mask | bit if parsed else state_mask, [0.0] * len(weights))
@@ -229,18 +231,23 @@ def emission_laws(
 
 def _observe(
     scenario: Scenario, laws: Sequence[Optional[Mapping[str, float]]], history: tuple,
-    state_mask: int, belief: Sequence[float], parsed: ParsedSignal,
-) -> tuple[int, list[float]]:
-    """Filter the belief through one parsed observation; returns (state mask, belief).
+    state_mask: int, view: LearnerView, belief: Sequence[float], parsed: ParsedSignal,
+) -> tuple[int, LearnerView, list[float]]:
+    """Filter the belief through one parsed observation; returns (state mask, view, belief).
 
-    ``laws`` are the targets' next-token laws, as :func:`emission_laws` gives them.
+    ``view`` is the learner view of ``state_mask``; the step parses
+    through its expansion, and it is grown when the observation adds a
+    concept.  ``laws`` are the targets' next-token laws, as
+    :func:`emission_laws` gives them.
     """
-    outcomes = scenario.step(state_mask, laws, belief)
+    outcomes = scenario.step(state_mask, view[0], laws, belief)
     if parsed not in outcomes:
         raise ZeroProbabilityError(f"history {history + (parsed,)} has probability zero")
-    state_mask, joint = outcomes[parsed]
+    child_mask, joint = outcomes[parsed]
+    if child_mask != state_mask:
+        view = scenario.grow_view(view, state_mask, child_mask ^ state_mask)
     total = sum(joint)
-    return state_mask, [j / total for j in joint]
+    return child_mask, view, [j / total for j in joint]
 
 
 def posterior_after(
@@ -250,10 +257,11 @@ def posterior_after(
     history = tuple(history)
     belief = list(scenario.prior)
     mask = scenario.mind.axiom_mask
+    view = scenario.view(mask)  # grown one acquired concept at a time
     for t, parsed in enumerate(history):
         prefix = history[:t]
         laws = emission_laws(scenario, strategy, prefix, belief)
-        mask, belief = _observe(scenario, laws, prefix, mask, belief, parsed)
+        mask, view, belief = _observe(scenario, laws, prefix, mask, view, belief, parsed)
     return tuple(belief)
 
 
@@ -435,12 +443,10 @@ def run_episode(
             dist if i == theta_idx else emission_distribution(strategy, target, history) if w > 0.0 else None
             for i, (target, w) in enumerate(zip(targets, belief))
         ]
-        child_mask, belief = _observe(scenario, laws, history, mask, belief, parsed)
+        child_mask, view, belief = _observe(scenario, laws, history, mask, view, belief, parsed)
         if child_mask != mask:
-            bit = child_mask ^ mask
-            view = scenario.grow_view(view, mask, bit)
+            state = state | {concepts[(child_mask ^ mask).bit_length() - 1]}
             mask = child_mask
-            state = state | {concepts[bit.bit_length() - 1]}
         history = history + (parsed,)
         rounds.append(
             Round(

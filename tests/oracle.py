@@ -2,8 +2,9 @@
 
 The first part is the per-token teaching round that
 :meth:`Scenario.step` replaced: every emitted token is parsed against
-the frozenset state with :func:`parse`, grouped by parsed outcome by
-hand, and the state is advanced with :func:`knowledge_update`.  They are
+the frozenset state with this module's :func:`parse` (the twelfth part),
+grouped by parsed outcome by hand, and the state is advanced with
+:func:`knowledge_update`.  They are
 slow and written out once per caller on purpose; the differential tests
 compare the mask-level step against them.
 
@@ -64,6 +65,14 @@ The eleventh part is the reachable family's sort as it was: every state
 spelled bit by bit, its labels sorted, and the tuples sorted by length,
 then by their labels, before one integer rank key per state and tables
 per byte replaced it.
+
+The twelfth part is the parse test that read the rules targeting one
+concept (the deleted ``Mind.is_ordered_mask``), written label by label
+over ``mind.rules``: ``is_ordered``, ``parse`` through it, and the
+broadcast replay that ran it once per token and mind before each mind's
+expansion was grown beside its state.  The searches above that step
+pass the step a full expansion of the state (``Scenario.view``), never
+a grown one.
 """
 
 from __future__ import annotations
@@ -92,7 +101,6 @@ from noesis import (
     capacity,
     entropy_bits,
     knowledge_update,
-    parse,
 )
 from noesis.audit import _EXACT_TOL, AUDIT_TOL, DEFAULT_NODE_CAP, AuditReport, LawVerdict
 from noesis.information import mutual_information_cells
@@ -496,6 +504,7 @@ def exact_value_per_history(scenario: Scenario, t: int) -> float:
         if depth == t:
             return 0.0
         value = 0.0
+        expanded = scenario.view(state_mask)[0]
         laws: list[Optional[dict[str, float]]] = [None] * len(joint)
         for assignment in itertools.product(point_laws, repeat=len(live)):
             ops += 1
@@ -504,7 +513,7 @@ def exact_value_per_history(scenario: Scenario, t: int) -> float:
             for i, law in zip(live, assignment):
                 laws[i] = law
             total = 0.0
-            for child_mask, sub in scenario.step(state_mask, laws, joint).values():
+            for child_mask, sub in scenario.step(state_mask, expanded, laws, joint).values():
                 total += best(child_mask, sub, depth + 1)
             value = max(value, total)
         return value
@@ -543,12 +552,13 @@ def exact_value_memoized(scenario: Scenario, t: int) -> float:
         if depth == t:
             return 0.0
         value = 0.0
+        expanded = scenario.view(state_mask)[0]
         laws: list[Optional[dict[str, float]]] = [None] * len(joint)
         for assignment in itertools.product(point_laws, repeat=len(live)):
             for i, law in zip(live, assignment):
                 laws[i] = law
             total = 0.0
-            for child_mask, sub in scenario.step(state_mask, laws, joint).values():
+            for child_mask, sub in scenario.step(state_mask, expanded, laws, joint).values():
                 total += best(child_mask, sub, depth + 1)
             value = max(value, total)
         memo[key] = value
@@ -601,7 +611,8 @@ def exact_value_partitions(scenario: Scenario, t: int) -> float:
             return prior[live[0]]  # identified and acquired: completed at this depth
         if depth == t:
             return 0.0
-        children = [child for child, _ in scenario.step(state_mask, uniform, [1.0]).values()]
+        outcomes = scenario.step(state_mask, scenario.view(state_mask)[0], uniform, [1.0])
+        children = [child for child, _ in outcomes.values()]
         labels = range(len(children))
         rows: dict[tuple[int, ...], list[float]] = {}  # block -> its value under each outcome
         value = 0.0
@@ -710,7 +721,7 @@ def build_history_tree_recursive(
             zero_row if law is None else tuple(b * law.get(tok, 0.0) for tok in tokens)
             for b, law in zip(belief, laws)
         )
-        outcomes = scenario.step(mask, laws, joint)
+        outcomes = scenario.step(mask, scenario.view(mask)[0], laws, joint)
         for parsed in outcome_order:
             if parsed in outcomes:
                 child_mask, child_joint = outcomes[parsed]
@@ -1110,3 +1121,28 @@ def sorted_label_tuples(family: ReachableFamily) -> list[tuple[str, ...]]:
     ]
     out.sort(key=lambda t: (len(t), t))
     return out
+
+
+# --- the parse test by one concept's rules, label by label ----------------------
+
+
+def is_ordered(mind: Mind, state: Iterable[str], concept: str) -> bool:
+    """``concept`` is known, or some rule targeting it has every prerequisite known."""
+    state = frozenset(state)
+    return concept in state or any(rule.target == concept and rule.prereqs <= state for rule in mind.rules)
+
+
+def parse(mind: Mind, system: SignalSystem, token: str, state: Iterable[str]):
+    """The token when its concept is ordered at ``state``, else None."""
+    return token if is_ordered(mind, state, system.concept_of(token)) else None
+
+
+def broadcast_check(instance: BroadcastInstance, sequence: Sequence[str]) -> tuple[bool, ...]:
+    """Replay a shared token sequence, testing each token against each mind's rules."""
+    states = [frozenset(mind.axioms) for mind in instance.minds]
+    for token in sequence:
+        concept = instance.system.concept_of(token)
+        for i, mind in enumerate(instance.minds):
+            if is_ordered(mind, states[i], concept):
+                states[i] = states[i] | {concept}
+    return tuple(instance.target in state for state in states)

@@ -475,6 +475,23 @@ class TestQueries:
         assert data["completed"] == 2
         assert data["even_split_completed"] == 0
 
+    def test_value_past_the_largest_float_horizon(self, capsys, fixtures_dir):
+        # Past 10^308 the tail bound 1 - E/t rounds to 1.0, as it does at 10^300.
+        scenario = str(fixtures_dir / "star.scenario")
+        huge = "1" + "0" * 400
+        code, out, err = _run(capsys, "value", "--scenario", scenario, "--horizon", huge)
+        assert (code, err) == (0, "")
+        assert json.loads(out) == {"t": int(huge), "upper": 1.0, "lower": 1.0, "exact": None}
+        code, below, _ = _run(capsys, "value", "--scenario", scenario, "--horizon", "1" + "0" * 300)
+        assert code == 0
+        assert below.replace("0" * 300, "0" * 400) == out
+
+    def test_allocate_budget_past_the_largest_float_exit_one(self, capsys):
+        budget = "1" + "0" * 400
+        code, out, err = _run(capsys, "allocate", "--N", "2", "--B", budget, "--L", "1")
+        assert (code, out) == (1, "")
+        assert err == f"error: budget {budget} is too large: its even split has no finite float value\n"
+
 
 class TestErrors:
     def test_missing_file_exit_one(self, capsys, tmp_path):

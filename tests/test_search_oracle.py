@@ -7,7 +7,9 @@ and ``broadcast_min_length`` is an A* search that expands each state of
 each mind once; the oracles in ``oracle.py`` expand afresh at every
 history, try every token assignment at each node, maximize over set
 partitions times injective labellings, and search breadth-first at
-every product state.  Values must match exactly, the CLI bytes must not
+every product state.  ``broadcast_check`` grows each mind's expansion
+beside its state; the oracle tests each token against each mind's rules
+label by label.  Values must match exactly, the CLI bytes must not
 move, and the work counts must fall.  The exact search's caps fire
 where the oracle's do; the A* search stores other product states than
 the breadth-first one, so its cap has its own threshold, never above
@@ -34,6 +36,7 @@ from noesis import (
     Mind,
     Scenario,
     SignalSystem,
+    broadcast_check,
     broadcast_construct,
     broadcast_min_length,
     enumerate_reachable,
@@ -159,7 +162,7 @@ def _expanded_nodes(scenario: Scenario, t: int) -> set[tuple[int, tuple[int, ...
             laws = [None] * len(joint)
             for i, law in zip(live, assignment):
                 laws[i] = law
-            for child, sub in scenario.step(mask, laws, joint).values():
+            for child, sub in scenario.step(mask, scenario.view(mask)[0], laws, joint).values():
                 todo.append((child, sub, left - 1))
     return expanded
 
@@ -276,6 +279,26 @@ def test_broadcast_scale_is_bounded_by_the_cap():
     # The cap bounds the product states stored, so no clock is needed.
     assert broadcast_min_length(broadcast_construct(20, 6), cap=2000) == 101
     assert broadcast_min_length(broadcast_construct(8, 4), cap=200) == 25
+
+
+@given(st.integers(2, 4), st.integers(2, 4), st.randoms(use_true_random=False))
+@settings(max_examples=200, deadline=None)
+def test_broadcast_check_matches_the_label_level_replay(k, depth, rng):
+    # Random draws from the alphabet repeat tokens and name concepts no
+    # mind can parse yet; the tight sequence with tokens slipped in and
+    # neighbours swapped also lands the target, or misses it by a step.
+    instance = broadcast_construct(k, depth)
+    tokens = instance.system.tokens
+    if rng.random() < 0.5:
+        sequence = rng.choices(tokens, k=rng.randint(0, 3 * len(instance.tight_sequence)))
+    else:
+        sequence = list(instance.tight_sequence)
+        for _ in range(rng.randint(0, 4)):
+            sequence.insert(rng.randint(0, len(sequence)), rng.choice(tokens))
+        for _ in range(rng.randint(0, 2)):
+            i = rng.randrange(len(sequence) - 1)
+            sequence[i], sequence[i + 1] = sequence[i + 1], sequence[i]
+    assert broadcast_check(instance, sequence) == oracle.broadcast_check(instance, sequence)
 
 
 @pytest.mark.parametrize("k, depth", [(2, 2), (2, 3), (3, 3)])

@@ -11,6 +11,7 @@ from hypothesis import strategies as st
 
 import helpers
 from noesis import (
+    Mind,
     MissingSignalError,
     Scenario,
     ScenarioError,
@@ -18,6 +19,7 @@ from noesis import (
     StrategyError,
     ZeroProbabilityError,
     audit_all,
+    audit_history,
     broadcast_strategy,
     build_history_tree,
     capacity,
@@ -76,6 +78,41 @@ class TestLearnerView:
             for bit in iter_bits(view[0] & ~mask):
                 assert scenario.grow_view(view, mask, bit) == scenario.view(mask | bit)
         assert scenario.view(mind.horizon_mask)[2] == max_capacity(mind, system)
+
+    @pytest.mark.parametrize("walk", ["episode", "posterior", "tree", "audit"])
+    def test_walks_view_the_root_once_and_grow_each_new_state(self, monkeypatch, walk):
+        # The direct strategy teaches an 8-concept chain in order, so each
+        # round adds one concept: a walk grows one view per new state and
+        # expands no state in full past the root, whatever its horizon.
+        labels = [f"c{i}" for i in range(8)]
+        mind = helpers.make_mind(labels, labels[:1], [((p,), c) for p, c in zip(labels, labels[1:])])
+        system = SignalSystem.from_pairs((f"z_{c}", c) for c in labels[1:])
+        scenario = Scenario(mind=mind, system=system, targets=("c7",), prior=(1.0,))
+        strategy = direct_strategy(scenario)
+        calls: Counter[str] = Counter()
+        for cls, name in ((Scenario, "view"), (Scenario, "grow_view"), (Mind, "expand_mask")):
+            def counted(self, *args, _original=getattr(cls, name), _name=name):
+                calls[_name] += 1
+                return _original(self, *args)
+
+            monkeypatch.setattr(cls, name, counted)
+
+        def run(horizon: int) -> tuple[int, int, int]:
+            calls.clear()
+            if walk == "episode":
+                run_episode(scenario, strategy, horizon, seed=0)
+            elif walk == "posterior":
+                posterior_after(scenario, strategy, tuple(f"z_{c}" for c in labels[1 : horizon + 1]))
+            elif walk == "tree":
+                build_history_tree(scenario, strategy, horizon)
+            else:
+                audit_history(scenario, strategy, horizon)
+            return calls["view"], calls["grow_view"], calls["expand_mask"]
+
+        short, long = run(3), run(6)
+        # Each tree walk leaves its horizon's nodes unexpanded, so it grows no view for them.
+        grown = 6 if walk in ("episode", "posterior") else 5
+        assert long == (1, grown, short[2])
 
 
 class TestKnowledgeUpdate:
