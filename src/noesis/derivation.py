@@ -6,9 +6,11 @@ one expansion rule to children that supply its prerequisites.  Flattening
 a derivation in child-before-parent order yields an ordered curriculum
 whose every step has its prerequisites already acquired.
 
-:func:`derive` shares one node per concept, so the expanded tree can be
-exponentially larger than the DAG; every walk here visits each distinct
-node once, with an explicit stack rather than recursion.
+:func:`derive` builds one shared node per concept from the rules of the
+mind's forward-chaining layers, the walk whose last iterate is the
+closure.  Sharing makes the expanded tree up to exponentially larger than
+the DAG, so every walk here visits each distinct node once, with an
+explicit stack rather than recursion.
 """
 
 from __future__ import annotations
@@ -89,12 +91,12 @@ def _distinct_nodes(tree: DerivationTree) -> list[DerivationTree]:
 def derive(mind: Mind, state: Iterable[str], concept: str) -> Optional[DerivationTree]:
     """Build a derivation of ``concept`` from ``state``, or None if underivable.
 
-    One pass, layer by layer, stopping once ``concept`` appears: a concept
-    is justified in the first expansion layer in which it appears, by the
-    first rule in rule order that fires at the previous layer, and its
-    node is built there from its prerequisites' nodes.  Past the first
-    layer only the rules needing a concept the last layer added can first
-    fire, so only those are tested, in rule order.
+    One pass over the mind's forward-chaining layers (:meth:`Mind._layers`,
+    the walk whose last iterate is the closure), stopping once ``concept``
+    appears: a concept is justified in the first layer in which it
+    appears, by the least rule in rule order that fires at the layer
+    before, and its node is built there from its prerequisites' nodes.
+    A concept outside the closure keeps no node, so the result is None.
     """
     space = mind.space
     known = space.mask(state)
@@ -105,21 +107,14 @@ def derive(mind: Mind, state: Iterable[str], concept: str) -> Optional[Derivatio
     for bit in iter_bits(known):
         pos = bit.bit_length() - 1
         nodes[pos] = DerivationTree(space.concepts[pos], None)
-    candidates: Iterable[int] = range(len(rules))
-    while not known & target_bit:
-        grown = known
-        for ri in candidates:
-            prereq_mask, bit = rules[ri]
-            if not bit & grown and prereq_mask & ~known == 0:
-                grown |= bit
+    if not known & target_bit:
+        for known, fresh in mind._layers(known):
+            for bit, ri in fresh.items():
                 rule = mind.rules[ri]
-                kids = tuple(nodes[b.bit_length() - 1] for b in iter_bits(prereq_mask))
+                kids = tuple(nodes[b.bit_length() - 1] for b in iter_bits(rules[ri][0]))
                 nodes[bit.bit_length() - 1] = DerivationTree(rule.target, rule, kids)
-        if grown == known:
-            return None
-        needing = mind._compiled.rules_needing
-        candidates = sorted({ri for bit in iter_bits(grown & ~known) for ri in needing[bit.bit_length() - 1]})
-        known = grown
+            if known & target_bit:
+                break
     return nodes[target_bit.bit_length() - 1]
 
 

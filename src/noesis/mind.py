@@ -10,7 +10,11 @@ Concept sets are manipulated internally as bit masks over the space's
 concept ordering; the public functions accept and return plain
 ``frozenset`` values of concept labels.  A mind compiles its rules once,
 with one index built on first use: by prerequisite position, for growing
-an expansion, a closure or a derivation one acquired concept at a time.
+an expansion or a closure one acquired concept at a time.  One
+forward-chaining walk over that index (:meth:`Mind._layers`) yields the
+iterates of one-step expansion and the rule behind each new concept: the
+closure is its last iterate, :func:`closure_iterates` lists them, and
+:func:`~noesis.derivation.derive` builds its nodes from their rules.
 Whether a concept is ordered is read off the state's expansion.  The
 closure of the axioms, the understanding horizon, is computed once per
 mind (:attr:`Mind.horizon_mask`).
@@ -20,7 +24,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cached_property
-from typing import AbstractSet, Callable, Iterable
+from typing import AbstractSet, Callable, Iterable, Iterator
 
 from .errors import (
     CapExceededError,
@@ -210,32 +214,47 @@ class Mind:
 
         Only the rules whose target lies in ``within`` fire (by default
         all of them); the broadcast search closes a learner type under
-        the rules a token can act on.  Forward chaining with per-rule
-        missing-prerequisite counters over the mind's one by-prerequisite
-        index; a bit popped as new lies outside ``start``, so in the gap
-        of every rule needing it.
+        the rules a token can act on.  The last iterate of :meth:`_layers`.
+        """
+        known = start
+        for known, _ in self._layers(start, within):
+            pass
+        return known
+
+    def _layers(self, start: int, within: int = -1) -> Iterator[tuple[int, dict[int, int]]]:
+        """Yield each strictly larger iterate of one-step expansion from ``start``.
+
+        Each iterate comes as ``(mask, fresh)``, where ``fresh`` maps every
+        concept bit new in it to the least index, in rule order, of the
+        rules firing at the previous iterate with that target.  Only rules
+        whose target lies in ``within`` fire.  Forward chaining with
+        per-rule missing-prerequisite counters over the mind's one
+        by-prerequisite index (Dowling and Gallier, 1984): a concept new at
+        an iterate can only come from a rule whose last missing
+        prerequisite arrived in the iterate before, so each rule is tested
+        once, when its counter reaches zero, not once per iterate.  A new
+        bit lies outside ``start``, so in the gap of every rule needing it.
         """
         rules, needing = self._compiled.rules, self._compiled.rules_needing
+        missing = [(prereq_mask & ~start).bit_count() for prereq_mask, _ in rules]
+        ready = [ri for ri, gap in enumerate(missing) if not gap]
         known = start
-        missing: list[int] = []
-        stack: list[int] = []
-        for prereq_mask, target_bit in rules:
-            gap = prereq_mask & ~start
-            missing.append(gap.bit_count())
-            if gap == 0 and target_bit & within and not target_bit & known:
-                stack.append(target_bit)
-        while stack:
-            bit = stack.pop()
-            if bit & known:
-                continue
-            known |= bit
-            for ri in needing[bit.bit_length() - 1]:
-                missing[ri] -= 1
-                if missing[ri] == 0:
-                    target_bit = rules[ri][1]
-                    if target_bit & within and not target_bit & known:
-                        stack.append(target_bit)
-        return known
+        while ready:
+            fresh: dict[int, int] = {}
+            for ri in ready:
+                bit = rules[ri][1]
+                if bit & within and not bit & known:
+                    known |= bit
+                    fresh[bit] = ri
+            if fresh:
+                yield known, fresh
+            ready = []
+            for bit in fresh:
+                for ri in needing[bit.bit_length() - 1]:
+                    missing[ri] -= 1
+                    if not missing[ri]:
+                        ready.append(ri)
+            ready.sort()
 
 
 @dataclass(frozen=True)
@@ -334,12 +353,11 @@ def closure_iterates(mind: Mind, state: Iterable[str]) -> list[frozenset[str]]:
     """The strictly growing iteration sequence of one-step expansion.
 
     Returns every distinct iterate, starting at ``state`` and ending at
-    the closure; it must agree with the worklist computation used by
-    :func:`closure`.
+    the closure: ``state`` and the layers of the forward-chaining walk
+    whose last iterate :func:`closure` returns.
     """
-    layers = [mind.space.mask(state)]
-    while (nxt := mind.expand_mask(layers[-1])) != layers[-1]:
-        layers.append(nxt)
+    start = mind.space.mask(state)
+    layers = [start] + [mask for mask, _ in mind._layers(start)]
     return [mind.space.labels(m) for m in layers]
 
 

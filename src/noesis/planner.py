@@ -242,12 +242,16 @@ class AllocationPlan:
     even_split_completed: int
 
 
+_ALLOCATE_LEARNER_CAP = 1_000_000
+
+
 def allocate(learners: int, budget: int, depth: int) -> AllocationPlan:
     """Give ``depth`` rounds to as many learners as the budget affords.
 
     The concentrated plan completes ``min(learners, budget // depth)``
     learners; the even split completes everyone when each learner clears
-    the depth threshold and nobody otherwise.
+    the depth threshold and nobody otherwise.  The plan lists every
+    learner's rounds, so the learner count is capped before it is built.
     """
     if learners < 1:
         raise ValueError("need at least one learner")
@@ -255,6 +259,8 @@ def allocate(learners: int, budget: int, depth: int) -> AllocationPlan:
         raise ValueError("budget must be nonnegative")
     if depth < 1:
         raise ValueError("depth must be at least 1")
+    if learners > _ALLOCATE_LEARNER_CAP:
+        raise CapExceededError(f"allocation caps learners at {_ALLOCATE_LEARNER_CAP}; asked for {learners}")
     completed = min(learners, budget // depth)
     rounds = (depth,) * completed + (0,) * (learners - completed)
     try:

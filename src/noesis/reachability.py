@@ -247,7 +247,8 @@ def enumerate_reachable(mind: Mind, *, cap: int = DEFAULT_STATE_CAP) -> Reachabl
       the shifted family is an antimatroid.
     """
     parent: dict[int, int] = {}
-    for _ in _breadth_first(mind, parent):
+    # The trailing check counts the axiom state of a family that has no other.
+    for _ in itertools.chain(_breadth_first(mind, parent), [None]):
         if len(parent) > cap:
             raise CapExceededError(f"reachable family exceeds {cap} states")
     return ReachableFamily(

@@ -43,9 +43,14 @@ size walk the expanded tree, visiting every path.  Only the deleted
 ``Mind.require_state`` and ``Mind.expansion_layers`` are written out
 here in their place.
 
-The seventh part is the counter-based closure that built its own
-by-prerequisite index of the missing bits on every call, before it read
-the mind's one index (``_CompiledMind.rules_needing``).
+The seventh part is the closure three ways: the counter-based closure
+that built its own by-prerequisite index of the missing bits on every
+call, before it read the mind's one index (``_CompiledMind.rules_needing``);
+the iterates of one-step expansion, one full rule scan
+(``Mind.expand_mask``) per iterate, as ``closure_iterates`` listed them
+before they came from the closure's forward-chaining walk; and the
+closure under the rules whose target lies in a given set, written label
+by label over ``mind.rules``.
 
 The eighth part is the reachable-family enumeration with its own queue
 and seen-set, which stored every state's one-step moves
@@ -998,7 +1003,7 @@ def tree_size(tree: DerivationTree) -> int:
     return 1 + sum(tree_size(child) for child in tree.children)
 
 
-# --- the closure with a per-call prerequisite index -------------------------
+# --- the closure by a per-call index, by full scans and by labels -----------
 
 
 def closure_mask(mind: Mind, start: int) -> int:
@@ -1028,6 +1033,25 @@ def closure_mask(mind: Mind, start: int) -> int:
                 if not target_bit & known:
                     stack.append(target_bit)
     return known
+
+
+def closure_iterates(mind: Mind, state: Iterable[str]) -> list[frozenset[str]]:
+    layers = [mind.space.mask(state)]
+    while (nxt := mind.expand_mask(layers[-1])) != layers[-1]:
+        layers.append(nxt)
+    return [mind.space.labels(m) for m in layers]
+
+
+def closure_within(mind: Mind, start: AbstractSet[str], within: AbstractSet[str]) -> frozenset[str]:
+    known = set(start)
+    grown = True
+    while grown:
+        grown = False
+        for rule in mind.rules:
+            if rule.target in within and rule.target not in known and rule.prereqs <= known:
+                known.add(rule.target)
+                grown = True
+    return frozenset(known)
 
 
 # --- the reachable family with its stored move table -------------------------
@@ -1069,6 +1093,8 @@ def enumerate_reachable(mind: Mind, *, cap: int = DEFAULT_STATE_CAP) -> FamilyWi
                 if len(seen) > cap:
                     raise CapExceededError(f"reachable family exceeds {cap} states")
                 queue.append(nxt)
+    if len(seen) > cap:  # the axiom state alone
+        raise CapExceededError(f"reachable family exceeds {cap} states")
     return FamilyWithMoves(
         space=mind.space,
         axioms=mind.space.labels(start),

@@ -119,6 +119,13 @@ class TestReach:
         assert code == 2
         assert "cap" in err or "states" in err
 
+    def test_cap_zero_refuses_a_one_state_family(self, capsys, tmp_path):
+        path = tmp_path / "m.mind"
+        path.write_text('{"concepts": ["a", "b"], "axioms": ["a"], "rules": []}', encoding="utf-8")
+        assert _run(capsys, "reach", "--mind", str(path), "--cap", "0") == (
+            2, "", "error: reachable family exceeds 0 states; raise the cap with --cap or NOESIS_NODE_CAP\n"
+        )
+
     def test_env_cap_override(self, capsys, fixtures_dir, monkeypatch):
         monkeypatch.setenv("NOESIS_NODE_CAP", "2")
         code, _, _ = _run(capsys, "reach", "--mind", str(fixtures_dir / "diamond.mind"))
@@ -204,6 +211,7 @@ def test_env_cap_is_read_alike_by_every_command(
     [
         ("broadcast-min", "--k", "10000", "--L", "3"),
         ("value", "--scenario", "star.scenario", "--horizon", "1", "--exact"),
+        ("allocate", "--N", "1000001", "--B", "1", "--L", "1"),
     ],
 )
 def test_cap_no_knob_raises_names_no_knob(capsys, fixtures_dir, argv):
@@ -217,6 +225,13 @@ def test_exact_cap_error_names_the_count(capsys, fixtures_dir):
     argv = ["value", "--scenario", str(fixtures_dir / "star.scenario"), "--horizon", "1", "--exact"]
     assert _run(capsys, *argv) == (
         2, "", "error: exact search caps targets at 3; the scenario has 4\n"
+    )
+
+
+def test_allocate_cap_error_names_the_count(capsys):
+    learners = "1" + "0" * 400
+    assert _run(capsys, "allocate", "--N", learners, "--B", "1", "--L", "1") == (
+        2, "", f"error: allocation caps learners at 1000000; asked for {learners}\n"
     )
 
 

@@ -1,4 +1,4 @@
-"""Differential test: the closure over the mind's one prerequisite index against the per-call index."""
+"""Differential tests: the forward-chaining layers against the per-call index, the full-scan iterates and a label-level closure."""
 
 from __future__ import annotations
 
@@ -7,6 +7,7 @@ from hypothesis import strategies as st
 
 import helpers
 import oracle
+from noesis import closure_iterates
 
 
 class TestClosureMatchesOracle:
@@ -26,3 +27,22 @@ class TestClosureMatchesOracle:
             starts.append(mask)
         for start in starts:
             assert mind.closure_mask(start) == oracle.closure_mask(mind, start)
+
+    @given(st.randoms(use_true_random=False))
+    @settings(max_examples=200, deadline=None)
+    def test_closure_iterates(self, rng):
+        mind = helpers.random_mind(rng, max_concepts=7, max_rules=14)
+        for state in (mind.axioms, frozenset(), helpers.random_state(rng, mind), helpers.random_state(rng, mind)):
+            assert closure_iterates(mind, state) == oracle.closure_iterates(mind, state)
+
+    @given(st.randoms(use_true_random=False))
+    @settings(max_examples=200, deadline=None)
+    def test_closure_mask_within(self, rng):
+        mind = helpers.random_mind(rng, max_concepts=7, max_rules=14)
+        space = mind.space
+        for _ in range(4):
+            start, within = helpers.random_state(rng, mind), helpers.random_state(rng, mind)
+            got = mind.closure_mask(space.mask(start), space.mask(within))
+            assert got == space.mask(oracle.closure_within(mind, start, within))
+            # the default fires every rule
+            assert mind.closure_mask(space.mask(start)) == space.mask(oracle.closure_within(mind, start, space.concepts))

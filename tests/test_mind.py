@@ -7,6 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import helpers
+import oracle
 from noesis import (
     CapExceededError,
     ClosureAxiomError,
@@ -171,6 +172,18 @@ class TestExpansionAndClosure:
         assert structural_distance(mind, "d3") == 2
         assert starts.count(mind.axiom_mask) == 1
 
+    def test_iterates_make_no_full_rule_scan(self, monkeypatch):
+        # The iterates come from the closure's counters, not from one full rule scan per iterate.
+        calls = []
+        original = Mind.expand_mask
+        monkeypatch.setattr(Mind, "expand_mask", lambda self, mask: calls.append(mask) or original(self, mask))
+        n = 3000
+        concepts = [f"c{i}" for i in range(n)]
+        mind = helpers.make_mind(concepts, ["c0"], [([a], b) for a, b in zip(concepts, concepts[1:])])
+        iterates = closure_iterates(mind, {"c0"})
+        assert len(iterates) == n and len(iterates[-1]) == n
+        assert calls == []
+
     def test_empty_prereq_rules_fire_everywhere(self):
         mind = helpers.make_mind("ab", "", [((), "a")])
         assert one_step_expansion(mind, set()) == {"a"}
@@ -206,7 +219,7 @@ class TestClosureProperties:
     @settings(max_examples=80, deadline=None)
     def test_worklist_matches_naive_iteration(self, case):
         mind, state = case
-        assert closure(mind, state) == closure_iterates(mind, state)[-1]
+        assert closure(mind, state) == oracle.closure_iterates(mind, state)[-1]
 
     @given(mind_and_state())
     @settings(max_examples=80, deadline=None)

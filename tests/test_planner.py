@@ -2,6 +2,7 @@ from __future__ import annotations
 
 import dataclasses
 import random
+import tracemalloc
 
 import pytest
 
@@ -182,6 +183,22 @@ class TestAllocate:
             allocate(2, -1, 2)
         with pytest.raises(ValueError):
             allocate(2, 5, 0)
+
+    @pytest.mark.parametrize("learners", [1_000_001, 10**400])
+    def test_learner_cap_refuses_before_building_the_plan(self, learners):
+        tracemalloc.start()
+        try:
+            with pytest.raises(CapExceededError) as exc:
+                allocate(learners, 1, 1)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert str(exc.value) == f"allocation caps learners at 1000000; asked for {learners}"
+        assert peak < 100_000  # a plan of a million learners would take megabytes
+
+    def test_learner_cap_admits_the_cap(self):
+        plan = allocate(1_000_000, 3, 1)
+        assert plan.completed == 3 and len(plan.rounds) == 1_000_000
 
 
 class TestBroadcast:

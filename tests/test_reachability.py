@@ -92,6 +92,13 @@ class TestEnumerateReachable:
         with pytest.raises(CapExceededError):
             enumerate_reachable(diamond, cap=3)
 
+    def test_cap_counts_the_axiom_state(self):
+        # A rule-less family is its axioms alone: one state, which a cap of 0 refuses.
+        mind = helpers.make_mind("ab", "a", [])
+        with pytest.raises(CapExceededError, match=r"^reachable family exceeds 0 states$"):
+            enumerate_reachable(mind, cap=0)
+        assert len(enumerate_reachable(mind, cap=1)) == 1
+
     def test_environment_cap_ignored(self, diamond, monkeypatch):
         # Only the command line reads NOESIS_NODE_CAP.
         monkeypatch.setenv("NOESIS_NODE_CAP", "2")
