@@ -105,6 +105,7 @@ from .signals import (
 )
 from .teaching import (
     EpisodeTrace,
+    PointKernel,
     Round,
     Scenario,
     StrategyKernel,

@@ -109,6 +109,20 @@ def _key_head(key: Any) -> str:
     return '"' + text + '": '
 
 
+class _KeyHeads(dict):
+    """The head of each dict key, computed on first use; only plain ``str`` keys are stored.
+
+    ``1``, ``1.0`` and ``True`` are one dict key but three texts, so they
+    are spelled afresh each time; a ``str`` never equals any of them.
+    """
+
+    def __missing__(self, key: Any) -> str:
+        head = _key_head(key)
+        if type(key) is str:
+            self[key] = head
+        return head
+
+
 def _heads(indent: str) -> Iterator[str]:
     """What precedes each entry of a container: ``indent``, then a comma and ``indent``."""
     return itertools.chain((indent,), itertools.repeat("," + indent))
@@ -125,9 +139,13 @@ def dump_json(value: Any) -> str:
 
     Each distinct nonzero float's text is computed once per call and kept
     for the rest of it; zeros are always spelled afresh, since ``0.0`` and
-    ``-0.0`` compare equal but print as ``0.0`` and ``-0.0``.
+    ``-0.0`` compare equal but print as ``0.0`` and ``-0.0``.  Each plain
+    ``str`` key's head (its text, colon and space) is kept the same way;
+    other keys are spelled afresh, since ``1``, ``1.0`` and ``True`` are
+    one key but three texts.
     """
     scalar_text = {**_SCALAR_TEXT, float: _TextMemo(_float_text).__getitem__}
+    key_head = _KeyHeads().__getitem__
     out: list[str] = []
     open_ids: set[int] = set()
     # One frame per open container: its (text before the entry, entry) pairs, closing text, id.
@@ -168,7 +186,7 @@ def dump_json(value: Any) -> str:
         open_ids.add(id(item))
         if is_dict:
             out.append("{")
-            heads = map(str.__add__, _heads(indent), map(_key_head, item))
+            heads = map(str.__add__, _heads(indent), map(key_head, item))
             stack.append((zip(heads, item.values()), closing, id(item)))
         else:
             out.append("[")

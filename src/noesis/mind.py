@@ -356,9 +356,12 @@ def closure_iterates(mind: Mind, state: Iterable[str]) -> list[frozenset[str]]:
     the closure: ``state`` and the layers of the forward-chaining walk
     whose last iterate :func:`closure` returns.
     """
-    start = mind.space.mask(state)
-    layers = [start] + [mask for mask, _ in mind._layers(start)]
-    return [mind.space.labels(m) for m in layers]
+    space = mind.space
+    start = space.mask(state)
+    iterates = [space.labels(start)]
+    for _, fresh in mind._layers(start):
+        iterates.append(iterates[-1].union([space.concepts[bit.bit_length() - 1] for bit in fresh]))
+    return iterates
 
 
 def understanding_horizon(mind: Mind) -> frozenset[str]:

@@ -31,6 +31,16 @@ round's random substream is built only when that law puts positive mass
 on more than one token; a one-token law emits its token whatever the
 draw, and every round has its own substream, so skipping the draw
 changes no trace.
+
+Every strategy a scenario file can name (``direct``, ``scripted``,
+``broadcast``) is deterministic and built as a :class:`PointKernel`: it
+names one token per target and round.  Episodes and posteriors read such
+a kernel's tokens directly, with no law dict and no history tuple, and
+filter by parse: a live target keeps its weight when its token parses the
+way the observation did and drops to 0.0 otherwise, which is the exact
+Bayesian update, since ``w * 1.0 == w`` and the sums keep target order.
+Any other kernel goes through its law dicts and :meth:`Scenario.step`;
+called as a kernel, a point kernel gives the law ``{token: 1.0}``.
 """
 
 from __future__ import annotations
@@ -56,6 +66,7 @@ from .signals import ParsedSignal, SignalSystem, capacity_from_count
 __all__ = [
     "POINT_MASS_TOL",
     "Scenario",
+    "PointKernel",
     "StrategyKernel",
     "StrategySpec",
     "Round",
@@ -78,6 +89,24 @@ _KERNEL_SUM_TOL = 1e-9
 
 StrategyKernel = Callable[[str, tuple[ParsedSignal, ...]], Mapping[str, float]]
 LearnerView = tuple[int, int, float]  # a state's expansion, parsed-token count and capacity in bits
+
+
+class PointKernel:
+    """A deterministic strategy kernel: one token, with mass 1, per target and round.
+
+    ``token(target, t)`` is the token emitted to ``target`` in round
+    ``t + 1``, after ``t`` observations; it may raise
+    :class:`StrategyError`.  Called as a :data:`StrategyKernel`, the kernel
+    gives the point law ``{token(target, len(history)): 1.0}``.
+    """
+
+    __slots__ = ("token",)
+
+    def __init__(self, token: Callable[[str, int], str]) -> None:
+        self.token = token
+
+    def __call__(self, target: str, history: tuple[ParsedSignal, ...]) -> Mapping[str, float]:
+        return {self.token(target, len(history)): 1.0}
 
 
 @dataclass(frozen=True)
@@ -250,14 +279,76 @@ def _observe(
     return child_mask, view, [j / total for j in joint]
 
 
+def _point_round(
+    scenario: Scenario, kernel: PointKernel, t: int, mask: int, view: LearnerView,
+    belief: Sequence[float], theta: Optional[int], parsed: ParsedSignal,
+    prefix: Callable[[], tuple[ParsedSignal, ...]],
+) -> tuple[Optional[str], ParsedSignal, int, LearnerView, list[float]]:
+    """Round ``t + 1`` under a point kernel; returns (emitted, parsed, state mask, view, belief).
+
+    With ``theta`` a target index, that target's token is the emission and
+    its parse the observation; with ``theta`` None, ``parsed`` is observed
+    and the emission is None.  Every live target's token is read, in target
+    order (``theta``'s once), and checked against the alphabet; a target
+    keeps its weight where its token parses to the observation.  The
+    errors come in the order of the law-dict route: ``theta``'s kernel
+    error, its unknown token, the other kernel errors, the other unknown
+    tokens, then :class:`ZeroProbabilityError`, whose message spells the
+    history ``prefix()`` returns.
+    """
+    targets, bits, token = scenario.targets, scenario.token_bits, kernel.token
+    expanded = view[0]
+    emitted = None
+    if theta is not None:
+        emitted = token(targets[theta], t)
+        if emitted not in bits:
+            raise UnknownConceptError(f"unknown signal token {emitted!r}")
+        parsed = emitted if expanded & bits[emitted] else None
+    tokens = [
+        emitted if i == theta else token(target, t) if w > 0.0 else None
+        for i, (target, w) in enumerate(zip(targets, belief))
+    ]
+    unknown = set(tokens).difference(bits)
+    unknown.discard(None)
+    if unknown:
+        tok = next(tok for tok in tokens if tok in unknown)
+        raise UnknownConceptError(f"unknown signal token {tok!r}")
+    if parsed is None:
+        joint = [0.0 if tok is None or expanded & bits[tok] else w for tok, w in zip(tokens, belief)]
+    elif expanded & bits.get(parsed, 0):
+        joint = [w if tok == parsed else 0.0 for tok, w in zip(tokens, belief)]
+    else:
+        joint = [0.0] * len(tokens)
+    total = sum(joint)
+    if not total > 0.0:
+        raise ZeroProbabilityError(f"history {prefix() + (parsed,)} has probability zero")
+    if parsed is not None:
+        bit = bits[parsed]
+        if not mask & bit:
+            view = scenario.grow_view(view, mask, bit)
+            mask |= bit
+    return emitted, parsed, mask, view, [j / total for j in joint]
+
+
 def posterior_after(
     scenario: Scenario, strategy: StrategyKernel, history: Sequence[ParsedSignal]
 ) -> tuple[float, ...]:
-    """Exact filtering of the belief along a parsed history."""
+    """Exact filtering of the belief along a parsed history.
+
+    A :class:`PointKernel` is read through its tokens, one per live
+    target and round; any other kernel through its law dicts and
+    :meth:`Scenario.step`.  Both give the same floats.
+    """
     history = tuple(history)
     belief = list(scenario.prior)
     mask = scenario.mind.axiom_mask
     view = scenario.view(mask)  # grown one acquired concept at a time
+    if isinstance(strategy, PointKernel):
+        for t, parsed in enumerate(history):
+            _, _, mask, view, belief = _point_round(
+                scenario, strategy, t, mask, view, belief, None, parsed, lambda: history[:t]
+            )
+        return tuple(belief)
     for t, parsed in enumerate(history):
         prefix = history[:t]
         laws = emission_laws(scenario, strategy, prefix, belief)
@@ -265,7 +356,7 @@ def posterior_after(
     return tuple(belief)
 
 
-def direct_strategy(scenario: Scenario) -> StrategyKernel:
+def direct_strategy(scenario: Scenario) -> PointKernel:
     """Walk each target's shortest acquisition chain, then name the target.
 
     For every target the plan emits one token per chain concept (the
@@ -285,41 +376,39 @@ def direct_strategy(scenario: Scenario) -> StrategyKernel:
         added = _added_concepts(space, chain)
         plans[target] = tuple(fibers[c][0] for c in added) + (fibers[target][0],)
 
-    def kernel(target: str, history: tuple[ParsedSignal, ...]) -> Mapping[str, float]:
+    def token(target: str, t: int) -> str:
         plan = plans[target]
-        return {plan[min(len(history), len(plan) - 1)]: 1.0}
+        return plan[t] if t < len(plan) else plan[-1]
 
-    return kernel
+    return PointKernel(token)
 
 
-def scripted_strategy(rows: Mapping[str, Sequence[str]]) -> StrategyKernel:
+def scripted_strategy(rows: Mapping[str, Sequence[str]]) -> PointKernel:
     """Play a fixed token row per target, ignoring the history content."""
     fixed = {t: tuple(row) for t, row in rows.items()}
 
-    def kernel(target: str, history: tuple[ParsedSignal, ...]) -> Mapping[str, float]:
+    def token(target: str, t: int) -> str:
         try:
             row = fixed[target]
         except KeyError:
             raise StrategyError(f"no script row for target {target!r}") from None
-        if len(history) >= len(row):
-            raise StrategyError(
-                f"script row for {target!r} exhausted at round {len(history) + 1}"
-            )
-        return {row[len(history)]: 1.0}
+        if t >= len(row):
+            raise StrategyError(f"script row for {target!r} exhausted at round {t + 1}")
+        return row[t]
 
-    return kernel
+    return PointKernel(token)
 
 
-def broadcast_strategy(row: Sequence[str]) -> StrategyKernel:
+def broadcast_strategy(row: Sequence[str]) -> PointKernel:
     """Play one shared token row regardless of the target."""
     shared = tuple(row)
 
-    def kernel(target: str, history: tuple[ParsedSignal, ...]) -> Mapping[str, float]:
-        if len(history) >= len(shared):
-            raise StrategyError(f"broadcast row exhausted at round {len(history) + 1}")
-        return {shared[len(history)]: 1.0}
+    def token(target: str, t: int) -> str:
+        if t >= len(shared):
+            raise StrategyError(f"broadcast row exhausted at round {t + 1}")
+        return shared[t]
 
-    return kernel
+    return PointKernel(token)
 
 
 @dataclass(frozen=True)
@@ -330,7 +419,7 @@ class StrategySpec:
     rows: Optional[Mapping[str, tuple[str, ...]]] = None
     row: Optional[tuple[str, ...]] = None
 
-    def build(self, scenario: Scenario) -> StrategyKernel:
+    def build(self, scenario: Scenario) -> PointKernel:
         if self.kind == "direct":
             return direct_strategy(scenario)
         if self.kind == "scripted":
@@ -396,9 +485,12 @@ def run_episode(
     Pass ``theta`` to pin the target instead of sampling it.  The belief is
     filtered exactly, never estimated.
 
-    Each round calls ``strategy`` once for ``theta``, then once for every
-    other target of positive belief, in target order; ``theta``'s law
-    serves both the emission and the filter.
+    Each round asks ``strategy`` once for ``theta``, then once for every
+    other target of positive belief, in target order; ``theta``'s answer
+    serves both the emission and the filter.  A :class:`PointKernel` is
+    asked for tokens (:meth:`PointKernel.token`), with no law dict and no
+    history tuple; any other kernel is called on the parsed history and
+    its laws go through :meth:`Scenario.step`.  Both give the same trace.
     """
     if horizon < 0:
         raise ValueError("horizon must be nonnegative")
@@ -429,25 +521,35 @@ def run_episode(
             tau = 0
 
     rounds: list[Round] = []
+    point = isinstance(strategy, PointKernel)
+
+    def parsed_history() -> tuple[ParsedSignal, ...]:
+        return tuple(r.parsed for r in rounds)
+
     for t in range(1, horizon + 1):
-        dist = emission_distribution(strategy, theta, history)
-        tokens = [tok for tok, p in dist.items() if p > 0.0]
-        if len(tokens) == 1:
-            emitted = tokens[0]
+        if point:
+            emitted, parsed, child_mask, view, belief = _point_round(
+                scenario, strategy, t - 1, mask, view, belief, theta_idx, None, parsed_history
+            )
         else:
-            emitted = _sample(random.Random(f"{seed}:round:{t}"), tokens, [dist[tok] for tok in tokens])
-        if emitted not in bits:
-            raise UnknownConceptError(f"unknown signal token {emitted!r}")
-        parsed = emitted if view[0] & bits[emitted] else None
-        laws = [
-            dist if i == theta_idx else emission_distribution(strategy, target, history) if w > 0.0 else None
-            for i, (target, w) in enumerate(zip(targets, belief))
-        ]
-        child_mask, view, belief = _observe(scenario, laws, history, mask, view, belief, parsed)
+            dist = emission_distribution(strategy, theta, history)
+            tokens = [tok for tok, p in dist.items() if p > 0.0]
+            if len(tokens) == 1:
+                emitted = tokens[0]
+            else:
+                emitted = _sample(random.Random(f"{seed}:round:{t}"), tokens, [dist[tok] for tok in tokens])
+            if emitted not in bits:
+                raise UnknownConceptError(f"unknown signal token {emitted!r}")
+            parsed = emitted if view[0] & bits[emitted] else None
+            laws = [
+                dist if i == theta_idx else emission_distribution(strategy, target, history) if w > 0.0 else None
+                for i, (target, w) in enumerate(zip(targets, belief))
+            ]
+            child_mask, view, belief = _observe(scenario, laws, history, mask, view, belief, parsed)
+            history = history + (parsed,)
         if child_mask != mask:
             state = state | {concepts[(child_mask ^ mask).bit_length() - 1]}
             mask = child_mask
-        history = history + (parsed,)
         rounds.append(
             Round(
                 t=t,

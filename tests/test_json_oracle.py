@@ -5,6 +5,7 @@ from __future__ import annotations
 
 import collections
 import enum
+import json
 import math
 
 import pytest
@@ -132,3 +133,15 @@ def test_deep_nesting_has_no_limit():
         for _ in range(shallow):
             nest = [nest]
         assert dump_json(nest) == oracle.dump_json(nest)
+
+
+def test_equal_keys_of_other_types_keep_their_own_text():
+    """``1``, ``1.0`` and ``True`` are one dict key but three texts; the key-head memo must not merge them."""
+    # In one dict the later keys fold into the first of them, 1, as in any dict.
+    value = {
+        "1": {True: 0, "1": 1, None: {1.0: 2, "true": 3}},
+        1: 0, 1.0: 1, True: 2, None: 3,
+        "null": [{1.0: {1: "a", "1.0": "b"}}, {True: {True: {"1": 4}}}, {None: {"None": 5, 1: 6}}],
+        "tail": {"1": {1: {1.0: {True: {None: {"1": 7}}}}}},
+    }
+    assert dump_json(value) == json.dumps(value, indent=2) + "\n"
