@@ -271,13 +271,13 @@ def _cmd_capacity(args) -> str:
 
 
 def _cmd_simulate(args) -> str:
+    if args.episodes < 1:
+        raise _CliError("--episodes must be at least 1")
     bundle = fileio.load_scenario_bundle(args.scenario)
     for note in bundle.notes:
         print(f"note: {note}", file=sys.stderr)
     scenario = bundle.scenario
     strategy = bundle.strategy.build(scenario)
-    if args.episodes < 1:
-        raise _CliError("--episodes must be at least 1")
     traces = [
         run_episode(scenario, strategy, args.horizon, seed=args.seed + i)
         for i in range(args.episodes)

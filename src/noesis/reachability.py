@@ -29,9 +29,8 @@ integer whose bits hold its labels by rank under its count of absent
 concepts, and the integers are read from, and the sorted states spelled
 from, lazily filled tables per byte.  The 6 families of 1,850 to 2,104
 states on 22 concepts of the benchmark's ``lattice`` workload (seed 1)
-sort in about 20 ms in all instead of 70 ms with a sort of label tuples,
-and a 2,000-concept chain in 0.16 s instead of 0.8 s (CPython 3.11, one
-core of a Xeon server).
+sort in about 20 ms in all, and a 2,000-concept chain in 0.16 s
+(CPython 3.11, one core of a Xeon server).
 """
 
 from __future__ import annotations

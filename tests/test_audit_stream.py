@@ -2,8 +2,9 @@
 
 ``audit_history`` must give ``(tree.node_count, audit_all(tree))`` for
 the tree ``build_history_tree`` builds, or raise the same exception with
-the same message; its erasure check must equal the general restricted
-mutual information kept in ``oracle.restricted_mi``.
+the same message, after the same kernel calls in the same order; its
+erasure check must equal the general restricted mutual information kept
+in ``oracle.restricted_mi``.
 """
 
 from __future__ import annotations
@@ -74,8 +75,22 @@ def _tree_audit(*args, **cap):
     return tree.node_count, audit_all(tree)
 
 
-def _assert_same_outcome(*args, **cap) -> None:
-    assert _outcome(audit_history, *args, **cap) == _outcome(_tree_audit, *args, **cap)
+def _recording(kernel, calls: list):
+    """``kernel``, appending each ``(target, history)`` it is called with to ``calls``."""
+
+    def record(target: str, history: tuple):
+        calls.append((target, history))
+        return kernel(target, history)
+
+    return record
+
+
+def _assert_same_outcome(scenario, strategy, horizon, **cap) -> None:
+    """The same result or error, after the same kernel calls in the same order."""
+    streamed, built = [], []
+    got = _outcome(audit_history, scenario, _recording(strategy, streamed), horizon, **cap)
+    assert got == _outcome(_tree_audit, scenario, _recording(strategy, built), horizon, **cap)
+    assert streamed == built
 
 
 class TestStreamingMatchesTree:

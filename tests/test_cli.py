@@ -352,7 +352,7 @@ def test_deeply_nested_input_exit_two(capsys, tmp_path):
 
 @pytest.mark.parametrize("n", [990, 1500])
 def test_deep_history_tree_passes(capsys, tmp_path, n):
-    # Both tree walks keep their own stack, so depth is bounded by the node cap.
+    # The tree walk keeps its own stack, so depth is bounded by the node cap.
     data = _chain(n)
     data["signals"] = [{"token": f"z{i}", "target": f"c{i}"} for i in range(n)]
     data["targets"], data["prior"] = [f"c{n - 1}"], [1]
@@ -534,6 +534,14 @@ class TestErrors:
     def test_bad_usage_exit_one(self, capsys):
         code, _, err = _run(capsys, "simulate")
         assert code == 1
+
+    @pytest.mark.parametrize("name", ["absent.scenario", "arithmetic.scenario"])
+    def test_episodes_checked_before_the_scenario_is_read(self, capsys, fixtures_dir, tmp_path, name):
+        # Neither the missing file's error nor the fixture's normalization note.
+        path = tmp_path / name if name.startswith("absent") else fixtures_dir / name
+        argv = ["simulate", "--scenario", str(path), "--horizon", "1", "--episodes", "0"]
+        code, out, err = _run(capsys, *argv)
+        assert (code, out, err) == (1, "", "error: --episodes must be at least 1\n")
 
     def test_invalid_scenario_exit_one(self, capsys, tmp_path):
         path = tmp_path / "bad.scenario"
