@@ -26,8 +26,11 @@ its history tuple, and its view table, so a chain audit's law work per
 node does not grow with the chain.  These, not the tree, are its memory;
 a view's state mask and expansion hold up to one bit per concept each,
 so on a long chain the views, not the history tuples, are most of it.
-Both audits feed one per-node law routine and one expected-completion
-walk (:class:`_Checks`), in the same pre-order, so their floats agree.
+Both audits feed one per-node law routine, :meth:`_Checks.node`, in the
+same pre-order, so their floats agree: it runs the expected-completion
+walk and then the leaf check or the per-node laws, and each audit only
+turns its own node (a built tree's or the walk's) into that routine's
+record.
 
 Every walk uses an explicit stack, so a tree's depth is bounded by its
 node cap alone.  The audit reads each node's joint tables from their
@@ -199,10 +202,8 @@ def build_history_tree(
     labels = scenario.mind.space.labels
     states: dict[int, frozenset[str]] = {}  # one label set per distinct state
     path: list[HistoryNode] = []  # the last node made at each depth: a new node's parent is one up
-    made = 0
     walk = _walk(scenario, strategy, horizon, node_cap)
-    for history, mask, joint, prob, belief, entropy, expansion in walk:
-        made += 1
+    for count, (history, mask, joint, prob, belief, entropy, expansion) in enumerate(walk, 1):
         state = states.get(mask)
         if state is None:
             state = states[mask] = labels(mask)
@@ -217,7 +218,7 @@ def build_history_tree(
                 zero_row if law is None else _emission_row(b, law, column, zero_row)
                 for b, law in zip(belief, expansion[0])
             ])
-    return HistoryTree(scenario=scenario, horizon=horizon, root=path[0], node_count=made)
+    return HistoryTree(scenario=scenario, horizon=horizon, root=path[0], node_count=count)
 
 
 def _emission_row(b: float, law, column: dict[str, int], zero_row: tuple) -> tuple[float, ...]:
@@ -402,19 +403,23 @@ def _verdict(law: str, worst: float, witness) -> LawVerdict:
     return LawVerdict(law, "pass", worst, None)
 
 
-class _Checks:
-    """The eight laws' running state, fed every node of one history tree in pre-order.
+_LAWS = ("entropy_drop", "supermartingale", "statewise_bound", "relativity", "rephrasing")  # the per-node laws
+_DROP, _SUPER, _CAP, _REL, _REPH = range(len(_LAWS))
 
-    :meth:`completion` runs at every node, then :meth:`leaf` at a node
-    without children or :meth:`internal` at one with them.  Each worst
-    violation keeps the first history that reached it.
+
+class _Checks:
+    """The one per-node consumer of both audits: the eight laws' running state.
+
+    :meth:`node` takes every node of one history tree in pre-order, from
+    :func:`audit_all`'s built tree or :func:`audit_history`'s walk, and
+    runs the expected-completion walk, then the leaf check or the
+    per-node laws.  ``worst[k]`` is law ``_LAWS[k]``'s worst violation
+    and the first history that reached it.
     """
 
     __slots__ = (
-        "scenario", "target_bits", "column_bits", "expected_tau", "incomplete",
-        "identified_everywhere", "chain_sum", "budget_sum",
-        "worst_drop", "at_drop", "worst_super", "at_super", "worst_cap", "at_cap",
-        "worst_rel", "at_rel", "worst_reph", "at_reph",
+        "scenario", "target_bits", "column_bits", "alive_at", "expected_tau", "incomplete",
+        "identified_everywhere", "chain_sum", "budget_sum", "worst",
     )
 
     def __init__(self, scenario: Scenario) -> None:
@@ -425,58 +430,56 @@ class _Checks:
         # Expected completion time: each target adds its mass times the
         # depth at the first node where it is known and believed; a target
         # still alive at a leaf never completes.
+        self.alive_at = [list(range(len(scenario.targets)))]  # [d]: the targets alive at depth d of the path
         self.expected_tau = 0.0
         self.incomplete = False
         self.identified_everywhere = True
         self.chain_sum = 0.0
         self.budget_sum = 0.0
-        self.worst_drop = self.worst_super = self.worst_cap = self.worst_rel = self.worst_reph = 0.0
-        self.at_drop = self.at_super = self.at_cap = self.at_rel = self.at_reph = None
+        self.worst: list[tuple[float, Optional[tuple]]] = [(0.0, None)] * len(_LAWS)
 
-    def completion(
-        self, alive: list[int], joint: Sequence[float], prob: float, mask: int, depth: int, leaf: bool
-    ) -> list[int]:
-        """The targets still alive below this node, given those alive at it."""
-        if not alive or self.incomplete:
-            return alive
-        still = []
-        bits = self.target_bits
-        for i in alive:
-            w = joint[i]
-            if w <= 0.0:
-                continue
-            if mask & bits[i] and w >= prob * (1.0 - _EXACT_TOL):
-                self.expected_tau += w * depth
-            else:
-                still.append(i)
-        if still and leaf:
-            self.incomplete = True
-        return still
+    def _keep(self, law: int, value: float, history: tuple) -> None:
+        """Make ``value`` at ``history`` the law's worst violation if it is strictly larger."""
+        if value > self.worst[law][0]:
+            self.worst[law] = (value, history)
 
-    def leaf(self, entropy: float) -> None:
-        if entropy > _EXACT_TOL:
-            self.identified_everywhere = False
-
-    def internal(
-        self, history: tuple, prob: float, entropy: float, children: Sequence[tuple[float, float]],
-        cells: _Cells, expanded: int, capacity: float,
+    def node(
+        self, history: tuple, mask: int, joint: Sequence[float], prob: float, entropy: float,
+        internal: Optional[tuple[Sequence[tuple[float, float]], _Cells, int, float]],
     ) -> None:
-        """Check one node with children: ``children`` lists their (prob, entropy), ``cells`` its emission."""
+        """Check one node.  ``internal`` is None at a leaf; otherwise it is
+        ``(children, cells, expanded, capacity)``: the children's (prob,
+        entropy), the emission's nonzero cells, and the node's expansion
+        and capacity.
+        """
+        depth = len(history)
+        alive = self.alive_at[depth]
+        if alive and not self.incomplete:
+            still = []
+            bits = self.target_bits
+            for i in alive:
+                w = joint[i]
+                if w <= 0.0:
+                    continue
+                if mask & bits[i] and w >= prob * (1.0 - _EXACT_TOL):
+                    self.expected_tau += w * depth
+                else:
+                    still.append(i)
+            if still and internal is None:
+                self.incomplete = True
+            alive = still
+        if internal is None:
+            if entropy > _EXACT_TOL:
+                self.identified_everywhere = False
+            return
+        self.alive_at[depth + 1:] = [alive]
+        children, cells, expanded, capacity = internal
         drop = _entropy_drop(prob, entropy, children)
         table, nulls, nonpositive, concept = _parsed_cells(cells, expanded, self.column_bits)
         mi = mutual_information_cells(table)
-
-        gap = abs(drop - mi)
-        if gap > self.worst_drop:
-            self.worst_drop, self.at_drop = gap, history
-
-        over = -drop  # expected child entropy above the node entropy
-        if over > self.worst_super:
-            self.worst_super, self.at_super = over, history
-
-        excess = mi - capacity
-        if excess > self.worst_cap:
-            self.worst_cap, self.at_cap = excess, history
+        self._keep(_DROP, abs(drop - mi), history)
+        self._keep(_SUPER, -drop, history)  # expected child entropy above the node entropy
+        self._keep(_CAP, mi - capacity, history)
 
         # Erasure versus informativeness, split on whether the emitted
         # token's concept is currently ordered.  The unparseable event is
@@ -484,23 +487,19 @@ class _Checks:
         # it conditions on the event; within it the observation is
         # constant and must carry nothing.  On the parseable event the
         # parser is the identity, so parsed and raw information agree.
-        erased = _erased_mi(nulls)
-        if erased > self.worst_rel:
-            self.worst_rel, self.at_rel = erased, history
+        self._keep(_REL, _erased_mi(nulls), history)
         # The parsed table keeps the emission's positive cells at ordered
         # columns as they are, so the two restrictions to the ordered
         # columns are one table and agree exactly; only a negative or NaN
         # emission cell can separate them.
         if nonpositive:
             ordered = bytes([expanded & bit != 0 for bit in self.column_bits] + [False])
-            gap = abs(_restricted_mi(table, ordered) - _restricted_mi(cells, ordered))
-            if gap > self.worst_rel:
-                self.worst_rel, self.at_rel = gap, history
+            self._keep(_REL, abs(_restricted_mi(table, ordered) - _restricted_mi(cells, ordered)), history)
 
         # When every emitted token teaches the same concept, any one of
         # them tells whether that concept is ordered.
-        if concept and not expanded & concept and mi > self.worst_reph:
-            self.worst_reph, self.at_reph = mi, history
+        if concept and not expanded & concept:
+            self._keep(_REPH, mi, history)
 
         if entropy > _EXACT_TOL:
             self.chain_sum += prob * mi
@@ -508,13 +507,7 @@ class _Checks:
 
     def report(self) -> AuditReport:
         scenario = self.scenario
-        verdicts = [
-            _verdict("entropy_drop", self.worst_drop, self.at_drop),
-            _verdict("supermartingale", self.worst_super, self.at_super),
-            _verdict("statewise_bound", self.worst_cap, self.at_cap),
-            _verdict("relativity", self.worst_rel, self.at_rel),
-            _verdict("rephrasing", self.worst_reph, self.at_reph),
-        ]
+        verdicts = [_verdict(law, *worst) for law, worst in zip(_LAWS, self.worst)]
         prior_entropy = entropy_bits(scenario.prior)
         if self.identified_everywhere:
             verdicts.append(_verdict("chain_identity", abs(self.chain_sum - prior_entropy), None))
@@ -542,26 +535,19 @@ def audit_all(tree: HistoryTree) -> AuditReport:
     checks = _Checks(scenario)
     masks: dict[frozenset[str], int] = {}
     views: dict[int, LearnerView] = {}
-    alive_at = [list(range(len(scenario.targets)))]  # [d]: the targets alive at depth d of the path
     for node in tree.iter_nodes():
         mask = masks.get(node.state)
         if mask is None:
             mask = masks[node.state] = space_mask(node.state)
-        children = list(node.children.values())
-        depth = len(node.history)
-        alive = checks.completion(alive_at[depth], node.joint, node.prob, mask, depth, not children)
-        if not children:
-            checks.leaf(node.entropy_bits)
-            continue
-        alive_at[depth + 1:] = [alive]
-        view = views.get(mask)
-        if view is None:
-            view = views[mask] = scenario.view(mask)
-        assert node.emission is not None
-        checks.internal(
-            node.history, node.prob, node.entropy_bits, [(c.prob, c.entropy_bits) for c in children],
-            _emission_cells(node.emission), view[0], view[2],
-        )
+        internal = None
+        if node.children:
+            view = views.get(mask)
+            if view is None:
+                view = views[mask] = scenario.view(mask)
+            assert node.emission is not None
+            children = [(c.prob, c.entropy_bits) for c in node.children.values()]
+            internal = (children, _emission_cells(node.emission), view[0], view[2])
+        checks.node(node.history, mask, node.joint, node.prob, node.entropy_bits, internal)
     return checks.report()
 
 
@@ -586,23 +572,14 @@ def audit_history(
     """
     column = {tok: j for j, tok in enumerate(scenario.system.tokens)}
     checks = _Checks(scenario)
-    alive_at = [list(range(len(scenario.targets)))]  # [d]: the targets alive at depth d of the path
-    made = 0
     walk = _walk(scenario, strategy, horizon, node_cap)
-    for history, mask, joint, prob, belief, entropy, expansion in walk:
-        made += 1
-        depth = len(history)
-        laws, view, children = expansion or (None, None, ())
-        alive = checks.completion(alive_at[depth], joint, prob, mask, depth, not children)
-        if not children:
-            checks.leaf(entropy)
-            continue
-        alive_at[depth + 1:] = [alive]
-        checks.internal(
-            history, prob, entropy, [(c[3], c[5]) for c in children],
-            _law_cells(belief, laws, column), view[0], view[2],
-        )
-    return made, checks.report()
+    for count, (history, mask, joint, prob, belief, entropy, expansion) in enumerate(walk, 1):
+        internal = None
+        if expansion is not None and expansion[2]:
+            laws, view, children = expansion
+            internal = ([(c[3], c[5]) for c in children], _law_cells(belief, laws, column), view[0], view[2])
+        checks.node(history, mask, joint, prob, entropy, internal)
+    return count, checks.report()
 
 
 def _global_bound_verdict(expected_tau: Optional[float], scenario: Scenario) -> LawVerdict:

@@ -23,7 +23,7 @@ from . import fileio
 from .audit import DEFAULT_NODE_CAP, audit_all, audit_history, build_history_tree  # noqa: F401
 from .derivation import _distinct_nodes, curriculum_from_derivation, derive
 from .errors import CapExceededError, NoesisError, UnreachableConceptError
-from .mind import closure_iterates
+from .mind import Mind, closure_iterates
 from .planner import (
     allocate,
     broadcast_check,
@@ -136,10 +136,11 @@ def _build_parser() -> _Parser:
     return parser
 
 
-def _split_concepts(text: Optional[str]) -> Optional[list[str]]:
+def _concepts(text: Optional[str], mind: Mind) -> frozenset[str]:
+    """The concepts a ``--start`` or ``--state`` flag lists, comma-separated; without it, the mind's axioms."""
     if text is None:
-        return None
-    return [part for part in (s.strip() for s in text.split(",")) if part]
+        return mind.axioms
+    return frozenset(part for part in (s.strip() for s in text.split(",")) if part)
 
 
 def _emit(text: str, out: Optional[Path]) -> None:
@@ -154,8 +155,7 @@ def _emit(text: str, out: Optional[Path]) -> None:
 
 def _cmd_closure(args) -> str:
     mind = fileio.load_mind(args.mind)
-    start = _split_concepts(args.start)
-    start_set = frozenset(start) if start is not None else mind.axioms
+    start_set = _concepts(args.start, mind)
     iterates = closure_iterates(mind, start_set)
     return fileio.dump_json(
         {
@@ -183,8 +183,7 @@ def _tree_to_dict(tree) -> dict:
 
 def _cmd_derive(args) -> str:
     mind = fileio.load_mind(args.mind)
-    start = _split_concepts(args.start)
-    start_set = frozenset(start) if start is not None else mind.axioms
+    start_set = _concepts(args.start, mind)
     tree = derive(mind, start_set, args.target)
     if tree is None:
         return fileio.dump_json({"target": args.target, "derivable": False})
@@ -259,8 +258,7 @@ def _cmd_distance(args) -> str:
 def _cmd_capacity(args) -> str:
     bundle = fileio.load_scenario_bundle(args.scenario)
     scenario = bundle.scenario
-    state = _split_concepts(args.state)
-    state_set = frozenset(state) if state is not None else scenario.mind.axioms
+    state_set = _concepts(args.state, scenario.mind)
     return fileio.dump_json(
         {
             "state": sorted(state_set),

@@ -9,8 +9,8 @@ primitives everything else in the package is built on.
 Concept sets are manipulated internally as bit masks over the space's
 concept ordering; the public functions accept and return plain
 ``frozenset`` values of concept labels.  A mind compiles its rules once,
-with one index built on first use: by prerequisite position, for growing
-an expansion or a closure one acquired concept at a time.  One
+in one pass that also builds its one index: by prerequisite position,
+for growing an expansion or a closure one acquired concept at a time.  One
 forward-chaining walk over that index (:meth:`Mind._layers`) yields the
 iterates of one-step expansion and the rule behind each new concept: the
 closure is its last iterate, :func:`closure_iterates` lists them, and
@@ -155,19 +155,22 @@ class Mind:
         object.__setattr__(self, "rules", tuple(self.rules))
 
     @cached_property
-    def _report(self) -> "ValidationReport":
-        return validate_mind(self)
-
-    @cached_property
     def _compiled(self) -> "_CompiledMind":
-        if not self._report.accepted:
-            raise InvalidMindError(f"mind rejected by validation: {self._report.summary()}")
-        space = self.space
-        return _CompiledMind(
-            size=len(space),
-            axiom_mask=space.mask(self.axioms),
-            rules=tuple((space.mask(rule.prereqs), space.bit(rule.target)) for rule in self.rules),
-        )
+        """The rule masks and the by-prerequisite index, in one pass once validation accepts the mind."""
+        report = validate_mind(self)
+        if not report.accepted:
+            raise InvalidMindError(f"mind rejected by validation: {report.summary()}")
+        index = self.space.index
+        rules = []
+        needing: list[list[int]] = [[] for _ in index]
+        for ri, rule in enumerate(self.rules):
+            prereq_mask = 0
+            for label in rule.prereqs:
+                i = index[label]
+                prereq_mask |= 1 << i
+                needing[i].append(ri)
+            rules.append((prereq_mask, 1 << index[rule.target]))
+        return _CompiledMind(self.space.mask(self.axioms), tuple(rules), needing)
 
     @cached_property
     def horizon_mask(self) -> int:
@@ -259,18 +262,9 @@ class Mind:
 
 @dataclass(frozen=True)
 class _CompiledMind:
-    size: int  # concept count; the index below is a list by concept position
     axiom_mask: int
     rules: tuple[tuple[int, int], ...]  # (prerequisite mask, target bit), one per rule
-
-    @cached_property
-    def rules_needing(self) -> list[list[int]]:
-        """Prerequisite position -> the indices of the rules needing it, in rule order."""
-        out: list[list[int]] = [[] for _ in range(self.size)]
-        for ri, (prereq_mask, _) in enumerate(self.rules):
-            for bit in iter_bits(prereq_mask):
-                out[bit.bit_length() - 1].append(ri)
-        return out
+    rules_needing: list[list[int]]  # [prerequisite position]: the indices of the rules needing it, in rule order
 
 
 @dataclass(frozen=True)
