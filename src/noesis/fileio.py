@@ -5,6 +5,13 @@ CSV, one row per round.  Probabilities are serialized with 12 significant
 digits, which round-trips well inside the audit tolerance, and writers
 emit keys in a fixed order so identical inputs produce identical bytes.
 
+The loaders test the entries of each list (rules, signals, strategy
+rows) inline, by exact type, and format no message on the way, so a load
+that succeeds costs little more than its JSON parse.  A list that fails
+a test is read again through the general checks (``_need``,
+``_need_strings`` and the per-entry readers), which raise the first
+error, worded and ordered as they always were.
+
 Every JSON output goes through :func:`dump_json`, one writer that keeps
 its own stack of open containers, so output has no depth limit.  Its
 bytes are those of ``json.dumps(value, indent=2)`` with each float first
@@ -25,7 +32,7 @@ from pathlib import Path
 from typing import Any, Callable, Iterator, Mapping, Optional, Sequence
 
 from .errors import FormatError, NoesisError
-from .mind import ConceptSpace, ExpansionRule, Mind
+from .mind import _STR_ONLY, ConceptSpace, ExpansionRule, Mind, _frozen
 from .signals import SignalSystem
 from .teaching import EpisodeTrace, Round, Scenario, StrategySpec
 
@@ -226,17 +233,42 @@ def _need_strings(data: Mapping[str, Any], field: str, where: str) -> list[str]:
     return values
 
 
+def _rule_from_dict(entry: Any, i: int, where: str) -> ExpansionRule:
+    """``rules[i]`` read through the general checks, which word its error."""
+    if not isinstance(entry, dict):
+        raise FormatError(f"{where}: rules[{i}] must be an object")
+    prereqs = _need_strings(entry, "prereqs", f"{where}: rules[{i}]")
+    target = _need(entry, "target", str, f"{where}: rules[{i}]")
+    return ExpansionRule(frozenset(prereqs), target)
+
+
+def _rules_from_list(raw_rules: list, where: str) -> list[ExpansionRule]:
+    """The rules that ``raw_rules`` lists, each ``{"prereqs": [str, ...], "target": str}``.
+
+    Each entry's shape is tested inline and every prerequisite's type in
+    one pass at the end.  If any test fails, the whole list goes back
+    through :func:`_rule_from_dict`, which raises the first error in list
+    order.
+    """
+    prereqs, targets = [], []
+    for entry in raw_rules:
+        if type(entry) is not dict:
+            break
+        labels, target = entry.get("prereqs"), entry.get("target")
+        if type(labels) is not list or type(target) is not str:
+            break
+        prereqs.append(labels)
+        targets.append(target)
+    else:
+        if {*map(type, itertools.chain.from_iterable(prereqs))} <= _STR_ONLY:
+            return [_frozen(ExpansionRule, prereqs=frozenset(p), target=t) for p, t in zip(prereqs, targets)]
+    return [_rule_from_dict(entry, i, where) for i, entry in enumerate(raw_rules)]
+
+
 def _mind_from_dict(data: Mapping[str, Any], where: str) -> Mind:
     concepts = _need_strings(data, "concepts", where)
     axioms = _need_strings(data, "axioms", where)
-    raw_rules = _need(data, "rules", list, where)
-    rules = []
-    for i, entry in enumerate(raw_rules):
-        if not isinstance(entry, dict):
-            raise FormatError(f"{where}: rules[{i}] must be an object")
-        prereqs = _need_strings(entry, "prereqs", f"{where}: rules[{i}]")
-        target = _need(entry, "target", str, f"{where}: rules[{i}]")
-        rules.append(ExpansionRule(frozenset(prereqs), target))
+    rules = _rules_from_list(_need(data, "rules", list, where), where)
     try:
         space = ConceptSpace(tuple(concepts))
         mind = Mind(space=space, axioms=frozenset(axioms), rules=tuple(rules))
@@ -277,6 +309,11 @@ def _token_row(row: Any, alphabet: Mapping[str, str], where: str) -> tuple[str, 
     return tuple(row)
 
 
+def _plain_row(row: Any, alphabet: Mapping[str, str]) -> bool:
+    """True iff ``row`` is a list of plain strings, each a token of the alphabet."""
+    return type(row) is list and {*map(type, row)} <= _STR_ONLY and all(map(alphabet.__contains__, row))
+
+
 def _strategy_from_dict(data: Any, where: str, alphabet: Mapping[str, str]) -> StrategySpec:
     if not isinstance(data, dict):
         raise FormatError(f"{where}: field 'strategy' must be an object")
@@ -286,13 +323,17 @@ def _strategy_from_dict(data: Any, where: str, alphabet: Mapping[str, str]) -> S
     if kind == "scripted":
         rows = _need(data, "rows", dict, f"{where}: strategy")
         fixed = {
-            target: _token_row(row, alphabet, f"{where}: strategy.rows[{target!r}]")
+            target: tuple(row)
+            if _plain_row(row, alphabet)
+            else _token_row(row, alphabet, f"{where}: strategy.rows[{target!r}]")
             for target, row in rows.items()
         }
         return StrategySpec(kind="scripted", rows=fixed)
     if kind == "broadcast":
-        row = _need(data, "row", list, f"{where}: strategy")
-        return StrategySpec(kind="broadcast", row=_token_row(row, alphabet, f"{where}: strategy.row"))
+        row = data.get("row")
+        if not _plain_row(row, alphabet):
+            row = _token_row(_need(data, "row", list, f"{where}: strategy"), alphabet, f"{where}: strategy.row")
+        return StrategySpec(kind="broadcast", row=tuple(row))
     raise FormatError(f"{where}: unknown strategy kind {kind!r}")
 
 
@@ -308,6 +349,43 @@ def _finite(value: Any, field: str, where: str) -> float:
     raise FormatError(f"{where}: field {field!r} needs finite numbers, got {value!r}")
 
 
+def _signal_from_dict(entry: Any, i: int, index: Mapping[str, int], where: str) -> tuple[str, str]:
+    """``signals[i]`` as its ``(token, concept)`` pair, read through the general checks, which word its error."""
+    if not isinstance(entry, dict):
+        raise FormatError(f"{where}: signals[{i}] must be an object")
+    token = _need(entry, "token", str, f"{where}: signals[{i}]")
+    if token == _NULL_TOKEN:
+        raise FormatError(f"{where}: signals[{i}]: token {_NULL_TOKEN!r} is reserved for the null observation")
+    target = _need(entry, "target", str, f"{where}: signals[{i}]")
+    if target not in index:
+        raise FormatError(f"{where}: signals[{i}]: unknown concept {target!r}")
+    return token, target
+
+
+def _signals_from_list(
+    raw_signals: list, index: Mapping[str, int], where: str
+) -> tuple[tuple[str, ...], tuple[str, ...]]:
+    """The tokens, and the concepts they teach, that ``raw_signals`` lists as ``{"token": str, "target": str}``.
+
+    Each entry is tested inline.  If any test fails, the whole list goes
+    back through :func:`_signal_from_dict`, which raises the first error
+    in list order.
+    """
+    tokens, concepts = [], []
+    for entry in raw_signals:
+        if type(entry) is not dict:
+            break
+        token, target = entry.get("token"), entry.get("target")
+        if type(token) is not str or type(target) is not str or token == _NULL_TOKEN or target not in index:
+            break
+        tokens.append(token)
+        concepts.append(target)
+    else:
+        return tuple(tokens), tuple(concepts)
+    pairs = [_signal_from_dict(entry, i, index, where) for i, entry in enumerate(raw_signals)]
+    return tuple(token for token, _ in pairs), tuple(concept for _, concept in pairs)
+
+
 def load_scenario_bundle(path: str | Path) -> LoadedScenario:
     """Read a scenario file: mind, signals, targets, prior, and strategy.
 
@@ -318,19 +396,7 @@ def load_scenario_bundle(path: str | Path) -> LoadedScenario:
     data = _read_json(path)
     mind = _mind_from_dict(data, where)
     raw_signals = _need(data, "signals", list, where)
-    pairs = []
-    for i, entry in enumerate(raw_signals):
-        if not isinstance(entry, dict):
-            raise FormatError(f"{where}: signals[{i}] must be an object")
-        token = _need(entry, "token", str, f"{where}: signals[{i}]")
-        if token == _NULL_TOKEN:
-            raise FormatError(
-                f"{where}: signals[{i}]: token {_NULL_TOKEN!r} is reserved for the null observation"
-            )
-        target = _need(entry, "target", str, f"{where}: signals[{i}]")
-        if target not in mind.space:
-            raise FormatError(f"{where}: signals[{i}]: unknown concept {target!r}")
-        pairs.append((token, target))
+    tokens, concepts = _signals_from_list(raw_signals, mind.space.index, where)
     targets = _need_strings(data, "targets", where)
     raw_prior = _need(data, "prior", list, where)
     notes: list[str] = []
@@ -346,7 +412,7 @@ def load_scenario_bundle(path: str | Path) -> LoadedScenario:
         notes.append(f"prior weights sum to {total:.12g}; normalized to 1")
     prior = tuple(w / total for w in weights)
     try:
-        system = SignalSystem.from_pairs(pairs)
+        system = SignalSystem(tokens, concepts)
         scenario = Scenario(mind=mind, system=system, targets=tuple(targets), prior=prior)
     except NoesisError as exc:
         raise FormatError(f"{where}: {exc}") from exc

@@ -9,11 +9,13 @@ primitives everything else in the package is built on.
 Concept sets are manipulated internally as bit masks over the space's
 concept ordering; the public functions accept and return plain
 ``frozenset`` values of concept labels.  A mind compiles its rules once,
-in one pass that also builds its one index: by prerequisite position,
-for growing an expansion or a closure one acquired concept at a time.  One
-forward-chaining walk over that index (:meth:`Mind._layers`) yields the
-iterates of one-step expansion and the rule behind each new concept: the
-closure is its last iterate, :func:`closure_iterates` lists them, and
+in one pass that validates them and builds its one index: by prerequisite
+position, for growing an expansion or a closure one acquired concept at a
+time.  The closure (:meth:`Mind.closure_mask`) is a worklist of its own
+over that index, with a missing-prerequisite counter per rule.  A second
+forward-chaining walk over it (:meth:`Mind._layers`) serves only the
+callers that need the iterates of one-step expansion and the rule behind
+each new concept: :func:`closure_iterates` lists them, and
 :func:`~noesis.derivation.derive` builds its nodes from their rules.
 Whether a concept is ordered is read off the state's expansion.  The
 closure of the axioms, the understanding horizon, is computed once per
@@ -48,6 +50,35 @@ __all__ = [
 ]
 
 
+_STR_ONLY = {str}
+
+
+def _frozen(cls, /, **fields):
+    """An instance of the frozen dataclass ``cls`` with ``fields`` set directly.
+
+    Neither ``__init__`` nor ``__post_init__`` runs, so the caller passes
+    every field, already in its final type; ``==``, ``hash`` and ``repr``
+    are those of the dataclass constructor's instance.  Hot loops build
+    :class:`ExpansionRule` and :class:`~noesis.teaching.Round` with it.
+    """
+    obj = object.__new__(cls)
+    obj.__dict__.update(fields)
+    return obj
+
+
+def _plain_tokens(labels: tuple) -> bool:
+    """True iff every label is a plain non-empty ``str`` without whitespace and no label repeats.
+
+    The fast test of a label tuple: a caller runs its per-label loop,
+    which words the rejection, only when this fails.  ``str.split`` breaks
+    at exactly the characters for which ``str.isspace`` holds.
+    """
+    if not ({*map(type, labels)} <= _STR_ONLY and all(labels) and len(set(labels)) == len(labels)):
+        return False
+    joined = "".join(labels)
+    return joined.split() == [joined]
+
+
 def _check_label(label: str, kind: str) -> None:
     if not isinstance(label, str) or not label or any(map(str.isspace, label)):
         raise InvalidMindError(f"{kind} must be a non-empty token without whitespace, got {label!r}")
@@ -75,6 +106,8 @@ class ConceptSpace:
         object.__setattr__(self, "concepts", tuple(self.concepts))
         if not self.concepts:
             raise InvalidMindError("concept space must be non-empty")
+        if _plain_tokens(self.concepts):
+            return
         seen: set[str] = set()
         for label in self.concepts:
             _check_label(label, "concept label")
@@ -156,21 +189,37 @@ class Mind:
 
     @cached_property
     def _compiled(self) -> "_CompiledMind":
-        """The rule masks and the by-prerequisite index, in one pass once validation accepts the mind."""
-        report = validate_mind(self)
-        if not report.accepted:
-            raise InvalidMindError(f"mind rejected by validation: {report.summary()}")
+        """The axiom mask, the rule masks and the by-prerequisite index, built in the pass that validates them.
+
+        An unknown label fails its index lookup, a degenerate rule puts its
+        target bit inside its prerequisite mask, and a duplicate rule
+        repeats a ``(mask, bit)`` pair.  Any of them rejects the mind with
+        :func:`validate_mind`'s summary, which is called only to word the
+        rejection.
+        """
         index = self.space.index
+        axiom_mask = 0
         rules = []
         needing: list[list[int]] = [[] for _ in index]
-        for ri, rule in enumerate(self.rules):
-            prereq_mask = 0
-            for label in rule.prereqs:
-                i = index[label]
-                prereq_mask |= 1 << i
-                needing[i].append(ri)
-            rules.append((prereq_mask, 1 << index[rule.target]))
-        return _CompiledMind(self.space.mask(self.axioms), tuple(rules), needing)
+        clean = True
+        try:
+            for label in self.axioms:
+                axiom_mask |= 1 << index[label]
+            for ri, rule in enumerate(self.rules):
+                prereq_mask = 0
+                for label in rule.prereqs:
+                    i = index[label]
+                    prereq_mask |= 1 << i
+                    needing[i].append(ri)
+                target_bit = 1 << index[rule.target]
+                if prereq_mask & target_bit:
+                    clean = False
+                rules.append((prereq_mask, target_bit))
+        except KeyError:
+            clean = False
+        if not clean or len(set(rules)) < len(rules):
+            raise InvalidMindError(f"mind rejected by validation: {validate_mind(self).summary()}")
+        return _CompiledMind(axiom_mask, tuple(rules), needing)
 
     @cached_property
     def horizon_mask(self) -> int:
@@ -217,15 +266,38 @@ class Mind:
 
         Only the rules whose target lies in ``within`` fire (by default
         all of them); the broadcast search closes a learner type under
-        the rules a token can act on.  The last iterate of :meth:`_layers`.
+        the rules a token can act on.  A worklist with a
+        missing-prerequisite counter per rule over the by-prerequisite
+        index (Dowling and Gallier, 1984): a concept is known when it is
+        pushed, each pushed concept counts down the rules needing it once,
+        and a rule whose counter reaches zero pushes its target unless it
+        is known.  It ends at the last iterate of :meth:`_layers` without
+        building any layer.
         """
+        rules, needing = self._compiled.rules, self._compiled.rules_needing
+        outside = ~start
+        missing = [(prereq_mask & outside).bit_count() for prereq_mask, _ in rules]
         known = start
-        for known, _ in self._layers(start, within):
-            pass
+        stack = []
+        for (_, target_bit), gap in zip(rules, missing):
+            if not gap and target_bit & within and not target_bit & known:
+                known |= target_bit
+                stack.append(target_bit)
+        while stack:
+            for ri in needing[stack.pop().bit_length() - 1]:
+                missing[ri] -= 1
+                if not missing[ri]:
+                    target_bit = rules[ri][1]
+                    if target_bit & within and not target_bit & known:
+                        known |= target_bit
+                        stack.append(target_bit)
         return known
 
     def _layers(self, start: int, within: int = -1) -> Iterator[tuple[int, dict[int, int]]]:
         """Yield each strictly larger iterate of one-step expansion from ``start``.
+
+        Only :func:`closure_iterates` and :func:`~noesis.derivation.derive`
+        read the layers; :meth:`closure_mask` needs none of them.
 
         Each iterate comes as ``(mask, fresh)``, where ``fresh`` maps every
         concept bit new in it to the least index, in rule order, of the

@@ -17,7 +17,7 @@ from functools import cached_property
 from typing import Iterable, Mapping, Optional, Sequence
 
 from .errors import InvalidMindError, UnknownConceptError
-from .mind import Mind, is_ordered, understanding_horizon
+from .mind import Mind, _plain_tokens, is_ordered, understanding_horizon
 
 __all__ = [
     "ParsedSignal",
@@ -58,6 +58,8 @@ class SignalSystem:
             raise InvalidMindError("signal alphabet must be non-empty")
         if len(self.tokens) != len(self.targets):
             raise InvalidMindError("tokens and targets must have equal length")
+        if _plain_tokens(self.tokens):
+            return
         seen: set[str] = set()
         for tok in self.tokens:
             if not tok or any(map(str.isspace, tok)):

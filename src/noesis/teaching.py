@@ -59,7 +59,7 @@ from .errors import (
     ZeroProbabilityError,
 )
 from .information import entropy_bits
-from .mind import Mind, iter_bits, understanding_horizon
+from .mind import Mind, _frozen, iter_bits, understanding_horizon
 from .reachability import _added_concepts, _first_hit_chains
 from .signals import ParsedSignal, SignalSystem, capacity_from_count
 
@@ -551,7 +551,8 @@ def run_episode(
             state = state | {concepts[(child_mask ^ mask).bit_length() - 1]}
             mask = child_mask
         rounds.append(
-            Round(
+            _frozen(
+                Round,
                 t=t,
                 emitted=emitted,
                 parsed=parsed,

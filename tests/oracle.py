@@ -78,6 +78,14 @@ broadcast replay that ran it once per token and mind before each mind's
 expansion was grown beside its state.  The searches above that step
 pass the step a full expansion of the state (``Scenario.view``), never
 a grown one.
+
+The thirteenth part is the loader as it was before it tested entries
+inline: every field and entry through ``_need``/``_need_strings``, with
+its message formatted on the way, every concept label and signal token
+through its per-label loop, and the mind compiled after a full
+:func:`validate_mind` pass (:func:`compiled`).  The spaces, signal
+systems and compiled minds it builds carry only these checks: their own
+constructors and ``Mind._compiled`` never run on them.
 """
 
 from __future__ import annotations
@@ -96,20 +104,25 @@ from noesis import (
     Curriculum,
     DerivationTree,
     ExpansionRule,
+    FormatError,
     HistoryNode,
     HistoryTree,
+    InvalidMindError,
     MissingSignalError,
     Mind,
+    NoesisError,
     Scenario,
     UnreachableConceptError,
     ZeroProbabilityError,
     capacity,
     entropy_bits,
     knowledge_update,
+    validate_mind,
 )
 from noesis.audit import _EXACT_TOL, AUDIT_TOL, DEFAULT_NODE_CAP, AuditReport, LawVerdict
 from noesis.information import mutual_information_cells
-from noesis.mind import iter_bits, understanding_horizon
+from noesis.fileio import _NULL_TOKEN, LoadedScenario, _finite, _need, _need_strings, _read_json
+from noesis.mind import _CompiledMind, _check_label, _frozen, iter_bits, understanding_horizon
 from noesis.planner import (
     _EXACT_MAX_HORIZON,
     _EXACT_MAX_TARGETS,
@@ -118,7 +131,14 @@ from noesis.planner import (
 )
 from noesis.reachability import DEFAULT_STATE_CAP, FamilyLike, LearningSpaceReport, ReachableFamily
 from noesis.signals import SignalSystem, capacity_from_count
-from noesis.teaching import POINT_MASS_TOL, EpisodeTrace, Round, emission_distribution, emission_laws
+from noesis.teaching import (
+    POINT_MASS_TOL,
+    EpisodeTrace,
+    Round,
+    StrategySpec,
+    emission_distribution,
+    emission_laws,
+)
 
 
 def parsed_likelihood(scenario, strategy, history, state, parsed) -> list[float]:
@@ -1172,3 +1192,146 @@ def broadcast_check(instance: BroadcastInstance, sequence: Sequence[str]) -> tup
             if is_ordered(mind, states[i], concept):
                 states[i] = states[i] | {concept}
     return tuple(instance.target in state for state in states)
+
+
+# --- the loader through the general checks, validated after the fact -----------
+
+
+def compiled(mind: Mind) -> _CompiledMind:
+    """The rule masks and the by-prerequisite index, built once :func:`validate_mind` accepts the mind."""
+    report = validate_mind(mind)
+    if not report.accepted:
+        raise InvalidMindError(f"mind rejected by validation: {report.summary()}")
+    index = mind.space.index
+    rules = []
+    needing: list[list[int]] = [[] for _ in index]
+    for ri, rule in enumerate(mind.rules):
+        prereq_mask = 0
+        for label in rule.prereqs:
+            i = index[label]
+            prereq_mask |= 1 << i
+            needing[i].append(ri)
+        rules.append((prereq_mask, 1 << index[rule.target]))
+    return _CompiledMind(mind.space.mask(mind.axioms), tuple(rules), needing)
+
+
+def concept_space(concepts: tuple) -> ConceptSpace:
+    if not concepts:
+        raise InvalidMindError("concept space must be non-empty")
+    seen: set[str] = set()
+    for label in concepts:
+        _check_label(label, "concept label")
+        if label in seen:
+            raise InvalidMindError(f"duplicate concept label {label!r}")
+        seen.add(label)
+    return _frozen(ConceptSpace, concepts=concepts)
+
+
+def signal_system(tokens: tuple, targets: tuple) -> SignalSystem:
+    if not tokens:
+        raise InvalidMindError("signal alphabet must be non-empty")
+    if len(tokens) != len(targets):
+        raise InvalidMindError("tokens and targets must have equal length")
+    seen: set[str] = set()
+    for tok in tokens:
+        if not tok or any(map(str.isspace, tok)):
+            raise InvalidMindError(f"bad signal token {tok!r}")
+        if tok in seen:
+            raise InvalidMindError(f"duplicate signal token {tok!r}")
+        seen.add(tok)
+    return _frozen(SignalSystem, tokens=tokens, targets=targets)
+
+
+def mind_from_dict(data: Mapping[str, Any], where: str) -> Mind:
+    concepts = _need_strings(data, "concepts", where)
+    axioms = _need_strings(data, "axioms", where)
+    raw_rules = _need(data, "rules", list, where)
+    rules = []
+    for i, entry in enumerate(raw_rules):
+        if not isinstance(entry, dict):
+            raise FormatError(f"{where}: rules[{i}] must be an object")
+        prereqs = _need_strings(entry, "prereqs", f"{where}: rules[{i}]")
+        target = _need(entry, "target", str, f"{where}: rules[{i}]")
+        rules.append(ExpansionRule(frozenset(prereqs), target))
+    try:
+        space = concept_space(tuple(concepts))
+        mind = Mind(space=space, axioms=frozenset(axioms), rules=tuple(rules))
+        mind.__dict__["_compiled"] = compiled(mind)
+    except NoesisError as exc:
+        raise FormatError(f"{where}: {exc}") from exc
+    return mind
+
+
+def load_mind(path) -> Mind:
+    return mind_from_dict(_read_json(path), str(path))
+
+
+def _token_row(row: Any, alphabet: Mapping[str, str], where: str) -> tuple[str, ...]:
+    if not isinstance(row, list):
+        raise FormatError(f"{where} must be a token list")
+    for j, tok in enumerate(row):
+        if not isinstance(tok, str):
+            raise FormatError(f"{where}[{j}] must be a token string, got {tok!r}")
+        if tok not in alphabet:
+            raise FormatError(f"{where}[{j}]: unknown signal token {tok!r}")
+    return tuple(row)
+
+
+def strategy_from_dict(data: Any, where: str, alphabet: Mapping[str, str]) -> StrategySpec:
+    if not isinstance(data, dict):
+        raise FormatError(f"{where}: field 'strategy' must be an object")
+    kind = _need(data, "kind", str, where)
+    if kind == "direct":
+        return StrategySpec(kind="direct")
+    if kind == "scripted":
+        rows = _need(data, "rows", dict, f"{where}: strategy")
+        fixed = {
+            target: _token_row(row, alphabet, f"{where}: strategy.rows[{target!r}]")
+            for target, row in rows.items()
+        }
+        return StrategySpec(kind="scripted", rows=fixed)
+    if kind == "broadcast":
+        row = _need(data, "row", list, f"{where}: strategy")
+        return StrategySpec(kind="broadcast", row=_token_row(row, alphabet, f"{where}: strategy.row"))
+    raise FormatError(f"{where}: unknown strategy kind {kind!r}")
+
+
+def load_scenario_bundle(path) -> LoadedScenario:
+    where = str(path)
+    data = _read_json(path)
+    mind = mind_from_dict(data, where)
+    raw_signals = _need(data, "signals", list, where)
+    pairs = []
+    for i, entry in enumerate(raw_signals):
+        if not isinstance(entry, dict):
+            raise FormatError(f"{where}: signals[{i}] must be an object")
+        token = _need(entry, "token", str, f"{where}: signals[{i}]")
+        if token == _NULL_TOKEN:
+            raise FormatError(
+                f"{where}: signals[{i}]: token {_NULL_TOKEN!r} is reserved for the null observation"
+            )
+        target = _need(entry, "target", str, f"{where}: signals[{i}]")
+        if target not in mind.space:
+            raise FormatError(f"{where}: signals[{i}]: unknown concept {target!r}")
+        pairs.append((token, target))
+    targets = _need_strings(data, "targets", where)
+    raw_prior = _need(data, "prior", list, where)
+    notes: list[str] = []
+    weights = [_finite(w, "prior", where) for w in raw_prior]
+    if any(w < 0 for w in weights):
+        raise FormatError(f"{where}: field 'prior' has a negative weight")
+    total = sum(weights)
+    if not math.isfinite(total):
+        raise FormatError(f"{where}: field 'prior' overflows when summed")
+    if total <= 0:
+        raise FormatError(f"{where}: field 'prior' must have positive total weight")
+    if abs(total - 1.0) > 1e-12:
+        notes.append(f"prior weights sum to {total:.12g}; normalized to 1")
+    prior = tuple(w / total for w in weights)
+    try:
+        system = signal_system(tuple(tok for tok, _ in pairs), tuple(tgt for _, tgt in pairs))
+        scenario = Scenario(mind=mind, system=system, targets=tuple(targets), prior=prior)
+    except NoesisError as exc:
+        raise FormatError(f"{where}: {exc}") from exc
+    strategy = strategy_from_dict(data.get("strategy", {"kind": "direct"}), where, system.target_of)
+    return LoadedScenario(scenario=scenario, strategy=strategy, notes=tuple(notes))

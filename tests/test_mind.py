@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import dataclasses
 import random
 
 import pytest
@@ -16,19 +17,26 @@ from noesis import (
     InvalidMindError,
     Mind,
     Scenario,
+    SignalSystem,
     UnknownConceptError,
+    broadcast_construct,
+    broadcast_min_length,
     closure,
     closure_iterates,
     direct_strategy,
     enumerate_reachable,
     is_ordered,
+    load_mind,
     max_capacity,
     one_step_expansion,
+    run_episode,
     rules_from_closure,
     structural_distance,
     understanding_horizon,
     validate_mind,
 )
+from noesis.mind import _frozen
+from noesis.teaching import Round
 
 
 @st.composite
@@ -67,6 +75,16 @@ class TestConceptSpace:
             ConceptSpace(("a", "b c"))
         with pytest.raises(InvalidMindError):
             ConceptSpace(("a", ""))
+
+    def test_every_whitespace_character_rejected(self):
+        # The fast label test splits the joined labels; it must agree with str.isspace.
+        spaces = [chr(c) for c in range(0x110000) if chr(c).isspace()]
+        assert len(spaces) > 20
+        for ch in spaces:
+            with pytest.raises(InvalidMindError, match="concept label must be"):
+                ConceptSpace(("a", f"b{ch}c"))
+            with pytest.raises(InvalidMindError, match="bad signal token"):
+                SignalSystem(("t", f"u{ch}"), ("a", "a"))
 
     def test_mask_labels_round_trip(self):
         space = ConceptSpace(("a", "b", "c"))
@@ -254,6 +272,42 @@ class TestClosureProperties:
             expanded_union = one_step_expansion(mind, union)
             pieces = frozenset().union(*(one_step_expansion(mind, k) for k in chain))
             assert expanded_union == pieces
+
+
+class TestClosureWithoutLayers:
+    def test_closure_reads_no_layer(self, monkeypatch):
+        # closure_mask is its own worklist; the per-layer walk serves only the iterates and derive.
+        def refuse(*args):
+            raise AssertionError("the closure walked the layers")
+
+        rng = random.Random(27)
+        minds = [helpers.random_mind(rng, max_concepts=7, max_rules=14) for _ in range(100)]
+        monkeypatch.setattr(Mind, "_layers", refuse)
+        for mind in minds:
+            space = mind.space
+            start, within = helpers.random_state(rng, mind), helpers.random_state(rng, mind)
+            assert mind.horizon_mask == oracle.closure_mask(mind, mind.axiom_mask)
+            assert mind.closure_mask(space.mask(start)) == oracle.closure_mask(mind, space.mask(start))
+            got = mind.closure_mask(space.mask(start), space.mask(within))
+            assert got == space.mask(oracle.closure_within(mind, start, within))
+        instance = broadcast_construct(3, 3)
+        assert broadcast_min_length(instance) == oracle.broadcast_min_length(instance) == 7
+
+
+class TestFrozenConstructor:
+    def test_matches_the_dataclass_constructor(self, fixtures_dir, star_scenario):
+        trace = run_episode(star_scenario, direct_strategy(star_scenario), 4, seed=3)
+        made = [*trace.rounds, *load_mind(fixtures_dir / "arithmetic.mind").rules]
+        made.append(_frozen(ExpansionRule, prereqs=frozenset({"a", "b"}), target="c"))
+        assert {type(m) for m in made} == {Round, ExpansionRule}
+        for m in made:
+            built = type(m)(**vars(m))
+            assert m == built and built == m
+            assert hash(m) == hash(built)
+            assert repr(m) == repr(built)
+            assert list(vars(m)) == [f.name for f in dataclasses.fields(m)]
+            with pytest.raises(dataclasses.FrozenInstanceError):
+                m.target = "x"
 
 
 class TestRulesFromClosure:
