@@ -268,9 +268,16 @@ def _cmd_capacity(args) -> str:
     )
 
 
+# An episode records every round up to its horizon, and no knob raises this cap.
+_SIMULATE_ROUND_CAP = 1_000_000
+
+
 def _cmd_simulate(args) -> str:
     if args.episodes < 1:
         raise _CliError("--episodes must be at least 1")
+    rounds = args.horizon * args.episodes
+    if rounds > _SIMULATE_ROUND_CAP:
+        raise CapExceededError(f"simulate caps recorded rounds at {_SIMULATE_ROUND_CAP}; asked for {rounds}")
     bundle = fileio.load_scenario_bundle(args.scenario)
     for note in bundle.notes:
         print(f"note: {note}", file=sys.stderr)
@@ -282,8 +289,7 @@ def _cmd_simulate(args) -> str:
     ]
     if args.format == "csv":
         return fileio.trace_to_csv(traces)
-    dicts = [fileio.trace_to_dict(t, bundle.digest) for t in traces]
-    return fileio.dump_json(dicts[0] if args.episodes == 1 else dicts)
+    return fileio.dump_traces(traces[0] if args.episodes == 1 else traces, bundle.digest)
 
 
 def _cmd_audit(args) -> str:

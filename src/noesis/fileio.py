@@ -12,14 +12,20 @@ a test is read again through the general checks (``_need``,
 ``_need_strings`` and the per-entry readers), which raise the first
 error, worded and ordered as they always were.
 
-Every JSON output goes through :func:`dump_json`, one writer that keeps
-its own stack of open containers, so output has no depth limit.  Its
-bytes are those of ``json.dumps(value, indent=2)`` with each float first
-rounded to 12 significant digits.
+Traces go through :func:`dump_traces`, whose bytes are those of
+:func:`dump_json` on :func:`trace_to_dict`'s dicts; it writes the fixed
+trace layout straight from the episode.  Every other JSON output goes
+through :func:`dump_json`, one writer that keeps its own stack of open
+containers, so output has no depth limit.  Its bytes are those of
+``json.dumps(value, indent=2)`` with each float first rounded to 12
+significant digits.  A trace's state column, in JSON and in CSV, is
+spelled round by round from the last round's text (:class:`_StateText`),
+since an episode's state grows by at most one label per round.
 """
 
 from __future__ import annotations
 
+import bisect
 import csv
 import hashlib
 import io
@@ -48,6 +54,7 @@ __all__ = [
     "read_trace",
     "trace_to_csv",
     "dump_json",
+    "dump_traces",
 ]
 
 
@@ -461,6 +468,63 @@ def _parsed_from_json(text: str) -> Optional[str]:
     return None if text == _NULL_TOKEN else text
 
 
+class _StateText:
+    """Each round's state as its sorted labels, each spelled by ``label_text``, joined by ``sep``.
+
+    Called on one episode's states in round order.  A state that is the
+    last state's set object reuses its text.  One that adds a single plain
+    ``str`` label to it gets that label's text spliced in at the label's
+    ``bisect`` position, at an offset summed from the text lengths kept;
+    any other state is sorted afresh.  A state that is not a ``frozenset``
+    of plain ``str`` labels gets None, and the caller spells it.
+    """
+
+    def __init__(self, label_text: Callable[[str], str], sep: str) -> None:
+        self.label_text = label_text
+        self.sep = sep
+        self.state: Optional[frozenset] = None
+        self.text = ""
+        self.labels: list[str] = []  # sorted
+        self.lengths: list[int] = []  # of each label's text
+
+    def __call__(self, state: Any) -> Optional[str]:
+        if type(state) is not frozenset:
+            return None
+        last = self.state
+        if state is last:
+            return self.text
+        if last is not None and len(state) == len(last) + 1:
+            added = state - last  # one label exactly when ``last`` is a subset
+            if len(added) == 1:
+                (label,) = added
+                if type(label) is str:
+                    self._insert(label)
+                    self.state = state
+                    return self.text
+        if not {*map(type, state)} <= _STR_ONLY:
+            return None
+        self.labels = sorted(state)
+        texts = list(map(self.label_text, self.labels))
+        self.lengths = list(map(len, texts))
+        self.text = self.sep.join(texts)
+        self.state = state
+        return self.text
+
+    def _insert(self, label: str) -> None:
+        i = bisect.bisect(self.labels, label)
+        piece = self.label_text(label)
+        text, sep = self.text, self.sep
+        if not self.labels:
+            self.text = piece
+        elif i == len(self.labels):
+            self.text = "".join((text, sep, piece))
+        else:
+            at = sum(self.lengths[:i]) + i * len(sep)
+            self.text = "".join((text[:at], piece, sep, text[at:]))
+        self.labels.insert(i, label)
+        self.lengths.insert(i, len(piece))
+
+
 def trace_to_dict(trace: EpisodeTrace, digest: str = "") -> dict[str, Any]:
     return {
         "seed": trace.seed,
@@ -482,6 +546,114 @@ def trace_to_dict(trace: EpisodeTrace, digest: str = "") -> dict[str, Any]:
             for r in trace.rounds
         ],
     }
+
+
+_FLOAT_ONLY = {float}
+_INT_OR_NONE = {int, type(None)}
+
+
+def dump_traces(trace_or_traces: EpisodeTrace | Sequence[EpisodeTrace], digest: str = "") -> str:
+    """One trace, or a sequence of them, as JSON text.
+
+    The bytes and errors are those of ``dump_json(trace_to_dict(trace,
+    digest))`` for one :class:`EpisodeTrace`, and of ``dump_json([...])``
+    over the traces for a sequence.  When the digest and every field have
+    the exact types :func:`run_episode` gives them, the fixed layout is
+    written straight from the traces, its strings and floats spelled with
+    ``dump_json``'s own pieces and its states by :class:`_StateText`.
+    Otherwise, and on a parsed ``_null_``, the whole call goes through
+    ``dump_json`` and ``trace_to_dict``, which raise what they raise.
+    """
+    single = isinstance(trace_or_traces, EpisodeTrace)
+    traces = (trace_or_traces,) if single else trace_or_traces
+    if type(digest) is str and type(traces) in (tuple, list):
+        try:
+            text = _traces_text(traces, digest, single)
+        except ValueError:  # an int too long to spell; the general route raises in its own order
+            text = None
+        if text is not None:
+            return text
+    if single:
+        return dump_json(trace_to_dict(trace_or_traces, digest))
+    return dump_json([trace_to_dict(t, digest) for t in traces])
+
+
+def _traces_text(traces: Sequence[EpisodeTrace], digest: str, single: bool) -> Optional[str]:
+    """:func:`dump_traces`'s text for traces of exact types; None if any field's type differs."""
+    i0 = "\n  " if single else "\n    "  # a trace's fields
+    i1 = i0 + "  "  # its rounds
+    i2 = i1 + "  "  # a round's fields
+    i3 = i2 + "  "  # the entries of a round's state and belief
+    float_text = _TextMemo(_float_text).__getitem__
+    digest_text = _escape(digest)
+    list_open, list_sep, list_close = "[" + i3, "," + i3, i2 + "]"
+    first_head, next_head = i1 + "{" + i2 + '"t": ', "," + i1 + "{" + i2 + '"t": '
+    z_head, y_head, state_head = "," + i2 + '"z": ', "," + i2 + '"y": ', "," + i2 + '"state": '
+    belief_head, entropy_head = "," + i2 + '"belief": ', "," + i2 + '"entropy_bits": '
+    capacity_head, round_close = "," + i2 + '"capacity_bits": ', i1 + "}"
+    null_text = _escape(_NULL_TOKEN)
+    out = [] if single else ["["]
+    for n, trace in enumerate(traces):
+        if type(trace) is not EpisodeTrace:
+            return None
+        tau, tau_id, rounds = trace.tau, trace.tau_id, trace.rounds
+        if (
+            type(trace.seed) is not int
+            or type(trace.horizon) is not int
+            or type(trace.theta) is not str
+            or type(tau) not in _INT_OR_NONE
+            or type(tau_id) not in _INT_OR_NONE
+            or type(rounds) is not tuple
+        ):
+            return None
+        if not single:
+            out.append("\n  " if n == 0 else ",\n  ")
+        out.append(
+            "{" + i0 + '"seed": ' + int.__repr__(trace.seed)
+            + "," + i0 + '"horizon": ' + int.__repr__(trace.horizon)
+            + "," + i0 + '"scenario_digest": ' + digest_text
+            + "," + i0 + '"theta": ' + _escape(trace.theta)
+            + "," + i0 + '"tau": ' + ("null" if tau is None else int.__repr__(tau))
+            + "," + i0 + '"tau_id": ' + ("null" if tau_id is None else int.__repr__(tau_id))
+            + "," + i0 + '"rounds": ' + ("[" if rounds else "[]")
+        )
+        state_text = _StateText(_escape, list_sep)
+        head = first_head
+        for r in rounds:
+            if type(r) is not Round:
+                return None
+            t, z, y, belief = r.t, r.emitted, r.parsed, r.belief
+            entropy, capacity = r.entropy_bits, r.capacity_bits
+            if (
+                type(t) is not int
+                or type(z) is not str
+                or not (y is None or type(y) is str and y != _NULL_TOKEN)
+                or type(belief) is not tuple
+                or not {*map(type, belief)} <= _FLOAT_ONLY
+                or type(entropy) is not float
+                or type(capacity) is not float
+            ):
+                return None
+            state = state_text(r.state)
+            if state is None:
+                return None
+            out.append(
+                head + int.__repr__(t) + z_head + _escape(z) + y_head + (null_text if y is None else _escape(y))
+                + state_head + (list_open if state else "[]")
+            )
+            if state:
+                out.append(state)
+            out.append(
+                (list_close if state else "") + belief_head
+                + (list_open + list_sep.join(map(float_text, belief)) + list_close if belief else "[]")
+                + entropy_head + float_text(entropy) + capacity_head + float_text(capacity) + round_close
+            )
+            head = next_head
+        out.append((i1[:-2] + "]" if rounds else "") + i0[:-2] + "}")
+    if not single:
+        out.append("\n]" if traces else "]")
+    out.append("\n")
+    return "".join(out)
 
 
 def _need_int(
@@ -536,6 +708,7 @@ def trace_to_csv(traces: Sequence[EpisodeTrace]) -> str:
     writer.writerow(["seed", "theta", "t", "z", "y", "state", "belief", "entropy_bits", "capacity_bits"])
     cell_text = _TextMemo(lambda p: f"{p:.12g}").__getitem__
     for trace in traces:
+        state_text = _StateText(str, "|")
         for r in trace.rounds:
             writer.writerow(
                 [
@@ -544,7 +717,7 @@ def trace_to_csv(traces: Sequence[EpisodeTrace]) -> str:
                     r.t,
                     r.emitted,
                     _parsed_to_json(r.parsed),
-                    "|".join(sorted(r.state)),
+                    state_text(r.state) or "|".join(sorted(r.state)),
                     "|".join(map(cell_text, r.belief)),
                     cell_text(r.entropy_bits),
                     cell_text(r.capacity_bits),
@@ -554,7 +727,7 @@ def trace_to_csv(traces: Sequence[EpisodeTrace]) -> str:
 
 
 def write_trace(trace: EpisodeTrace, path: str | Path, digest: str = "") -> None:
-    Path(path).write_text(dump_json(trace_to_dict(trace, digest)))
+    Path(path).write_text(dump_traces(trace, digest))
 
 
 def read_trace(path: str | Path) -> tuple[EpisodeTrace, str]:

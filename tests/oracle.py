@@ -86,10 +86,17 @@ through its per-label loop, and the mind compiled after a full
 :func:`validate_mind` pass (:func:`compiled`).  The spaces, signal
 systems and compiled minds it builds carry only these checks: their own
 constructors and ``Mind._compiled`` never run on them.
+
+The fourteenth part is the trace writers as they were before
+``fileio.dump_traces`` wrote the trace layout straight from the episode:
+``fileio.dump_json`` over :func:`trace_to_dict`'s dicts, one trace or a
+list, and the CSV export, each round's state sorted and joined afresh.
 """
 
 from __future__ import annotations
 
+import csv
+import io
 import itertools
 import json
 import math
@@ -122,6 +129,7 @@ from noesis import (
 from noesis.audit import _EXACT_TOL, AUDIT_TOL, DEFAULT_NODE_CAP, AuditReport, LawVerdict
 from noesis.information import mutual_information_cells
 from noesis.fileio import _NULL_TOKEN, LoadedScenario, _finite, _need, _need_strings, _read_json
+from noesis.fileio import dump_json as fileio_dump_json
 from noesis.mind import _CompiledMind, _check_label, _frozen, iter_bits, understanding_horizon
 from noesis.planner import (
     _EXACT_MAX_HORIZON,
@@ -1335,3 +1343,67 @@ def load_scenario_bundle(path) -> LoadedScenario:
         raise FormatError(f"{where}: {exc}") from exc
     strategy = strategy_from_dict(data.get("strategy", {"kind": "direct"}), where, system.target_of)
     return LoadedScenario(scenario=scenario, strategy=strategy, notes=tuple(notes))
+
+
+# --- the trace writers through dicts ---------------------------------------------
+
+
+def _parsed_to_json(parsed: Optional[str]) -> str:
+    if parsed == _NULL_TOKEN:
+        raise FormatError(f"parsed token {_NULL_TOKEN!r} would read back as the null observation")
+    return _NULL_TOKEN if parsed is None else parsed
+
+
+def trace_to_dict(trace: EpisodeTrace, digest: str = "") -> dict[str, Any]:
+    return {
+        "seed": trace.seed,
+        "horizon": trace.horizon,
+        "scenario_digest": digest,
+        "theta": trace.theta,
+        "tau": trace.tau,
+        "tau_id": trace.tau_id,
+        "rounds": [
+            {
+                "t": r.t,
+                "z": r.emitted,
+                "y": _parsed_to_json(r.parsed),
+                "state": sorted(r.state),
+                "belief": list(r.belief),
+                "entropy_bits": r.entropy_bits,
+                "capacity_bits": r.capacity_bits,
+            }
+            for r in trace.rounds
+        ],
+    }
+
+
+def dump_trace(trace: EpisodeTrace, digest: str = "") -> str:
+    """One trace as ``simulate --episodes 1`` and ``write_trace`` wrote it."""
+    return fileio_dump_json(trace_to_dict(trace, digest))
+
+
+def dump_trace_list(traces: Iterable[EpisodeTrace], digest: str = "") -> str:
+    """Several traces as ``simulate --episodes N`` wrote them."""
+    return fileio_dump_json([trace_to_dict(t, digest) for t in traces])
+
+
+def trace_to_csv(traces: Sequence[EpisodeTrace]) -> str:
+    buf = io.StringIO()
+    writer = csv.writer(buf, lineterminator="\n")
+    writer.writerow(["seed", "theta", "t", "z", "y", "state", "belief", "entropy_bits", "capacity_bits"])
+    for trace in traces:
+        for r in trace.rounds:
+            writer.writerow(
+                [
+                    trace.seed,
+                    trace.theta,
+                    r.t,
+                    r.emitted,
+                    _parsed_to_json(r.parsed),
+                    "|".join(sorted(r.state)),
+                    "|".join(f"{p:.12g}" for p in r.belief),
+                    f"{r.entropy_bits:.12g}",
+                    f"{r.capacity_bits:.12g}",
+                ]
+            )
+    return buf.getvalue()

@@ -10,7 +10,10 @@ from pathlib import Path
 
 import pytest
 
+import helpers
 import noesis
+import oracle
+from noesis import FormatError, Scenario, SignalSystem, direct_strategy, read_trace, run_episode, write_trace
 from noesis.cli import run_cli
 
 
@@ -71,6 +74,62 @@ class TestSimulate:
         )
         assert code == 0
         assert "normalized" in err
+
+    @pytest.mark.parametrize("to_file", [False, True], ids=["stdout", "out"])
+    @pytest.mark.parametrize("fmt", ["json", "csv"])
+    @pytest.mark.parametrize("episodes", [1, 3])
+    @pytest.mark.parametrize(
+        "fixture", ["arithmetic.mind", "diamond.mind", "arithmetic.scenario", "star.scenario"]
+    )
+    def test_prints_the_oracle_bytes(self, capsys, fixtures_dir, tmp_path, fixture, episodes, fmt, to_file):
+        path, out_path = fixtures_dir / fixture, tmp_path / "trace.out"
+        argv = ["simulate", "--scenario", str(path), "--seed", "5", "--horizon", "3"]
+        argv += ["--episodes", str(episodes), "--format", fmt] + (["--out", str(out_path)] if to_file else [])
+        code, out, err = _run(capsys, *argv)
+        try:
+            bundle = oracle.load_scenario_bundle(path)
+        except FormatError as exc:  # the two mind fixtures are not scenarios
+            assert (code, out, err) == (1, "", f"error: {exc}\n")
+            assert not out_path.exists()
+            return
+        strategy = bundle.strategy.build(bundle.scenario)
+        traces = [run_episode(bundle.scenario, strategy, 3, seed=5 + i) for i in range(episodes)]
+        if fmt == "csv":
+            want = oracle.trace_to_csv(traces)
+        elif episodes == 1:
+            want = oracle.dump_trace(traces[0], bundle.digest)
+        else:
+            want = oracle.dump_trace_list(traces, bundle.digest)
+        assert code == 0
+        assert err == "".join(f"note: {note}\n" for note in bundle.notes)
+        written = out_path.read_text() if to_file else None
+        assert (out, written) == (("", want) if to_file else (want, None))
+
+    def test_write_trace_is_a_fixed_point_on_a_long_chain(self, tmp_path):
+        labels = [f"c{i}" for i in range(150)]  # "c10" sorts before "c2": labels land mid-state
+        mind = helpers.make_mind(labels, labels[:1], [([a], b) for a, b in zip(labels, labels[1:])])
+        system = SignalSystem.from_pairs([(f"z_{c}", c) for c in labels])
+        scenario = Scenario(mind=mind, system=system, targets=("c140", "c149"), prior=(0.5, 0.5))
+        trace = run_episode(scenario, direct_strategy(scenario), 151, seed=4)
+        assert trace.tau is not None and len(trace.rounds[-1].state) > 140
+        first, second = tmp_path / "first.json", tmp_path / "second.json"
+        write_trace(trace, first, digest="abc123")
+        loaded, digest = read_trace(first)
+        write_trace(loaded, second, digest=digest)
+        assert first.read_text() == second.read_text() == oracle.dump_trace(trace, "abc123")
+
+    def test_round_cap(self, capsys, tmp_path):
+        missing = str(tmp_path / "missing.scenario")  # past the cap the file is never opened
+        for horizon, episodes in (("1000001", "1"), ("500001", "2"), ("1" + "0" * 30, "3")):
+            asked = int(horizon) * int(episodes)
+            argv = ["simulate", "--scenario", missing, "--horizon", horizon, "--episodes", episodes]
+            assert _run(capsys, *argv) == (
+                2, "", f"error: simulate caps recorded rounds at 1000000; asked for {asked}\n"
+            )
+        at_cap = _run(capsys, "simulate", "--scenario", missing, "--horizon", "500000", "--episodes", "2")
+        assert at_cap[:2] == (1, "") and "missing.scenario" in at_cap[2]
+        argv = ["simulate", "--scenario", missing, "--horizon", "1" + "0" * 30, "--episodes", "0"]
+        assert _run(capsys, *argv) == (1, "", "error: --episodes must be at least 1\n")
 
 
 class TestBroadcast:
@@ -212,6 +271,7 @@ def test_env_cap_is_read_alike_by_every_command(
         ("broadcast-min", "--k", "10000", "--L", "3"),
         ("value", "--scenario", "star.scenario", "--horizon", "1", "--exact"),
         ("allocate", "--N", "1000001", "--B", "1", "--L", "1"),
+        ("simulate", "--scenario", "star.scenario", "--horizon", "1000001"),
     ],
 )
 def test_cap_no_knob_raises_names_no_knob(capsys, fixtures_dir, argv):
