@@ -275,7 +275,7 @@ _SIMULATE_ROUND_CAP = 1_000_000
 def _cmd_simulate(args) -> str:
     if args.episodes < 1:
         raise _CliError("--episodes must be at least 1")
-    rounds = args.horizon * args.episodes
+    rounds = max(args.horizon, 1) * args.episodes  # an episode of horizon 0 still costs a trace
     if rounds > _SIMULATE_ROUND_CAP:
         raise CapExceededError(f"simulate caps recorded rounds at {_SIMULATE_ROUND_CAP}; asked for {rounds}")
     bundle = fileio.load_scenario_bundle(args.scenario)

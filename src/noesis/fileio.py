@@ -18,9 +18,10 @@ trace layout straight from the episode.  Every other JSON output goes
 through :func:`dump_json`, one writer that keeps its own stack of open
 containers, so output has no depth limit.  Its bytes are those of
 ``json.dumps(value, indent=2)`` with each float first rounded to 12
-significant digits.  A trace's state column, in JSON and in CSV, is
-spelled round by round from the last round's text (:class:`_StateText`),
-since an episode's state grows by at most one label per round.
+significant digits.  A JSON trace's state is spelled round by round
+from the last round's text (:class:`_StateText`), since an episode's
+state grows by at most one label per round; the CSV export sorts and
+joins each round's state afresh.
 """
 
 from __future__ import annotations
@@ -476,7 +477,8 @@ class _StateText:
     ``str`` label to it gets that label's text spliced in at the label's
     ``bisect`` position, at an offset summed from the text lengths kept;
     any other state is sorted afresh.  A state that is not a ``frozenset``
-    of plain ``str`` labels gets None, and the caller spells it.
+    of plain ``str`` labels gets None, and :func:`dump_traces` takes the
+    general route.
     """
 
     def __init__(self, label_text: Callable[[str], str], sep: str) -> None:
@@ -708,7 +710,6 @@ def trace_to_csv(traces: Sequence[EpisodeTrace]) -> str:
     writer.writerow(["seed", "theta", "t", "z", "y", "state", "belief", "entropy_bits", "capacity_bits"])
     cell_text = _TextMemo(lambda p: f"{p:.12g}").__getitem__
     for trace in traces:
-        state_text = _StateText(str, "|")
         for r in trace.rounds:
             writer.writerow(
                 [
@@ -717,7 +718,7 @@ def trace_to_csv(traces: Sequence[EpisodeTrace]) -> str:
                     r.t,
                     r.emitted,
                     _parsed_to_json(r.parsed),
-                    state_text(r.state) or "|".join(sorted(r.state)),
+                    "|".join(sorted(r.state)),
                     "|".join(map(cell_text, r.belief)),
                     cell_text(r.entropy_bits),
                     cell_text(r.capacity_bits),

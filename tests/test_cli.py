@@ -120,14 +120,17 @@ class TestSimulate:
 
     def test_round_cap(self, capsys, tmp_path):
         missing = str(tmp_path / "missing.scenario")  # past the cap the file is never opened
-        for horizon, episodes in (("1000001", "1"), ("500001", "2"), ("1" + "0" * 30, "3")):
-            asked = int(horizon) * int(episodes)
+        rows = (("1000001", "1"), ("500001", "2"), ("1" + "0" * 30, "3"), ("0", "1000001"), ("-5", "1000001"))
+        for horizon, episodes in rows:  # an episode of horizon 0 or less still counts as one round
+            asked = max(int(horizon), 1) * int(episodes)
             argv = ["simulate", "--scenario", missing, "--horizon", horizon, "--episodes", episodes]
             assert _run(capsys, *argv) == (
                 2, "", f"error: simulate caps recorded rounds at 1000000; asked for {asked}\n"
             )
-        at_cap = _run(capsys, "simulate", "--scenario", missing, "--horizon", "500000", "--episodes", "2")
-        assert at_cap[:2] == (1, "") and "missing.scenario" in at_cap[2]
+        for horizon, episodes in (("500000", "2"), ("0", "1000000")):
+            argv = ["simulate", "--scenario", missing, "--horizon", horizon, "--episodes", episodes]
+            at_cap = _run(capsys, *argv)
+            assert at_cap[:2] == (1, "") and "missing.scenario" in at_cap[2]
         argv = ["simulate", "--scenario", missing, "--horizon", "1" + "0" * 30, "--episodes", "0"]
         assert _run(capsys, *argv) == (1, "", "error: --episodes must be at least 1\n")
 

@@ -188,12 +188,12 @@ def test_parsed_null_spelling_raises_the_same_error():
 
 
 def test_run_episode_traces_skip_the_dict_route_and_sort_once(monkeypatch):
-    """A chain episode is written without ``trace_to_dict`` or ``dump_json``, sorting one state per episode."""
+    """A chain episode's JSON skips ``trace_to_dict`` and ``dump_json`` and sorts one state per episode."""
     labels = [f"c{i}" for i in range(60)]  # "c10" sorts before "c2", so labels land mid-text
     scenario = _chain(labels, 2)
     traces = [run_episode(scenario, direct_strategy(scenario), 61, seed=s) for s in (1, 2)]
     assert all(len(r.state) == 1 + r.t for r in traces[0].rounds[:58])
-    want = oracle.dump_trace_list(traces, "d"), oracle.trace_to_csv(traces)
+    want = oracle.dump_trace_list(traces, "d")
 
     def refused(*args):
         raise AssertionError("the dict route ran")
@@ -207,5 +207,5 @@ def test_run_episode_traces_skip_the_dict_route_and_sort_once(monkeypatch):
     monkeypatch.setattr(fileio, "trace_to_dict", refused)
     monkeypatch.setattr(fileio, "dump_json", refused)
     monkeypatch.setattr(fileio, "sorted", counted_sorted, raising=False)
-    assert (dump_traces(traces, "d"), trace_to_csv(traces)) == want
-    assert sorts == [2, 2, 2, 2]  # each episode's first state, once in JSON and once in CSV
+    assert dump_traces(traces, "d") == want
+    assert sorts == [2, 2]  # each episode's first state
