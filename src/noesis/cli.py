@@ -204,12 +204,17 @@ def _states_csv(states: list[tuple[str, ...]], labels: tuple[str, ...]) -> str:
     """The states as a one-column CSV, labels joined by ``|``, as ``csv.writer`` writes it.
 
     Labels hold no whitespace, so only a row with ``,`` or ``"`` is quoted
-    (its quotes doubled), and one check per mind finds out whether any row
-    can need it.  The empty state is written ``""`` so that it reads back
-    as one empty field.
+    (its quotes doubled), and one scan of the labels per mind finds out
+    whether any row can need it.  The same scan refuses a label holding
+    ``|``, which would make two states one row.  The empty state is
+    written ``""`` so that it reads back as one empty field.
     """
+    text = " ".join(labels)
+    if "|" in text:
+        label = next(label for label in labels if "|" in label)
+        raise _CliError(f"label {label!r} holds '|', which joins a state's labels in CSV; use --format json")
     rows = ["|".join(s) for s in states]
-    if any("," in label or '"' in label for label in labels):
+    if "," in text or '"' in text:
         rows = ['"' + r.replace('"', '""') + '"' if "," in r or '"' in r else r for r in rows]
     if rows and not rows[0]:  # the empty state sorts first
         rows[0] = '""'

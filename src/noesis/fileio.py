@@ -152,6 +152,14 @@ def dump_json(value: Any) -> str:
     and ``ValueError`` for a container that holds itself.  Containers are
     opened and closed on an explicit stack, so nesting has no depth limit.
 
+    A list whose items share one plain scalar type (exact ``str``, ``int``,
+    ``float``, ``bool`` or None) is written in one join.  A list whose
+    items are all exact ``list``s, or all exact ``tuple``s, whose elements
+    share one such type is written with one join per row, an empty row as
+    ``[]``: a reachable family's states and a chain's states are such
+    lists.  Subclasses, and rows of both kinds or of mixed types, take the
+    general path.
+
     Each distinct nonzero float's text is computed once per call and kept
     for the rest of it; zeros are always spelled afresh, since ``0.0`` and
     ``-0.0`` compare equal but print as ``0.0`` and ``-0.0``.  Each plain
@@ -192,10 +200,22 @@ def dump_json(value: Any) -> str:
         closing = indent[:-2] + ("}" if is_dict else "]")
         if not is_dict:
             kinds = set(map(type, item))
-            text_of = scalar_text.get(kinds.pop()) if len(kinds) == 1 else None
+            kind = kinds.pop() if len(kinds) == 1 else None
+            text_of = scalar_text.get(kind)
             if text_of is not None:
                 out.append("[" + indent + ("," + indent).join(map(text_of, item)) + closing)
                 continue
+            if kind is list or kind is tuple:
+                # Rows that are all empty call no text function, so any one will do.
+                cells = set(map(type, itertools.chain.from_iterable(item))) or {str}
+                text_of = scalar_text.get(cells.pop()) if len(cells) == 1 else None
+                if text_of is not None:
+                    inner = indent + "  "
+                    row_closing = indent + "]"
+                    rows = ["[" + inner + ("," + inner).join(map(text_of, row)) + row_closing if row else "[]"
+                            for row in item]
+                    out.append("[" + indent + ("," + indent).join(rows) + closing)
+                    continue
         if id(item) in open_ids:
             raise ValueError("Circular reference detected")
         open_ids.add(id(item))

@@ -247,8 +247,9 @@ class Mind:
         """``expand_mask(mask | bit)``, given ``expanded == expand_mask(mask)``.
 
         Only the rules with ``bit`` among their prerequisites can newly fire.
-        The knowledge-state search (``reachability._breadth_first``) grows
-        each state's expansion from its parent's with it, and
+        The level-by-level knowledge-state sweep
+        (``reachability._breadth_first``) grows each state's expansion
+        from its parent's with it, and
         :meth:`~noesis.teaching.Scenario.grow_view` the learner's, one
         acquired concept at a time.
         """

@@ -130,6 +130,30 @@ def random_mind(
     )
 
 
+def layered_mind(rng: random.Random, width: int = 4, depth: int = 3) -> Mind:
+    """Layers of 2 to ``width`` concepts, each gated by the layer below.
+
+    Layer 0 holds one or two axioms.  A concept of layer ``k`` gets a rule
+    with one or two prerequisites from layer ``k - 1`` and, one time in
+    four, an alternative rule, so the family mixes conjunctive and
+    disjunctive gates.  A concept of the top layer may be left without a
+    rule, outside the horizon.
+    """
+    layers = [[f"L0_{j}" for j in range(rng.randint(1, 2))]]
+    for k in range(1, depth + 1):
+        layers.append([f"L{k}_{j}" for j in range(rng.randint(2, width))])
+    rules: dict[ExpansionRule, None] = {}
+    for below, layer in zip(layers, layers[1:]):
+        for concept in layer:
+            if layer is layers[-1] and rng.random() < 0.2:
+                continue
+            for _ in range(1 + (rng.random() < 0.25)):
+                prereqs = rng.sample(below, rng.randint(1, min(2, len(below))))
+                rules[ExpansionRule(frozenset(prereqs), concept)] = None
+    space = ConceptSpace(tuple(c for layer in layers for c in layer))
+    return Mind(space=space, axioms=frozenset(layers[0]), rules=tuple(rules))
+
+
 def random_state(rng: random.Random, mind: Mind) -> frozenset[str]:
     return frozenset(
         c for c in mind.space.concepts if rng.random() < 0.5

@@ -91,6 +91,12 @@ The fourteenth part is the trace writers as they were before
 ``fileio.dump_traces`` wrote the trace layout straight from the episode:
 ``fileio.dump_json`` over :func:`trace_to_dict`'s dicts, one trace or a
 list, and the CSV export, each round's state sorted and joined afresh.
+
+The fifteenth part is the knowledge-state search as it was before one
+level-by-level sweep replaced it: a generator over a queue of
+``(parent, parent's expansion, added bit)`` entries that yields each
+found state, and the first-hit chains that test every yielded state for
+a wanted bit.
 """
 
 from __future__ import annotations
@@ -1407,3 +1413,54 @@ def trace_to_csv(traces: Sequence[EpisodeTrace]) -> str:
                 ]
             )
     return buf.getvalue()
+
+
+# --- the knowledge-state search as a generator over a queue ---------------------
+
+
+def breadth_first(mind: Mind, parent: dict[int, int]):
+    """Yield each reachable state after the axioms as it is found, moves in concept order.
+
+    Fills ``parent`` with each found state's predecessor (-1 for the
+    axioms); a caller may stop at any yield.  A popped state grows its
+    expansion from its parent's (:meth:`Mind.expand_add`).
+    """
+    state = mind.axiom_mask
+    parent[state] = -1
+    expanded = mind.expand_mask(state)
+    queue: deque[tuple[int, int, int]] = deque()
+    while True:
+        for bit in iter_bits(expanded & ~state):
+            nxt = state | bit
+            if nxt not in parent:
+                parent[nxt] = state
+                queue.append((state, expanded, bit))
+                yield nxt
+        if not queue:
+            return
+        state, expanded, bit = queue.popleft()
+        expanded = mind.expand_add(expanded, state, bit)
+        state |= bit
+
+
+def first_hit_chains(mind: Mind, wanted: int) -> tuple[dict[int, int], dict[int, tuple[int, ...]]]:
+    """The first state holding each wanted bit, and the chain to it, by testing every found state."""
+    start = mind.axiom_mask
+    first = {bit: start for bit in iter_bits(wanted & start)}
+    remaining = wanted & ~start
+    parent: dict[int, int] = {}
+    if remaining:
+        for state in breadth_first(mind, parent):
+            bit = state ^ parent[state]
+            if bit & remaining:
+                first[bit] = state
+                remaining ^= bit
+                if not remaining:
+                    break
+    chains = {}
+    for bit, state in first.items():
+        chain = [state]
+        while chain[-1] != start:
+            chain.append(parent[chain[-1]])
+        chains[bit] = tuple(reversed(chain))
+    return first, chains

@@ -238,6 +238,54 @@ class TestReach:
         rows = ["a", "a|b", "a|c", "a|b|c", "a|b|c|d"]
         assert out == "\n".join(["state", *rows]) + "\n" == self._written_by_csv_writer(rows)
 
+    def test_csv_refuses_a_label_holding_the_separator(self, capsys, tmp_path):
+        # {a, b, o} and {a|b, o} would both be written a|b|o.
+        mind = {
+            "concepts": ["o", "a|b", "a", "b"],
+            "axioms": ["o"],
+            "rules": [{"prereqs": ["o"], "target": c} for c in ("a|b", "a", "b")],
+        }
+        path = tmp_path / "m.mind"
+        path.write_text(json.dumps(mind), encoding="utf-8")
+        code, out, err = _run(capsys, "reach", "--mind", str(path), "--format", "csv")
+        assert (code, out) == (1, "")
+        assert "'a|b'" in err and "--format json" in err
+        code, out, _ = _run(capsys, "reach", "--mind", str(path), "--format", "json")
+        assert code == 0
+        states = json.loads(out)["states"]
+        assert ["a", "b", "o"] in states and ["a|b", "o"] in states
+
+    def test_json_of_labels_needing_escapes_is_json_dumps(self, capsys, tmp_path):
+        labels = ["o", 'q"z', "x\\y", "é", "日本", "\U0001f600", "a,b"]
+        mind = {
+            "concepts": labels,
+            "axioms": ["o"],
+            "rules": [{"prereqs": [a], "target": b} for a, b in zip(labels, labels[1:4])]
+            + [{"prereqs": ["o"], "target": c} for c in labels[4:]],
+        }
+        path = tmp_path / "m.mind"
+        path.write_text(json.dumps(mind), encoding="utf-8")
+        code, out, _ = _run(capsys, "reach", "--mind", str(path), "--format", "json")
+        assert code == 0
+        family = noesis.enumerate_reachable(noesis.fileio.load_mind(path))
+        want = {
+            "states": [sorted(s) for s in family.states()],
+            "minimum": ["o"],
+            "maximum": sorted(labels),
+            "count": len(family),
+            "learning_space": dict.fromkeys(
+                ["has_axiom_floor", "accessible", "union_closed", "shifted_antimatroid"], True
+            ),
+        }
+        assert out == json.dumps(want, indent=2) + "\n"
+        for target in labels:
+            code, out, _ = _run(capsys, "distance", "--mind", str(path), "--target", target)
+            assert code == 0
+            chain = noesis.shortest_chain(noesis.fileio.load_mind(path), target)
+            want = {"target": target, "reachable": True, "distance": len(chain) - 1,
+                    "chain": [sorted(s) for s in chain]}
+            assert out == json.dumps(want, indent=2) + "\n"
+
 
 _CAPPED_COMMANDS = {
     "reach": ("reach", "--mind", "diamond.mind"),

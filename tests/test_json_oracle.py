@@ -25,8 +25,35 @@ _SCALARS = st.none() | st.booleans() | _INTS | _FLOATS | _TEXTS
 _KEYS = _TEXTS | _INTS | _FLOATS | st.booleans() | st.none()
 # Lists and tuples of one scalar type take the writer's one-join path.
 _FLAT = st.one_of(*(st.lists(kind, max_size=6) for kind in (_FLOATS, _TEXTS, _INTS, st.booleans(), st.none())))
+
+
+class _Name(str):
+    pass
+
+
+class _Prob(float):
+    pass
+
+
+class _Count(enum.IntEnum):
+    ONE = 1
+
+
+_Pair = collections.namedtuple("_Pair", "x y")
+# Lists of rows: all lists, or all tuples, of one scalar type take the writer's
+# one-join-per-row path; rows of both kinds, rows of subclass scalars and
+# namedtuple rows take the general one.
+_ROW_FLOATS = _FLOATS | st.sampled_from((-0.0, 0.0, math.nan, math.inf, -math.inf))
+_ROW_KINDS = (_ROW_FLOATS, _TEXTS, _INTS, st.booleans(), st.none())
+_ROWS = st.one_of(
+    *(st.lists(st.lists(kind, max_size=4), max_size=5) for kind in _ROW_KINDS),
+    *(st.lists(st.lists(kind, max_size=4).map(tuple), max_size=5) for kind in _ROW_KINDS),
+    st.lists(st.lists(_TEXTS, max_size=3) | st.lists(_TEXTS, max_size=3).map(tuple), max_size=5),
+    st.lists(st.lists(st.builds(_Name, _TEXTS) | st.builds(_Prob, _ROW_FLOATS), max_size=3), max_size=4),
+    st.lists(st.builds(_Pair, _ROW_FLOATS, _ROW_FLOATS), max_size=4),
+)
 _VALUES = st.recursive(
-    _SCALARS | _FLAT | _FLAT.map(tuple),
+    _SCALARS | _FLAT | _FLAT.map(tuple) | _ROWS,
     lambda kids: st.lists(kids, max_size=5)
     | st.lists(kids, max_size=5).map(tuple)
     | st.dictionaries(_KEYS, kids, max_size=5),
@@ -47,16 +74,39 @@ def test_same_bytes_as_oracle(value):
     assert dump_json(value) == oracle.dump_json(value)
 
 
-class _Name(str):
-    pass
+@settings(max_examples=300, deadline=None)
+@given(_ROWS | st.dictionaries(_TEXTS, _ROWS, max_size=3))
+def test_lists_of_rows_same_bytes_as_oracle(value):
+    assert dump_json(value) == oracle.dump_json(value)
 
 
-class _Prob(float):
-    pass
-
-
-class _Count(enum.IntEnum):
-    ONE = 1
+@pytest.mark.parametrize(
+    "value",
+    [
+        [("a", "b"), ("c",), ()],
+        [[], []],
+        [[[]]],
+        {"states": [(), ("é", 'q"z', "x\\y", "\U0001f600")], "count": 2},
+        [[0.0, -0.0], [math.nan, math.inf, -math.inf], [1 / 3, 0.1 + 0.2], []],
+        [[1, 2**70], [-(2**70)], []],
+        [[True, False], [], [True]],
+        [[None], [None, None]],
+        [["a"], ("b",)],
+        [[1], ["a"]],
+        [[1, "a"]],
+        [[_Name("a"), "b"], ["c"]],
+        [(_Prob(0.5),), (1.5,)],
+        [_Pair(1 / 3, -0.0), _Pair(math.nan, math.inf)],
+        [("a",), _Pair("x", "y")],
+        [[[1]], [[2]]],
+    ],
+    ids=["tuple rows", "empty rows", "nested empty rows", "escaped labels", "float rows", "int rows",
+         "bool rows", "null rows", "list and tuple rows", "rows of two types", "row of two types",
+         "subclass str row", "subclass float row", "namedtuple rows", "tuple and namedtuple rows",
+         "rows of lists"],
+)
+def test_lists_of_rows(value):
+    assert dump_json(value) == oracle.dump_json(value)
 
 
 _SHARED = [0.25, {}]

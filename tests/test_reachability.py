@@ -77,6 +77,15 @@ class TestEnumerateReachable:
         assert "a" not in family
         assert None not in family
 
+    def test_addable_refuses_a_string(self):
+        # A str would be read as one-character labels: "ax1" as a, x, 1.
+        family = enumerate_reachable(helpers.make_mind(["a", "x1", "x2"], "a", [("a", "x1"), ("a", "x2")]))
+        for state in ("ax1", "a", "x1"):
+            with pytest.raises(TypeError, match="not a str"):
+                family.addable(state)
+            assert state not in family
+        assert family.addable(["a"]) == {"x1", "x2"}
+
     def test_addable_reads_a_one_shot_iterable_once(self, diamond):
         family = enumerate_reachable(diamond)
         assert family.addable(c for c in ["a"]) == {"b", "c"}
