@@ -205,14 +205,13 @@ def _states_csv(states: list[tuple[str, ...]], labels: tuple[str, ...]) -> str:
 
     Labels hold no whitespace, so only a row with ``,`` or ``"`` is quoted
     (its quotes doubled), and one scan of the labels per mind finds out
-    whether any row can need it.  The same scan refuses a label holding
-    ``|``, which would make two states one row.  The empty state is
-    written ``""`` so that it reads back as one empty field.
+    whether any row can need it.  A label holding ``|``, which would make
+    two states one row, is refused first, as the trace export refuses it.
+    The empty state is written ``""`` so that it reads back as one empty
+    field.
     """
+    fileio._refuse_bar_label(labels)
     text = " ".join(labels)
-    if "|" in text:
-        label = next(label for label in labels if "|" in label)
-        raise _CliError(f"label {label!r} holds '|', which joins a state's labels in CSV; use --format json")
     rows = ["|".join(s) for s in states]
     if "," in text or '"' in text:
         rows = ['"' + r.replace('"', '""') + '"' if "," in r or '"' in r else r for r in rows]

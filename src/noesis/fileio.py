@@ -21,7 +21,8 @@ containers, so output has no depth limit.  Its bytes are those of
 significant digits.  A JSON trace's state is spelled round by round
 from the last round's text (:class:`_StateText`), since an episode's
 state grows by at most one label per round; the CSV export sorts and
-joins each round's state afresh.
+joins each round's state afresh, and refuses a label holding ``|``, the
+join's separator, as ``reach --format csv`` does.
 """
 
 from __future__ import annotations
@@ -36,7 +37,7 @@ import math
 from dataclasses import dataclass
 from functools import cached_property
 from pathlib import Path
-from typing import Any, Callable, Iterator, Mapping, Optional, Sequence
+from typing import Any, Callable, Iterable, Iterator, Mapping, Optional, Sequence
 
 from .errors import FormatError, NoesisError
 from .mind import _STR_ONLY, ConceptSpace, ExpansionRule, Mind, _frozen
@@ -723,8 +724,24 @@ def trace_from_dict(data: Any, where: str = "trace") -> tuple[EpisodeTrace, str]
     return trace, digest
 
 
+def _refuse_bar_label(labels: Iterable[str]) -> None:
+    """Raise :class:`FormatError` naming the first of ``labels`` that holds ``|``, if any.
+
+    ``|`` joins a state's labels in a CSV cell, so with such a label two
+    states could be written as the same cell.
+    """
+    label = next((label for label in labels if "|" in label), None)
+    if label is not None:
+        raise FormatError(f"label {label!r} holds '|', which joins a state's labels in CSV; use --format json")
+
+
 def trace_to_csv(traces: Sequence[EpisodeTrace]) -> str:
-    """Flat per-round export; one row per round, episodes tagged by seed."""
+    """Flat per-round export; one row per round, episodes tagged by seed.
+
+    A state's labels are sorted and joined by ``|``; a row whose cell
+    holds more bars than joins is refused after it is written, naming the
+    least label of that state holding ``|``.
+    """
     buf = io.StringIO()
     writer = csv.writer(buf, lineterminator="\n")
     writer.writerow(["seed", "theta", "t", "z", "y", "state", "belief", "entropy_bits", "capacity_bits"])
@@ -738,12 +755,14 @@ def trace_to_csv(traces: Sequence[EpisodeTrace]) -> str:
                     r.t,
                     r.emitted,
                     _parsed_to_json(r.parsed),
-                    "|".join(sorted(r.state)),
+                    (cell := "|".join(sorted(r.state))),
                     "|".join(map(cell_text, r.belief)),
                     cell_text(r.entropy_bits),
                     cell_text(r.capacity_bits),
                 ]
             )
+            if cell.count("|") != len(r.state) - 1:
+                _refuse_bar_label(sorted(r.state))
     return buf.getvalue()
 
 

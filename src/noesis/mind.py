@@ -294,7 +294,7 @@ class Mind:
                         stack.append(target_bit)
         return known
 
-    def _layers(self, start: int, within: int = -1) -> Iterator[tuple[int, dict[int, int]]]:
+    def _layers(self, start: int) -> Iterator[tuple[int, dict[int, int]]]:
         """Yield each strictly larger iterate of one-step expansion from ``start``.
 
         Only :func:`closure_iterates` and :func:`~noesis.derivation.derive`
@@ -302,10 +302,9 @@ class Mind:
 
         Each iterate comes as ``(mask, fresh)``, where ``fresh`` maps every
         concept bit new in it to the least index, in rule order, of the
-        rules firing at the previous iterate with that target.  Only rules
-        whose target lies in ``within`` fire.  Forward chaining with
-        per-rule missing-prerequisite counters over the mind's one
-        by-prerequisite index (Dowling and Gallier, 1984): a concept new at
+        rules firing at the previous iterate with that target.  Forward
+        chaining with per-rule missing-prerequisite counters over the mind's
+        one by-prerequisite index (Dowling and Gallier, 1984): a concept new at
         an iterate can only come from a rule whose last missing
         prerequisite arrived in the iterate before, so each rule is tested
         once, when its counter reaches zero, not once per iterate.  A new
@@ -319,7 +318,7 @@ class Mind:
             fresh: dict[int, int] = {}
             for ri in ready:
                 bit = rules[ri][1]
-                if bit & within and not bit & known:
+                if not bit & known:
                     known |= bit
                     fresh[bit] = ri
             if fresh:

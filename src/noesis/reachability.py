@@ -466,4 +466,7 @@ def shortest_chain(mind: Mind, concept: str) -> tuple[frozenset[str], ...]:
     chain = _chain_masks(mind, concept)
     if chain is None:
         raise UnreachableConceptError(f"concept {concept!r} is outside the understanding horizon")
-    return tuple(mind.space.labels(m) for m in chain)
+    states = [mind.space.labels(chain[0])]
+    for added in _added_concepts(mind.space, chain):
+        states.append(states[-1] | {added})
+    return tuple(states)

@@ -8,10 +8,15 @@ one-concept acquisition update, and exact Bayesian filtering of the
 belief; they record completion (target acquired and identified) and
 identification (belief a point mass) times.
 
-:meth:`Scenario.step` is the one place a round is computed, on state
-masks, for episodes, posteriors and history trees; it parses through the
-caller's learner view (a token parses when its concept is in the view's
-expansion) and reads no rule.  :meth:`Scenario.view` computes a state's
+A round of an episode or a posterior is one call of one of two
+functions with one argument list and one result: :func:`_point_round`
+for a :class:`PointKernel`, :func:`_law_round` for any other kernel.
+:func:`run_episode` and :func:`posterior_after` choose it once, before
+their one loop.  :meth:`Scenario.step` groups a round's outcomes on
+state masks for :func:`_law_round` and the history-tree walk
+(``audit._walk``); it parses through the caller's learner view (a token
+parses when its concept is in the view's expansion) and reads no rule.
+:meth:`Scenario.view` computes a state's
 view (expansion, parsed-token count, capacity) and
 :meth:`Scenario.grow_view` grows it by one acquired concept; episodes,
 posteriors and both audits call ``view`` once, at the root, and
@@ -39,8 +44,10 @@ a kernel's tokens directly, with no law dict and no history tuple, and
 filter by parse: a live target keeps its weight when its token parses the
 way the observation did and drops to 0.0 otherwise, which is the exact
 Bayesian update, since ``w * 1.0 == w`` and the sums keep target order.
-Any other kernel goes through its law dicts and :meth:`Scenario.step`;
-called as a kernel, a point kernel gives the law ``{token: 1.0}``.
+Any other kernel goes through its law dicts in :func:`_law_round`;
+called as a kernel, a point kernel gives the law ``{token: 1.0}``, and
+both rounds give the same floats and raise the same errors in the same
+order.
 """
 
 from __future__ import annotations
@@ -48,7 +55,7 @@ from __future__ import annotations
 import random
 from collections import Counter
 from dataclasses import dataclass
-from functools import cached_property
+from functools import cached_property, partial
 from typing import Callable, Iterable, Mapping, Optional, Sequence
 
 from .errors import (
@@ -258,27 +265,6 @@ def emission_laws(
     ]
 
 
-def _observe(
-    scenario: Scenario, laws: Sequence[Optional[Mapping[str, float]]], history: tuple,
-    state_mask: int, view: LearnerView, belief: Sequence[float], parsed: ParsedSignal,
-) -> tuple[int, LearnerView, list[float]]:
-    """Filter the belief through one parsed observation; returns (state mask, view, belief).
-
-    ``view`` is the learner view of ``state_mask``; the step parses
-    through its expansion, and it is grown when the observation adds a
-    concept.  ``laws`` are the targets' next-token laws, as
-    :func:`emission_laws` gives them.
-    """
-    outcomes = scenario.step(state_mask, view[0], laws, belief)
-    if parsed not in outcomes:
-        raise ZeroProbabilityError(f"history {history + (parsed,)} has probability zero")
-    child_mask, joint = outcomes[parsed]
-    if child_mask != state_mask:
-        view = scenario.grow_view(view, state_mask, child_mask ^ state_mask)
-    total = sum(joint)
-    return child_mask, view, [j / total for j in joint]
-
-
 def _point_round(
     scenario: Scenario, kernel: PointKernel, t: int, mask: int, view: LearnerView,
     belief: Sequence[float], theta: Optional[int], parsed: ParsedSignal,
@@ -291,7 +277,7 @@ def _point_round(
     and the emission is None.  Every live target's token is read, in target
     order (``theta``'s once), and checked against the alphabet; a target
     keeps its weight where its token parses to the observation.  The
-    errors come in the order of the law-dict route: ``theta``'s kernel
+    errors come in the order of :func:`_law_round`: ``theta``'s kernel
     error, its unknown token, the other kernel errors, the other unknown
     tokens, then :class:`ZeroProbabilityError`, whose message spells the
     history ``prefix()`` returns.
@@ -330,29 +316,65 @@ def _point_round(
     return emitted, parsed, mask, view, [j / total for j in joint]
 
 
+def _law_round(
+    seed: Optional[int], scenario: Scenario, kernel: StrategyKernel, t: int, mask: int, view: LearnerView,
+    belief: Sequence[float], theta: Optional[int], parsed: ParsedSignal,
+    prefix: Callable[[], tuple[ParsedSignal, ...]],
+) -> tuple[Optional[str], ParsedSignal, int, LearnerView, list[float]]:
+    """Round ``t + 1`` under a law-dict kernel, as :func:`_point_round` computes it for a point kernel.
+
+    The kernel is called on the parsed history ``prefix()``: for
+    ``theta`` first, whose law is the emission's and is drawn from
+    ``Random(f"{seed}:round:{t + 1}")`` only when it has more than one
+    positive token, then for every other live target in target order.
+    :meth:`Scenario.step` groups the outcomes; the observation's weights,
+    normalized, are the new belief.  ``seed`` is read only with ``theta``.
+    """
+    history = prefix()
+    bits, targets = scenario.token_bits, scenario.targets
+    emitted = dist = None
+    if theta is not None:
+        dist = emission_distribution(kernel, targets[theta], history)
+        tokens = [tok for tok, p in dist.items() if p > 0.0]
+        if len(tokens) == 1:
+            emitted = tokens[0]
+        else:
+            emitted = _sample(random.Random(f"{seed}:round:{t + 1}"), tokens, [dist[tok] for tok in tokens])
+        if emitted not in bits:
+            raise UnknownConceptError(f"unknown signal token {emitted!r}")
+        parsed = emitted if view[0] & bits[emitted] else None
+    laws = [
+        dist if i == theta else emission_distribution(kernel, target, history) if w > 0.0 else None
+        for i, (target, w) in enumerate(zip(targets, belief))
+    ]
+    outcomes = scenario.step(mask, view[0], laws, belief)
+    if parsed not in outcomes:
+        raise ZeroProbabilityError(f"history {history + (parsed,)} has probability zero")
+    child_mask, joint = outcomes[parsed]
+    if child_mask != mask:
+        view = scenario.grow_view(view, mask, child_mask ^ mask)
+    total = sum(joint)
+    return emitted, parsed, child_mask, view, [j / total for j in joint]
+
+
 def posterior_after(
     scenario: Scenario, strategy: StrategyKernel, history: Sequence[ParsedSignal]
 ) -> tuple[float, ...]:
     """Exact filtering of the belief along a parsed history.
 
-    A :class:`PointKernel` is read through its tokens, one per live
-    target and round; any other kernel through its law dicts and
-    :meth:`Scenario.step`.  Both give the same floats.
+    Each round is one call of :func:`_point_round` for a
+    :class:`PointKernel` and of :func:`_law_round` for any other kernel,
+    chosen once; both give the same floats.
     """
     history = tuple(history)
     belief = list(scenario.prior)
     mask = scenario.mind.axiom_mask
     view = scenario.view(mask)  # grown one acquired concept at a time
-    if isinstance(strategy, PointKernel):
-        for t, parsed in enumerate(history):
-            _, _, mask, view, belief = _point_round(
-                scenario, strategy, t, mask, view, belief, None, parsed, lambda: history[:t]
-            )
-        return tuple(belief)
+    play = _point_round if isinstance(strategy, PointKernel) else partial(_law_round, None)
     for t, parsed in enumerate(history):
-        prefix = history[:t]
-        laws = emission_laws(scenario, strategy, prefix, belief)
-        mask, view, belief = _observe(scenario, laws, prefix, mask, view, belief, parsed)
+        _, _, mask, view, belief = play(
+            scenario, strategy, t, mask, view, belief, None, parsed, lambda: history[:t]
+        )
     return tuple(belief)
 
 
@@ -487,10 +509,13 @@ def run_episode(
 
     Each round asks ``strategy`` once for ``theta``, then once for every
     other target of positive belief, in target order; ``theta``'s answer
-    serves both the emission and the filter.  A :class:`PointKernel` is
-    asked for tokens (:meth:`PointKernel.token`), with no law dict and no
-    history tuple; any other kernel is called on the parsed history and
-    its laws go through :meth:`Scenario.step`.  Both give the same trace.
+    serves both the emission and the filter.  A round is one call of
+    :func:`_point_round` for a :class:`PointKernel`, which is asked for
+    tokens (:meth:`PointKernel.token`) with no law dict and no history
+    tuple, and of :func:`_law_round`, with ``seed`` bound, for any other
+    kernel, which is called on the parsed history.  Both give the same
+    trace.  ``tau`` and ``tau_id`` are read after every round and before
+    the first.
     """
     if horizon < 0:
         raise ValueError("horizon must be nonnegative")
@@ -500,60 +525,36 @@ def run_episode(
         raise ScenarioError(f"pinned target {theta!r} is not among the scenario targets")
 
     theta_idx = scenario.target_index[theta]
-    targets = scenario.targets
-    mind = scenario.mind
-    concepts = mind.space.concepts
-    bits = scenario.token_bits
-    mask = mind.axiom_mask
-    state = mind.space.labels(mask)
+    concepts = scenario.mind.space.concepts
+    mask = scenario.mind.axiom_mask
+    state = scenario.mind.space.labels(mask)
     view = scenario.view(mask)  # grown one acquired concept at a time
     belief = list(scenario.prior)
-    history: tuple[ParsedSignal, ...] = ()
     tau: Optional[int] = None
     tau_id: Optional[int] = None
-
-    def identified() -> bool:
-        return max(belief) >= 1.0 - POINT_MASS_TOL
-
-    if identified():
-        tau_id = 0
-        if theta in state and belief[theta_idx] >= 1.0 - POINT_MASS_TOL:
-            tau = 0
-
     rounds: list[Round] = []
-    point = isinstance(strategy, PointKernel)
+    play = _point_round if isinstance(strategy, PointKernel) else partial(_law_round, seed)
 
     def parsed_history() -> tuple[ParsedSignal, ...]:
         return tuple(r.parsed for r in rounds)
 
-    for t in range(1, horizon + 1):
-        if point:
-            emitted, parsed, child_mask, view, belief = _point_round(
-                scenario, strategy, t - 1, mask, view, belief, theta_idx, None, parsed_history
-            )
-        else:
-            dist = emission_distribution(strategy, theta, history)
-            tokens = [tok for tok, p in dist.items() if p > 0.0]
-            if len(tokens) == 1:
-                emitted = tokens[0]
-            else:
-                emitted = _sample(random.Random(f"{seed}:round:{t}"), tokens, [dist[tok] for tok in tokens])
-            if emitted not in bits:
-                raise UnknownConceptError(f"unknown signal token {emitted!r}")
-            parsed = emitted if view[0] & bits[emitted] else None
-            laws = [
-                dist if i == theta_idx else emission_distribution(strategy, target, history) if w > 0.0 else None
-                for i, (target, w) in enumerate(zip(targets, belief))
-            ]
-            child_mask, view, belief = _observe(scenario, laws, history, mask, view, belief, parsed)
-            history = history + (parsed,)
+    for t in range(horizon + 1):  # the checks at t read the state after t rounds
+        if tau_id is None and max(belief) >= 1.0 - POINT_MASS_TOL:
+            tau_id = t
+        if tau is None and theta in state and belief[theta_idx] >= 1.0 - POINT_MASS_TOL:
+            tau = t
+        if t == horizon:
+            break
+        emitted, parsed, child_mask, view, belief = play(
+            scenario, strategy, t, mask, view, belief, theta_idx, None, parsed_history
+        )
         if child_mask != mask:
             state = state | {concepts[(child_mask ^ mask).bit_length() - 1]}
             mask = child_mask
         rounds.append(
             _frozen(
                 Round,
-                t=t,
+                t=t + 1,
                 emitted=emitted,
                 parsed=parsed,
                 state=state,
@@ -562,10 +563,6 @@ def run_episode(
                 capacity_bits=view[2],
             )
         )
-        if tau_id is None and identified():
-            tau_id = t
-        if tau is None and theta in state and belief[theta_idx] >= 1.0 - POINT_MASS_TOL:
-            tau = t
 
     return EpisodeTrace(
         theta=theta,

@@ -105,6 +105,26 @@ class TestSimulate:
         written = out_path.read_text() if to_file else None
         assert (out, written) == (("", want) if to_file else (want, None))
 
+    def test_csv_refuses_a_state_label_holding_the_separator(self, capsys, tmp_path):
+        # The state {a|b, o} would be written a|b|o, the cell of {a, b, o}.
+        scenario = {
+            "concepts": ["o", "a|b", "a", "b"],
+            "axioms": ["o"],
+            "rules": [{"prereqs": ["o"], "target": c} for c in ("a|b", "a", "b")],
+            "signals": [{"token": f"z{i}", "target": c} for i, c in enumerate(("a|b", "a", "b"))],
+            "targets": ["a|b"],
+            "prior": [1.0],
+            "strategy": {"kind": "direct"},
+        }
+        path = tmp_path / "bar.scenario"
+        path.write_text(json.dumps(scenario), encoding="utf-8")
+        argv = ["simulate", "--scenario", str(path), "--seed", "1", "--horizon", "2"]
+        refused = "error: label 'a|b' holds '|', which joins a state's labels in CSV; use --format json\n"
+        assert _run(capsys, *argv, "--format", "csv") == (1, "", refused)
+        code, out, _ = _run(capsys, *argv, "--format", "json")
+        assert code == 0
+        assert [r["state"] for r in json.loads(out)["rounds"]] == [["a|b", "o"], ["a|b", "o"]]
+
     def test_write_trace_is_a_fixed_point_on_a_long_chain(self, tmp_path):
         labels = [f"c{i}" for i in range(150)]  # "c10" sorts before "c2": labels land mid-state
         mind = helpers.make_mind(labels, labels[:1], [([a], b) for a, b in zip(labels, labels[1:])])

@@ -292,6 +292,35 @@ class TestRunEpisode:
         )
         assert Counter(calls) == want
 
+    @given(st.randoms(use_true_random=False))
+    @settings(max_examples=60, deadline=None)
+    def test_posterior_after_asks_each_live_target_once_per_round(self, rng):
+        scenario = helpers.some_zero_prior(rng, helpers.random_scenario(rng))
+        kernel = helpers.random_kernel(rng.randrange(1 << 30), scenario)
+        calls: list[tuple[str, tuple]] = []
+
+        def recording(target: str, history: tuple) -> dict[str, float]:
+            calls.append((target, history))
+            return kernel(target, history)
+
+        theta = rng.choice(scenario.targets)
+        try:
+            trace = run_episode(scenario, recording, rng.randint(0, 6), seed=rng.randrange(1000), theta=theta)
+        except ZeroProbabilityError:
+            assert scenario.prior_of(theta) == 0.0
+            return
+        history = tuple(r.parsed for r in trace.rounds)
+        assert all(h == history[: len(h)] for _, h in calls)
+        calls.clear()
+        posterior_after(scenario, recording, history)
+        want = [
+            (target, history[:t])
+            for t in range(len(history))
+            for target, w in zip(scenario.targets, posterior_after(scenario, kernel, history[:t]))
+            if w > 0.0
+        ]
+        assert calls == want
+
     def test_pinned_theta_must_be_a_target(self, star_scenario):
         with pytest.raises(ScenarioError):
             run_episode(star_scenario, direct_strategy(star_scenario), 1, seed=0, theta="b")

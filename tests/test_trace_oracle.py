@@ -3,7 +3,8 @@
 ``fileio.dump_traces`` must give the bytes of ``dump_json`` over
 ``trace_to_dict``'s dicts, for one trace and for a list, and
 ``trace_to_csv`` the bytes of the export that sorted every state afresh,
-or errors of the same type and text.  The inputs are episodes of random
+or errors of the same type and text; where a state label holds ``|``,
+the CSV export instead refuses the first row with such a label.  The inputs are episodes of random
 scenarios under random and point kernels, chain episodes whose labels
 need JSON escapes or CSV quoting, and hand-built traces whose states
 repeat, grow, shrink and jump and whose fields take types
@@ -12,6 +13,7 @@ repeat, grow, shrink and jump and whose fields take types
 
 from __future__ import annotations
 
+import dataclasses
 import math
 import random
 
@@ -43,11 +45,31 @@ def _outcome(write, *args):
         return type(exc), str(exc)
 
 
+def _csv_outcome(traces):
+    """The oracle's CSV outcome, or the refusal of the first row whose state holds a label with ``|``.
+
+    The row is refused after it is written, so an error the oracle meets
+    up to and including that row comes first.  The refusal names the
+    least such label of the row's state.
+    """
+    for i, trace in enumerate(traces):
+        for j, r in enumerate(trace.rounds):
+            barred = [label for label in r.state if isinstance(label, str) and "|" in label]
+            if barred:
+                head = [*traces[:i], dataclasses.replace(trace, rounds=trace.rounds[: j + 1])]
+                written = _outcome(oracle.trace_to_csv, head)
+                if not isinstance(written, str):
+                    return written
+                refusal = f"label {min(barred)!r} holds '|', which joins a state's labels in CSV; use --format json"
+                return FormatError, refusal
+    return _outcome(oracle.trace_to_csv, traces)
+
+
 def _assert_same_writes(traces, digest=""):
     for trace in traces:
         assert _outcome(dump_traces, trace, digest) == _outcome(oracle.dump_trace, trace, digest)
     assert _outcome(dump_traces, traces, digest) == _outcome(oracle.dump_trace_list, traces, digest)
-    assert _outcome(trace_to_csv, traces) == _outcome(oracle.trace_to_csv, traces)
+    assert _outcome(trace_to_csv, traces) == _csv_outcome(traces)
 
 
 def _kernel(rng: random.Random, scenario: Scenario, horizon: int):
