@@ -114,14 +114,14 @@ class ValueEnvelope:
 
 
 def value_envelope(scenario: Scenario, t: int, *, exact: bool = False) -> ValueEnvelope:
-    """Bundle the bounds, with the exhaustive value when requested."""
+    """Bundle the bounds, with the exhaustive value when requested.
+
+    The exact value comes first, so its caps refuse a scenario before the
+    bounds run the uncapped chain search.
+    """
+    exact_value = exact_value_tiny(scenario, t) if exact else None
     lower = value_lower(scenario, t) if t >= 1 else 0.0
-    return ValueEnvelope(
-        t=t,
-        upper=value_upper(scenario, t),
-        lower=lower,
-        exact=exact_value_tiny(scenario, t) if exact else None,
-    )
+    return ValueEnvelope(t=t, upper=value_upper(scenario, t), lower=lower, exact=exact_value)
 
 
 def deterministic_value(mind: Mind, system: SignalSystem, goal: str, t: int) -> int:
@@ -136,10 +136,11 @@ def deterministic_value(mind: Mind, system: SignalSystem, goal: str, t: int) -> 
 
 
 # Within these caps at most 3 concepts are added, so the memo holds at most
-# 8 state masks x 7 live-target sets x 4 counts of rounds left = 224 keys.
-# Each makes one view call and at most 4 outcomes x 7 blocks = 28 child
-# lookups, then takes the max over at most 4^3 = 64 maps from live targets to
-# outcomes: the search needs no cap of its own.
+# 8 state masks x 7 live-target sets x 3 counts of rounds left (1 to 3) = 168
+# keys.  Each makes one view call and fills at most 4 outcomes x 7 blocks = 28
+# row entries, each a closed form or a memo node one round down, then takes
+# the max over at most 4^3 = 64 maps from live targets to outcomes: the search
+# needs no cap of its own.
 _EXACT_MAX_TARGETS = 3
 _EXACT_MAX_TOKENS = 3
 _EXACT_MAX_HORIZON = 3
@@ -170,12 +171,16 @@ def exact_value_tiny(scenario: Scenario, t: int) -> float:
     of each token that parses (a known concept's token included), and
     the null observation if some token does not.  Its value is the max
     over maps from the live targets to the outcomes, each block of
-    targets sharing an outcome worth that child's value, looked up once
-    per block and outcome.  A map's blocks are summed from ``0.0`` in
-    order of least member, as :meth:`Scenario.step` groups outcomes, so
-    the floats are those of trying every token choice.  Exceeding the
-    hard caps raises :class:`CapExceededError`, naming the cap and the
-    value reached.
+    targets sharing an outcome worth that child's value, found once per
+    block and outcome.  Two child values are read in closed form: a lone
+    target whose outcome holds its concept is worth its prior, and any
+    other block with no round left after this one is worth ``0.0``.  So
+    the search is entered only at nodes it expands or finds in the memo,
+    and the root's own two cases are read before it.  A map's blocks are
+    summed from ``0.0`` in order of least member, as
+    :meth:`Scenario.step` groups outcomes, so the floats are those of
+    trying every token choice.  Exceeding the hard caps raises
+    :class:`CapExceededError`, naming the cap and the value reached.
     """
     if t < 0:
         raise ValueError("horizon must be nonnegative")
@@ -201,12 +206,9 @@ def exact_value_tiny(scenario: Scenario, t: int) -> float:
 
     def best(state_mask: int, live: tuple[int, ...], left: int) -> float:
         key = (state_mask, live, left)
-        if key in memo:
-            return memo[key]
-        if len(live) == 1 and target_bits[live[0]] & state_mask:
-            return prior[live[0]]  # identified and acquired: completed with rounds to spare
-        if left == 0:
-            return 0.0
+        value = memo.get(key)
+        if value is not None:
+            return value
         expanded, n_parsed, _ = scenario.view(state_mask)
         children = [state_mask | bit for bit in token_bits if expanded & bit]
         if n_parsed < n_tokens:
@@ -219,14 +221,30 @@ def exact_value_tiny(scenario: Scenario, t: int) -> float:
                 row = rows.get(positions)
                 if row is None:
                     block = tuple(live[p] for p in positions)
-                    row = rows[positions] = [best(child, block, left - 1) for child in children]
+                    # A lone target already acquired is worth its prior; any
+                    # other block with no round left after this one, nothing.
+                    done = target_bits[block[0]] if len(block) == 1 else 0
+                    if left == 1:
+                        row = [prior[block[0]] if child & done else 0.0 for child in children]
+                    else:
+                        row = [
+                            prior[block[0]] if child & done else best(child, block, left - 1)
+                            for child in children
+                        ]
+                    rows[positions] = row
                 total += row[label]
             if total > value:
                 value = total
         memo[key] = value
         return value
 
-    return best(scenario.mind.axiom_mask, tuple(i for i, p in enumerate(prior) if p > 0.0), t)
+    root = scenario.mind.axiom_mask
+    live = tuple(i for i, p in enumerate(prior) if p > 0.0)
+    if len(live) == 1 and target_bits[live[0]] & root:
+        return prior[live[0]]  # identified and acquired before any round
+    if t == 0:
+        return 0.0
+    return best(root, live, t)
 
 
 @dataclass(frozen=True)

@@ -27,7 +27,9 @@ targets, comes with them, and so does the search that maximized over
 set partitions of the live targets times injective labellings of their
 blocks, with one uniform-law ``step`` call per node for its outcomes,
 before one table of maps from live targets to outcomes replaced both
-enumerations.
+enumerations.  So does that table's search as it was before it read a
+lone acquired target and a block in the last round in closed form,
+calling itself for every child value (``exact_value_labelled``).
 
 The fifth part is the recursive history tree and the dense audit that
 the explicit-stack walks replaced: every internal node builds its
@@ -142,6 +144,7 @@ from noesis.planner import (
     _EXACT_MAX_TARGETS,
     _EXACT_MAX_TOKENS,
     BroadcastInstance,
+    _labelled_partitions,
 )
 from noesis.reachability import DEFAULT_STATE_CAP, FamilyLike, LearningSpaceReport, ReachableFamily
 from noesis.signals import SignalSystem, capacity_from_count
@@ -674,6 +677,67 @@ def exact_value_partitions(scenario: Scenario, t: int) -> float:
         return value
 
     return best(scenario.mind.axiom_mask, tuple(i for i, p in enumerate(prior) if p > 0.0), 0)
+
+
+def exact_value_labelled(scenario: Scenario, t: int) -> float:
+    """The exact value with every child value found by a call one round down.
+
+    ``exact_value_tiny`` as it was before it read finished targets and
+    last-round blocks in closed form: each node is searched once with one
+    :meth:`Scenario.view` call, but the search is also entered at every
+    node it answers with a constant, an identified and acquired target or
+    no rounds left.
+    """
+    if t < 0:
+        raise ValueError("horizon must be nonnegative")
+    n_targets, n_tokens = len(scenario.targets), len(scenario.system.tokens)
+    if n_targets > _EXACT_MAX_TARGETS:
+        raise CapExceededError(
+            f"exact search caps targets at {_EXACT_MAX_TARGETS}; the scenario has {n_targets}"
+        )
+    if n_tokens > _EXACT_MAX_TOKENS:
+        raise CapExceededError(
+            f"exact search caps the alphabet at {_EXACT_MAX_TOKENS}; the scenario has {n_tokens}"
+        )
+    if t > _EXACT_MAX_HORIZON:
+        raise CapExceededError(
+            f"exact search caps the horizon at {_EXACT_MAX_HORIZON}; asked for {t}"
+        )
+
+    space = scenario.mind.space
+    prior = scenario.prior
+    target_bits = [space.bit(target) for target in scenario.targets]
+    token_bits = scenario.token_bits.values()
+    memo: dict[tuple[int, tuple[int, ...], int], float] = {}
+
+    def best(state_mask: int, live: tuple[int, ...], left: int) -> float:
+        key = (state_mask, live, left)
+        if key in memo:
+            return memo[key]
+        if len(live) == 1 and target_bits[live[0]] & state_mask:
+            return prior[live[0]]  # identified and acquired: completed with rounds to spare
+        if left == 0:
+            return 0.0
+        expanded, n_parsed, _ = scenario.view(state_mask)
+        children = [state_mask | bit for bit in token_bits if expanded & bit]
+        if n_parsed < n_tokens:
+            children.append(state_mask)  # the null observation
+        rows: dict[tuple[int, ...], list[float]] = {}  # block positions -> value under each outcome
+        value = 0.0
+        for blocks in _labelled_partitions(len(live), len(children)):
+            total = 0.0
+            for positions, label in blocks:
+                row = rows.get(positions)
+                if row is None:
+                    block = tuple(live[p] for p in positions)
+                    row = rows[positions] = [best(child, block, left - 1) for child in children]
+                total += row[label]
+            if total > value:
+                value = total
+        memo[key] = value
+        return value
+
+    return best(scenario.mind.axiom_mask, tuple(i for i, p in enumerate(prior) if p > 0.0), t)
 
 
 def broadcast_min_length(

@@ -359,6 +359,51 @@ def test_exact_cap_error_names_the_count(capsys, fixtures_dir):
     )
 
 
+def _wide_scenario(path: Path) -> Path:
+    """Axiom ``a``, 22 concepts unlocked by ``a``, and target ``g`` needing 8 of them.
+
+    Its 23 tokens put it over the exact search's alphabet cap, and the
+    chain to ``g`` is a costly search.
+    """
+    wide = [f"p{i}" for i in range(22)]
+    data = {
+        "concepts": ["a", *wide, "g"],
+        "axioms": ["a"],
+        "rules": [{"prereqs": ["a"], "target": c} for c in wide]
+        + [{"prereqs": wide[:8], "target": "g"}],
+        "signals": [{"token": f"z_{c}", "target": c} for c in [*wide, "g"]],
+        "targets": ["g"],
+        "prior": [1.0],
+    }
+    path.write_text(json.dumps(data))
+    return path
+
+
+@pytest.mark.parametrize(
+    "scenario, horizon, err",
+    [
+        ("star.scenario", "1", "caps targets at 3; the scenario has 4"),
+        ("wide.scenario", "1", "caps the alphabet at 3; the scenario has 23"),
+        ("arithmetic.scenario", "4", "caps the horizon at 3; asked for 4"),
+    ],
+)
+def test_exact_cap_refuses_before_the_chain_search(
+    capsys, fixtures_dir, tmp_path, monkeypatch, scenario, horizon, err
+):
+    from noesis import teaching
+
+    calls = []
+    real = teaching._first_hit_chains
+    monkeypatch.setattr(teaching, "_first_hit_chains", lambda *a: calls.append(a) or real(*a))
+    if scenario == "wide.scenario":
+        path = _wide_scenario(tmp_path / scenario)
+    else:
+        path = fixtures_dir / scenario
+    argv = ["value", "--scenario", str(path), "--horizon", horizon, "--exact"]
+    assert _run(capsys, *argv) == (2, "", f"error: exact search {err}\n")
+    assert calls == []
+
+
 def test_allocate_cap_error_names_the_count(capsys):
     learners = "1" + "0" * 400
     assert _run(capsys, "allocate", "--N", learners, "--B", "1", "--L", "1") == (

@@ -2,11 +2,14 @@
 
 ``exact_value_tiny`` searches each ``(state, live targets, rounds left)``
 node once, with one ``Scenario.view`` call for its outcomes and a max
-over one cached table of maps from the live targets to the outcomes,
-and ``broadcast_min_length`` is an A* search that expands each state of
-each mind once; the oracles in ``oracle.py`` expand afresh at every
-history, try every token assignment at each node, maximize over set
-partitions times injective labellings, and search breadth-first at
+over one cached table of maps from the live targets to the outcomes.
+It values a lone acquired target and a block in the last round in
+closed form, so at every horizon from 0 to 3 it is entered only at the
+nodes it expands.  ``broadcast_min_length`` is an A* search that
+expands each state of each mind once.  The oracles in ``oracle.py``
+expand afresh at every history, try every token assignment at each
+node, maximize over set partitions times injective labellings, enter
+the search at every child of a node, and search breadth-first at
 every product state.  ``broadcast_check`` grows each mind's expansion
 beside its state; the oracle tests each token against each mind's rules
 label by label.  Values must match exactly, the CLI bytes must not
@@ -57,6 +60,7 @@ def test_exact_value_is_bit_identical(rng):
         assert got == oracle.exact_value_memoized(scenario, t)
         assert got == oracle.exact_value_per_history(scenario, t)
         assert got == oracle.exact_value_partitions(scenario, t)
+        assert got == oracle.exact_value_labelled(scenario, t)
 
 
 def _tiny_with_synonyms(rng: random.Random) -> Scenario:
@@ -90,6 +94,7 @@ def test_exact_value_with_synonyms_is_bit_identical(rng):
         assert got == oracle.exact_value_memoized(scenario, t)
         assert got == oracle.exact_value_per_history(scenario, t)
         assert got == oracle.exact_value_partitions(scenario, t)
+        assert got == oracle.exact_value_labelled(scenario, t)
 
 
 @pytest.mark.parametrize("n, c", [(n, c) for n in range(4) for c in range(1, 5)])
@@ -180,20 +185,34 @@ def _count_calls(monkeypatch, cls, name):
 
 
 def _assert_steps_once_per_node(monkeypatch, scenario: Scenario) -> None:
-    # The exact search reads each expanded node's outcomes from one view
-    # and never steps; the per-history oracle steps more often than that.
-    nodes = _expanded_nodes(scenario, 3)
+    # At every horizon the exact search reads each expanded node's
+    # outcomes from one view and never steps, so neither the root's
+    # shortcut nor a closed-form row calls view; the per-history oracle
+    # steps more often than that wherever a node is expanded.
+    nodes = [_expanded_nodes(scenario, t) for t in range(4)]
     views = _count_calls(monkeypatch, Scenario, "view")
     steps = _count_calls(monkeypatch, Scenario, "step")
-    value = exact_value_tiny(scenario, 3)
-    assert len(views) == len(nodes)
-    assert not steps
-    assert value == oracle.exact_value_per_history(scenario, 3)
-    assert len(nodes) < len(steps)
+    for t in range(4):
+        views.clear()
+        steps.clear()
+        value = exact_value_tiny(scenario, t)
+        assert len(views) == len(nodes[t])
+        assert not steps
+        assert value == oracle.exact_value_per_history(scenario, t)
+        assert len(nodes[t]) < len(steps) or not nodes[t]
 
 
 def test_exact_value_steps_once_per_node(monkeypatch):
     _assert_steps_once_per_node(monkeypatch, _star_scenario(("b", "d1", "d2"), (0.2, 0.3, 0.5)))
+
+
+def test_exact_value_expands_no_node_at_an_acquired_root(monkeypatch):
+    # The one live target is an axiom: its prior is won before any round.
+    system = SignalSystem.from_pairs([("z_a", "a"), ("z_b", "b"), ("z_1", "d1")])
+    scenario = Scenario(mind=helpers.star(), system=system, targets=("a", "d1"), prior=(1.0, 0.0))
+    assert not any(_expanded_nodes(scenario, t) for t in range(4))
+    _assert_steps_once_per_node(monkeypatch, scenario)
+    assert [exact_value_tiny(scenario, t) for t in range(4)] == [1.0] * 4
 
 
 def test_exact_value_steps_once_per_node_with_one_outcome(monkeypatch):
