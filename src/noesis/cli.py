@@ -6,16 +6,23 @@ information-law audit, value bounds, budget allocation, and the
 broadcast constructions.  Exit codes: 0 success, 1 validation or usage
 error, 2 enumeration cap exceeded or input nested too deep.  Only the
 command line reads the ``NOESIS_NODE_CAP`` environment variable.
+
+Every command is one row of ``_COMMANDS``: its handler, help text, cap
+default and flags.  ``run_cli`` reads the common argv form, the command
+and then full flag names each followed by its value as its own token,
+straight from that table.  Any other argv goes to an argparse parser
+built from the same table on first need; argparse writes the help and
+every usage error, and reads abbreviations, ``--flag=value`` and ``--``.
 """
 
 from __future__ import annotations
 
-import argparse
 import functools
 import os
 import sys
 from pathlib import Path
-from typing import Optional, Sequence
+from types import SimpleNamespace
+from typing import Any, Callable, NamedTuple, Optional, Sequence
 
 from . import fileio
 # ``build_history_tree`` and ``audit_all`` are not called here: the benchmark's
@@ -43,17 +50,6 @@ class _CliError(Exception):
     pass
 
 
-class _Parser(argparse.ArgumentParser):
-    def error(self, message: str):  # argparse would exit(2); bad usage is exit 1 here
-        raise _CliError(message)
-
-
-# The cap each --cap command pays: family states, tree nodes, product states.
-_CAP_DEFAULTS = {
-    "reach": DEFAULT_STATE_CAP, "audit": DEFAULT_NODE_CAP, "broadcast-min": DEFAULT_STATE_CAP
-}
-
-
 def _capped(call, *args, **kwargs):
     """Run the one call that pays a command's cap; its cap error names the knobs that raise it."""
     try:
@@ -69,71 +65,37 @@ def _cap_value(raw: str, name: str = "--cap") -> int:
     return int(raw)
 
 
-@functools.cache
-def _build_parser() -> _Parser:
-    """The command-line parser, built once per process: parsing leaves it unchanged."""
-    parser = _Parser(prog="noesis", description=__doc__)
-    sub = parser.add_subparsers(dest="command", required=True)
+class _Flag(NamedTuple):
+    """One flag of one command, as the direct reader and argparse both read it."""
 
-    def add(name: str, help_text: str) -> argparse.ArgumentParser:
-        p = sub.add_parser(name, help=help_text)
-        p.add_argument("--out", type=Path, default=None, help="write output here instead of stdout")
-        return p
+    name: str
+    convert: Optional[Callable[[str], Any]] = None  # None keeps the text
+    required: bool = False
+    default: Any = None
+    choices: Optional[tuple[str, ...]] = None
+    store_true: bool = False
+    help: Optional[str] = None
 
-    p = add("closure", "closure of a concept set under a mind's rules")
-    p.add_argument("--mind", type=Path, required=True)
-    p.add_argument("--start", default=None, help="comma-separated concepts; default: the axioms")
+    @property
+    def dest(self) -> str:
+        return self.name[2:]
 
-    p = add("derive", "derivation tree and extracted curriculum for a concept")
-    p.add_argument("--mind", type=Path, required=True)
-    p.add_argument("--target", required=True)
-    p.add_argument("--start", default=None)
 
-    p = add("reach", "enumerate the reachable state family")
-    p.add_argument("--mind", type=Path, required=True)
-    p.add_argument("--format", choices=("json", "csv"), default="json")
-    p.add_argument("--cap", type=_cap_value, default=None)
+class _Command(NamedTuple):
+    """One subcommand: its handler, its help line, its flags by full name and its cap default."""
 
-    p = add("distance", "structural distance and a shortest chain to a concept")
-    p.add_argument("--mind", type=Path, required=True)
-    p.add_argument("--target", required=True)
+    handler: Callable[[Any], str]
+    help: str
+    flags: dict[str, _Flag]
+    cap_default: Optional[int]
 
-    p = add("capacity", "per-state and maximal parsed-observation capacity")
-    p.add_argument("--scenario", type=Path, required=True)
-    p.add_argument("--state", default=None, help="comma-separated concepts; default: the axioms")
 
-    p = add("simulate", "run teaching episodes and export traces")
-    p.add_argument("--scenario", type=Path, required=True)
-    p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--horizon", type=int, required=True)
-    p.add_argument("--episodes", type=int, default=1)
-    p.add_argument("--format", choices=("json", "csv"), default="json")
-
-    p = add("audit", "build the history tree and check the information laws")
-    p.add_argument("--scenario", type=Path, required=True)
-    p.add_argument("--horizon", type=int, required=True)
-    p.add_argument("--cap", type=_cap_value, default=None)
-
-    p = add("value", "upper and lower success-probability bounds at a horizon")
-    p.add_argument("--scenario", type=Path, required=True)
-    p.add_argument("--horizon", type=int, required=True)
-    p.add_argument("--exact", action="store_true", help="also run the exhaustive tiny-instance search")
-
-    p = add("allocate", "concentrated versus even allocation of a round budget")
-    p.add_argument("--N", type=int, required=True, help="number of learners")
-    p.add_argument("--B", type=int, required=True, help="total budget in rounds")
-    p.add_argument("--L", type=int, required=True, help="rounds each learner needs")
-
-    p = add("broadcast-gen", "construct the incompatible-minds broadcast instance")
-    p.add_argument("--k", type=int, required=True)
-    p.add_argument("--L", type=int, required=True)
-
-    p = add("broadcast-min", "minimal length of a shared sequence teaching every mind")
-    p.add_argument("--k", type=int, required=True)
-    p.add_argument("--L", type=int, required=True)
-    p.add_argument("--cap", type=_cap_value, default=None)
-
-    return parser
+def _command(handler, help_text: str, *flags: _Flag, cap_default: Optional[int] = None) -> _Command:
+    """A table row; every command takes ``--out`` first, and a command with a cap default takes ``--cap`` last."""
+    every = [_Flag("--out", Path, help="write output here instead of stdout"), *flags]
+    if cap_default is not None:
+        every.append(_Flag("--cap", _cap_value))
+    return _Command(handler, help_text, {flag.name: flag for flag in every}, cap_default)
 
 
 def _concepts(text: Optional[str], mind: Mind) -> frozenset[str]:
@@ -380,30 +342,136 @@ def _cmd_broadcast_min(args) -> str:
     return ("not-found" if length is None else str(length)) + "\n"
 
 
+_MIND = _Flag("--mind", Path, required=True)
+_SCENARIO = _Flag("--scenario", Path, required=True)
+_HORIZON = _Flag("--horizon", int, required=True)
+_FORMAT = _Flag("--format", choices=("json", "csv"), default="json")
+
+# The cap each --cap command pays: family states (reach), tree nodes (audit), product states (broadcast-min).
 _COMMANDS = {
-    "closure": _cmd_closure,
-    "derive": _cmd_derive,
-    "reach": _cmd_reach,
-    "distance": _cmd_distance,
-    "capacity": _cmd_capacity,
-    "simulate": _cmd_simulate,
-    "audit": _cmd_audit,
-    "value": _cmd_value,
-    "allocate": _cmd_allocate,
-    "broadcast-gen": _cmd_broadcast_gen,
-    "broadcast-min": _cmd_broadcast_min,
+    "closure": _command(
+        _cmd_closure, "closure of a concept set under a mind's rules",
+        _MIND, _Flag("--start", help="comma-separated concepts; default: the axioms"),
+    ),
+    "derive": _command(
+        _cmd_derive, "derivation tree and extracted curriculum for a concept",
+        _MIND, _Flag("--target", required=True), _Flag("--start"),
+    ),
+    "reach": _command(
+        _cmd_reach, "enumerate the reachable state family",
+        _MIND, _FORMAT, cap_default=DEFAULT_STATE_CAP,
+    ),
+    "distance": _command(
+        _cmd_distance, "structural distance and a shortest chain to a concept",
+        _MIND, _Flag("--target", required=True),
+    ),
+    "capacity": _command(
+        _cmd_capacity, "per-state and maximal parsed-observation capacity",
+        _SCENARIO, _Flag("--state", help="comma-separated concepts; default: the axioms"),
+    ),
+    "simulate": _command(
+        _cmd_simulate, "run teaching episodes and export traces",
+        _SCENARIO, _Flag("--seed", int, default=0), _HORIZON, _Flag("--episodes", int, default=1), _FORMAT,
+    ),
+    "audit": _command(
+        _cmd_audit, "build the history tree and check the information laws",
+        _SCENARIO, _HORIZON, cap_default=DEFAULT_NODE_CAP,
+    ),
+    "value": _command(
+        _cmd_value, "upper and lower success-probability bounds at a horizon",
+        _SCENARIO, _HORIZON,
+        _Flag("--exact", default=False, store_true=True, help="also run the exhaustive tiny-instance search"),
+    ),
+    "allocate": _command(
+        _cmd_allocate, "concentrated versus even allocation of a round budget",
+        _Flag("--N", int, required=True, help="number of learners"),
+        _Flag("--B", int, required=True, help="total budget in rounds"),
+        _Flag("--L", int, required=True, help="rounds each learner needs"),
+    ),
+    "broadcast-gen": _command(
+        _cmd_broadcast_gen, "construct the incompatible-minds broadcast instance",
+        _Flag("--k", int, required=True), _Flag("--L", int, required=True),
+    ),
+    "broadcast-min": _command(
+        _cmd_broadcast_min, "minimal length of a shared sequence teaching every mind",
+        _Flag("--k", int, required=True), _Flag("--L", int, required=True), cap_default=DEFAULT_STATE_CAP,
+    ),
 }
 
 
+def _read_argv(argv: list[str]) -> Optional[SimpleNamespace]:
+    """The namespace argparse gives ``argv`` when it is in the common form, else None; never raises.
+
+    The common form is a command name, then only full flag names of that
+    command, each value its own token not starting with ``-``, with every
+    value converting and among its choices and every required flag given.
+    A repeated flag keeps its last value, as in argparse.  Every other argv
+    is argparse's to read or to refuse, so no usage error is worded here.
+    """
+    command = _COMMANDS.get(argv[0]) if argv else None
+    if command is None:
+        return None
+    values: dict[str, Any] = {}
+    i, n = 1, len(argv)
+    while i < n:
+        flag = command.flags.get(argv[i])
+        if flag is None:
+            return None
+        if flag.store_true:
+            values[flag.dest] = True
+            i += 1
+            continue
+        if i + 1 == n or argv[i + 1].startswith("-"):
+            return None
+        value = argv[i + 1]
+        if flag.convert is not None:
+            try:
+                value = flag.convert(value)
+            except (ValueError, TypeError, _CliError):  # argparse refuses the first two; _cap_value's passes through it
+                return None
+        if flag.choices is not None and value not in flag.choices:
+            return None
+        values[flag.dest] = value
+        i += 2
+    for flag in command.flags.values():
+        if flag.dest not in values:
+            if flag.required:
+                return None
+            values[flag.dest] = flag.default
+    return SimpleNamespace(command=argv[0], **values)
+
+
+@functools.cache
+def _build_parser():
+    """The argparse parser of ``_COMMANDS``, built once per process and only for argv the reader declines."""
+    import argparse
+
+    class _Parser(argparse.ArgumentParser):
+        def error(self, message: str):  # argparse would exit(2); bad usage is exit 1 here
+            raise _CliError(message)
+
+    # The help shows the module docstring's first two paragraphs; the third is about this parser.
+    parser = _Parser(prog="noesis", description="\n\n".join(__doc__.split("\n\n")[:2]) if __doc__ else None)
+    sub = parser.add_subparsers(dest="command", required=True)
+    for name, command in _COMMANDS.items():
+        p = sub.add_parser(name, help=command.help)
+        for flag in command.flags.values():
+            kind = {"action": "store_true"} if flag.store_true else {"type": flag.convert, "choices": flag.choices}
+            p.add_argument(flag.name, required=flag.required, default=flag.default, help=flag.help, **kind)
+    return parser
+
+
 def run_cli(argv: Sequence[str]) -> int:
-    parser = _build_parser()
+    argv = list(argv)
     try:
-        args = parser.parse_args(list(argv))
-        if args.command in _CAP_DEFAULTS and args.cap is None:  # NOESIS_NODE_CAP's one reader
+        args = _read_argv(argv)
+        if args is None:
+            args = _build_parser().parse_args(argv)
+        command = _COMMANDS[args.command]
+        if command.cap_default is not None and args.cap is None:  # NOESIS_NODE_CAP's one reader
             raw = os.environ.get("NOESIS_NODE_CAP")
-            args.cap = _cap_value(raw, "NOESIS_NODE_CAP") if raw else _CAP_DEFAULTS[args.command]
-        text = _COMMANDS[args.command](args)
-        _emit(text, args.out)
+            args.cap = _cap_value(raw, "NOESIS_NODE_CAP") if raw else command.cap_default
+        _emit(command.handler(args), args.out)
         return 0
     except CapExceededError as exc:
         print(f"error: {exc}", file=sys.stderr)

@@ -711,6 +711,79 @@ class TestErrors:
         code, _, err = _run(capsys, "simulate")
         assert code == 1
 
+    @pytest.mark.parametrize(
+        "argv, err",
+        [
+            pytest.param([], "the following arguments are required: command", id="no-command"),
+            pytest.param(
+                ["bogus"],
+                "argument command: invalid choice: 'bogus' (choose from 'closure', 'derive', 'reach', 'distance',"
+                " 'capacity', 'simulate', 'audit', 'value', 'allocate', 'broadcast-gen', 'broadcast-min')",
+                id="unknown-command",
+            ),
+            pytest.param(["closure"], "the following arguments are required: --mind", id="no-mind"),
+            pytest.param(
+                ["simulate"], "the following arguments are required: --scenario, --horizon", id="no-flags"
+            ),
+            pytest.param(
+                ["closure", "--mind", "diamond.mind", "--bogus"], "unrecognized arguments: --bogus", id="bogus-flag"
+            ),
+            pytest.param(
+                ["reach", "--mind", "diamond.mind", "--format", "xml"],
+                "argument --format: invalid choice: 'xml' (choose from 'json', 'csv')",
+                id="format-xml",
+            ),
+            pytest.param(
+                ["value", "--scenario", "arithmetic.scenario", "--horizon", "x"],
+                "argument --horizon: invalid int value: 'x'",
+                id="horizon-x",
+            ),
+            pytest.param(
+                ["value", "--scenario", "arithmetic.scenario", "--horizon"],
+                "argument --horizon: expected one argument",
+                id="horizon-missing",
+            ),
+            pytest.param(
+                ["value", "--scenario", "arithmetic.scenario", "--horizon", "2", "--exact=1"],
+                "argument --exact: ignored explicit argument '1'",
+                id="exact-with-value",
+            ),
+            pytest.param(
+                ["reach", "--mind", "diamond.mind", "--cap", "-1"],
+                "--cap must be a non-negative integer, got '-1'",
+                id="cap-negative",
+            ),
+            pytest.param(
+                ["reach", "--mind", "diamond.mind", "--cap", "1e3"],
+                "--cap must be a non-negative integer, got '1e3'",
+                id="cap-float",
+            ),
+            pytest.param(
+                ["value", "--scenario", "arithmetic.scenario", "--horizon", "9" * 5000],
+                "argument --horizon: invalid int value: '" + "9" * 5000 + "'",
+                id="horizon-past-the-digit-limit",
+            ),
+        ],
+    )
+    def test_bad_usage_is_worded_by_argparse(self, capsys, fixtures_dir, argv, err):
+        argv = [str(fixtures_dir / a) if a.endswith((".mind", ".scenario")) else a for a in argv]
+        assert _run(capsys, *argv) == (1, "", f"error: {err}\n")
+
+    @pytest.mark.parametrize(
+        "flags",
+        [
+            ["--horizon", "2", "--exact"],
+            ["--hor", "2", "--exact"],
+            ["--horizon=2", "--exact"],
+            ["--horizon", "2", "--exact", "--exact"],
+        ],
+        ids=["plain", "abbreviated", "joined", "repeated"],
+    )
+    def test_argparse_forms_print_the_plain_bytes(self, capsys, fixtures_dir, flags):
+        code, out, err = _run(capsys, "value", "--scenario", str(fixtures_dir / "arithmetic.scenario"), *flags)
+        want = (Path(__file__).parent / "golden" / "value-arithmetic.json").read_bytes()
+        assert (code, out.encode(), err) == (0, want, "")
+
     @pytest.mark.parametrize("name", ["absent.scenario", "arithmetic.scenario"])
     def test_episodes_checked_before_the_scenario_is_read(self, capsys, fixtures_dir, tmp_path, name):
         # Neither the missing file's error nor the fixture's normalization note.
