@@ -47,7 +47,7 @@ from typing import Iterator, Optional, Sequence
 
 from .errors import CapExceededError, InformationLawError
 from .information import entropy_bits, mutual_information_cells
-from .signals import ParsedSignal, max_capacity
+from .signals import ParsedSignal
 from .teaching import LearnerView, Scenario, StrategyKernel, emission_laws
 
 __all__ = [
@@ -590,7 +590,7 @@ def _global_bound_verdict(expected_tau: Optional[float], scenario: Scenario) -> 
     for target, weight in zip(scenario.targets, scenario.prior):
         if weight > 0.0:
             expected_depth += weight * (len(chains[target]) - 1)
-    cap_max = max_capacity(scenario.mind, scenario.system)
+    cap_max = scenario.view(scenario.mind.horizon_mask)[2]
     floor = expected_depth
     if cap_max > 0.0:
         floor = max(floor, entropy_bits(scenario.prior) / cap_max)

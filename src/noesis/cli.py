@@ -110,7 +110,7 @@ def _emit(text: str, out: Optional[Path]) -> None:
         sys.stdout.write(text)
         return
     try:
-        out.write_text(text)
+        out.write_text(text, encoding="utf-8")
     except OSError as exc:
         raise _CliError(f"cannot write {out}: {exc.strerror or exc}") from exc
 
@@ -162,32 +162,12 @@ def _cmd_derive(args) -> str:
     )
 
 
-def _states_csv(states: list[tuple[str, ...]], labels: tuple[str, ...]) -> str:
-    """The states as a one-column CSV, labels joined by ``|``, as ``csv.writer`` writes it.
-
-    Labels hold no whitespace, so only a row with ``,`` or ``"`` is quoted
-    (its quotes doubled), and one scan of the labels per mind finds out
-    whether any row can need it.  A label holding ``|``, which would make
-    two states one row, is refused first, as the trace export refuses it.
-    The empty state is written ``""`` so that it reads back as one empty
-    field.
-    """
-    fileio._refuse_bar_label(labels)
-    text = " ".join(labels)
-    rows = ["|".join(s) for s in states]
-    if "," in text or '"' in text:
-        rows = ['"' + r.replace('"', '""') + '"' if "," in r or '"' in r else r for r in rows]
-    if rows and not rows[0]:  # the empty state sorts first
-        rows[0] = '""'
-    return "\n".join(["state", *rows]) + "\n"
-
-
 def _cmd_reach(args) -> str:
     mind = fileio.load_mind(args.mind)
     family = _capped(enumerate_reachable, mind, cap=args.cap)
     states = family.sorted_label_tuples()
     if args.format == "csv":
-        return _states_csv(states, mind.space.concepts)
+        return fileio.states_to_csv(states, mind.space.concepts)
     return fileio.dump_json(
         {
             "states": states,

@@ -22,7 +22,7 @@ significant digits.  A JSON trace's state is spelled round by round
 from the last round's text (:class:`_StateText`), since an episode's
 state grows by at most one label per round; the CSV export sorts and
 joins each round's state afresh, and refuses a label holding ``|``, the
-join's separator, as ``reach --format csv`` does.
+join's separator, as :func:`states_to_csv` (``reach --format csv``) does.
 """
 
 from __future__ import annotations
@@ -55,6 +55,7 @@ __all__ = [
     "write_trace",
     "read_trace",
     "trace_to_csv",
+    "states_to_csv",
     "dump_json",
     "dump_traces",
 ]
@@ -98,15 +99,15 @@ _SCALAR_TEXT = {
 }
 
 
-def _other_scalar_text(value: Any) -> Optional[str]:
-    """The text of a str, int or float subclass as ``json`` writes it; None for anything else."""
+def _other_scalar_text(value: Any) -> str:
+    """The text of a str, int or float subclass as ``json`` writes it; ``json``'s TypeError for anything else."""
     if isinstance(value, str):
         return _escape(value)
     if isinstance(value, int):
         return int.__repr__(value)
     if isinstance(value, float):
         return _float_text(value)
-    return None
+    raise TypeError(f"Object of type {type(value).__name__} is not JSON serializable")
 
 
 def _key_head(key: Any) -> str:
@@ -123,20 +124,6 @@ def _key_head(key: Any) -> str:
     else:
         raise TypeError(f"keys must be str, int, float, bool or None, not {type(key).__name__}")
     return '"' + text + '": '
-
-
-class _KeyHeads(dict):
-    """The head of each dict key, computed on first use; only plain ``str`` keys are stored.
-
-    ``1``, ``1.0`` and ``True`` are one dict key but three texts, so they
-    are spelled afresh each time; a ``str`` never equals any of them.
-    """
-
-    def __missing__(self, key: Any) -> str:
-        head = _key_head(key)
-        if type(key) is str:
-            self[key] = head
-        return head
 
 
 def _heads(indent: str) -> Iterator[str]:
@@ -160,16 +147,7 @@ def dump_json(value: Any) -> str:
     ``[]``: a reachable family's states and a chain's states are such
     lists.  Subclasses, and rows of both kinds or of mixed types, take the
     general path.
-
-    Each distinct nonzero float's text is computed once per call and kept
-    for the rest of it; zeros are always spelled afresh, since ``0.0`` and
-    ``-0.0`` compare equal but print as ``0.0`` and ``-0.0``.  Each plain
-    ``str`` key's head (its text, colon and space) is kept the same way;
-    other keys are spelled afresh, since ``1``, ``1.0`` and ``True`` are
-    one key but three texts.
     """
-    scalar_text = {**_SCALAR_TEXT, float: _TextMemo(_float_text).__getitem__}
-    key_head = _KeyHeads().__getitem__
     out: list[str] = []
     open_ids: set[int] = set()
     # One frame per open container: its (text before the entry, entry) pairs, closing text, id.
@@ -177,7 +155,7 @@ def dump_json(value: Any) -> str:
     while stack:
         entries, closing, ident = stack[-1]
         for head, item in entries:
-            text_of = scalar_text.get(type(item))
+            text_of = _SCALAR_TEXT.get(type(item))
             if text_of is None:
                 break
             out.append(head + text_of(item))
@@ -187,13 +165,10 @@ def dump_json(value: Any) -> str:
             out.append(closing)
             continue
         out.append(head)
-        text = _other_scalar_text(item)
-        if text is not None:
-            out.append(text)
-            continue
         is_dict = isinstance(item, dict)
         if not is_dict and not isinstance(item, (list, tuple)):
-            raise TypeError(f"Object of type {type(item).__name__} is not JSON serializable")
+            out.append(_other_scalar_text(item))
+            continue
         if not item:
             out.append("{}" if is_dict else "[]")
             continue
@@ -202,14 +177,14 @@ def dump_json(value: Any) -> str:
         if not is_dict:
             kinds = set(map(type, item))
             kind = kinds.pop() if len(kinds) == 1 else None
-            text_of = scalar_text.get(kind)
+            text_of = _SCALAR_TEXT.get(kind)
             if text_of is not None:
                 out.append("[" + indent + ("," + indent).join(map(text_of, item)) + closing)
                 continue
             if kind is list or kind is tuple:
                 # Rows that are all empty call no text function, so any one will do.
                 cells = set(map(type, itertools.chain.from_iterable(item))) or {str}
-                text_of = scalar_text.get(cells.pop()) if len(cells) == 1 else None
+                text_of = _SCALAR_TEXT.get(cells.pop()) if len(cells) == 1 else None
                 if text_of is not None:
                     inner = indent + "  "
                     row_closing = indent + "]"
@@ -222,7 +197,7 @@ def dump_json(value: Any) -> str:
         open_ids.add(id(item))
         if is_dict:
             out.append("{")
-            heads = map(str.__add__, _heads(indent), map(key_head, item))
+            heads = map(str.__add__, _heads(indent), map(_key_head, item))
             stack.append((zip(heads, item.values()), closing, id(item)))
         else:
             out.append("[")
@@ -234,7 +209,7 @@ def _read_json(path: str | Path) -> dict[str, Any]:
     """The JSON object a file holds; any other top level is a :class:`FormatError`."""
     path = Path(path)
     try:
-        text = path.read_text()
+        text = path.read_text(encoding="utf-8")
     except OSError as exc:
         raise FormatError(f"{path}: {exc}") from exc
     try:
@@ -735,6 +710,27 @@ def _refuse_bar_label(labels: Iterable[str]) -> None:
         raise FormatError(f"label {label!r} holds '|', which joins a state's labels in CSV; use --format json")
 
 
+def states_to_csv(states: Iterable[Sequence[str]], labels: Sequence[str]) -> str:
+    """A mind's states, each its sorted labels, as a one-column CSV, labels joined by ``|``.
+
+    The bytes are those ``csv.writer`` writes.  ``labels`` are the mind's
+    concepts, which hold no whitespace, so only a row with ``,`` or ``"``
+    is quoted (its quotes doubled), and one scan of the labels finds out
+    whether any row can need it.  A label holding ``|``, which would make
+    two states one row, is refused first, as :func:`trace_to_csv` refuses
+    it.  The empty state is written ``""`` so that it reads back as one
+    empty field.
+    """
+    _refuse_bar_label(labels)
+    text = " ".join(labels)
+    rows = ["|".join(s) for s in states]
+    if "," in text or '"' in text:
+        rows = ['"' + r.replace('"', '""') + '"' if "," in r or '"' in r else r for r in rows]
+    if rows and not rows[0]:  # the empty state sorts first
+        rows[0] = '""'
+    return "\n".join(["state", *rows]) + "\n"
+
+
 def trace_to_csv(traces: Sequence[EpisodeTrace]) -> str:
     """Flat per-round export; one row per round, episodes tagged by seed.
 
@@ -767,7 +763,7 @@ def trace_to_csv(traces: Sequence[EpisodeTrace]) -> str:
 
 
 def write_trace(trace: EpisodeTrace, path: str | Path, digest: str = "") -> None:
-    Path(path).write_text(dump_traces(trace, digest))
+    Path(path).write_text(dump_traces(trace, digest), encoding="utf-8")
 
 
 def read_trace(path: str | Path) -> tuple[EpisodeTrace, str]:

@@ -23,9 +23,8 @@ from its parent's by reading the rules that need the one added concept,
 so a sweep along an n-concept chain costs O(n + the prerequisites of its
 rules), not O(n·|rules|).  The chain to the end of a 400-concept chain
 takes about 0.6 ms, and the 34 reach families of the benchmark's
-``lattice`` workload (seed 1) about 20 ms in all, against 0.7 and 24 ms
-through the generator over a queue that the sweep replaced (CPython
-3.11, one core of a Xeon server).  :func:`structural_distance` and
+``lattice`` workload (seed 1) about 20 ms in all (CPython 3.11, one
+core of a Xeon server).  :func:`structural_distance` and
 :func:`shortest_chain` run it for one concept per call and cache
 nothing; a scenario caches its targets' chains
 (``Scenario.target_chains``).

@@ -307,6 +307,30 @@ class TestReach:
             assert out == json.dumps(want, indent=2) + "\n"
 
 
+def test_files_are_utf8_under_an_ascii_locale(tmp_path):
+    # Under the C locale, with UTF-8 mode and locale coercion off, the
+    # locale's encoding is ASCII; mind files are still read, and output
+    # files written, as UTF-8, while stdout keeps the interpreter's encoding.
+    mind = {"concepts": ["a", "é"], "axioms": ["a"], "rules": [{"prereqs": ["a"], "target": "é"}]}
+    path = tmp_path / "m.mind"
+    path.write_bytes(json.dumps(mind, ensure_ascii=False).encode("utf-8"))
+    src = str(Path(noesis.__file__).resolve().parent.parent)
+    utf8 = {**os.environ, "PYTHONPATH": src, "PYTHONUTF8": "1"}
+    c_locale = {**os.environ, "PYTHONPATH": src, "PYTHONUTF8": "0", "PYTHONCOERCECLOCALE": "0", "LC_ALL": "C"}
+    runs = []
+    for env in (utf8, c_locale):
+        argv = [sys.executable, "-m", "noesis.cli", "closure", "--mind", str(path)]
+        done = subprocess.run(argv, env=env, capture_output=True, timeout=60)
+        runs.append((done.returncode, done.stdout, done.stderr))
+    assert runs[0][0] == 0 and b"\\u00e9" in runs[0][1]
+    assert runs[1] == runs[0]
+    out = tmp_path / "states.csv"
+    argv = [sys.executable, "-m", "noesis.cli", "reach", "--mind", str(path), "--format", "csv", "--out", str(out)]
+    done = subprocess.run(argv, env=c_locale, capture_output=True, timeout=60)
+    assert (done.returncode, done.stdout, done.stderr) == (0, b"", b"")
+    assert out.read_bytes() == "state\na\na|é\n".encode("utf-8")
+
+
 _CAPPED_COMMANDS = {
     "reach": ("reach", "--mind", "diamond.mind"),
     "audit": ("audit", "--scenario", "star.scenario", "--horizon", "2"),

@@ -186,7 +186,7 @@ def test_deep_nesting_has_no_limit():
 
 
 def test_equal_keys_of_other_types_keep_their_own_text():
-    """``1``, ``1.0`` and ``True`` are one dict key but three texts; the key-head memo must not merge them."""
+    """``1``, ``1.0`` and ``True`` are one dict key but three texts; each key is spelled as its own type."""
     # In one dict the later keys fold into the first of them, 1, as in any dict.
     value = {
         "1": {True: 0, "1": 1, None: {1.0: 2, "true": 3}},
