@@ -110,9 +110,9 @@ def _emit(text: str, out: Optional[Path]) -> None:
         sys.stdout.write(text)
         return
     try:
-        out.write_text(text, encoding="utf-8")
-    except OSError as exc:
-        raise _CliError(f"cannot write {out}: {exc.strerror or exc}") from exc
+        out.write_bytes(text.encode("utf-8"))  # encoded first, so a text UTF-8 cannot spell opens no file
+    except (OSError, UnicodeEncodeError) as exc:
+        raise _CliError(f"cannot write {out}: {getattr(exc, 'strerror', None) or exc}") from exc
 
 
 def _cmd_closure(args) -> str:

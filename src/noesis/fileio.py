@@ -6,11 +6,16 @@ digits, which round-trips well inside the audit tolerance, and writers
 emit keys in a fixed order so identical inputs produce identical bytes.
 
 The loaders test the entries of each list (rules, signals, strategy
-rows) inline, by exact type, and format no message on the way, so a load
-that succeeds costs little more than its JSON parse.  A list that fails
-a test is read again through the general checks (``_need``,
-``_need_strings`` and the per-entry readers), which raise the first
-error, worded and ordered as they always were.
+rows) inline, by exact type, so a load that succeeds costs little more
+than its JSON parse.  Signals and strategy rows are read in one pass: an
+entry that fails its test is read on the spot through the general checks
+(``_need`` and the per-entry messages), which word its error.  Rules keep
+one prerequisite-type test over the whole list, since a test per rule
+made the benchmark's loads 1.0 to 1.6 ms slower per teach pass (of about
+34 ms) and about 0.1 ms slower per lattice pass (of about 10.5 ms),
+in-process at seed 0; a rule list that fails a test is read again
+through :func:`_rule_from_dict`.  Either way the first error in list
+order is raised, worded as it always was.
 
 Traces go through :func:`dump_traces`, whose bytes are those of
 :func:`dump_json` on :func:`trace_to_dict`'s dicts; it writes the fixed
@@ -18,11 +23,12 @@ trace layout straight from the episode.  Every other JSON output goes
 through :func:`dump_json`, one writer that keeps its own stack of open
 containers, so output has no depth limit.  Its bytes are those of
 ``json.dumps(value, indent=2)`` with each float first rounded to 12
-significant digits.  A JSON trace's state is spelled round by round
-from the last round's text (:class:`_StateText`), since an episode's
-state grows by at most one label per round; the CSV export sorts and
-joins each round's state afresh, and refuses a label holding ``|``, the
-join's separator, as :func:`states_to_csv` (``reach --format csv``) does.
+significant digits.  A JSON trace's state is grown round by round from
+the last round's sorted labels and their texts (:class:`_StateText`),
+since an episode's state grows by at most one label per round; the CSV
+export sorts and joins each round's state afresh, and refuses a label
+holding ``|``, the join's separator, as :func:`states_to_csv` (``reach
+--format csv``) does.
 """
 
 from __future__ import annotations
@@ -210,7 +216,7 @@ def _read_json(path: str | Path) -> dict[str, Any]:
     path = Path(path)
     try:
         text = path.read_text(encoding="utf-8")
-    except OSError as exc:
+    except (OSError, UnicodeDecodeError) as exc:
         raise FormatError(f"{path}: {exc}") from exc
     try:
         data = json.loads(text)
@@ -250,7 +256,8 @@ def _rules_from_list(raw_rules: list, where: str) -> list[ExpansionRule]:
     """The rules that ``raw_rules`` lists, each ``{"prereqs": [str, ...], "target": str}``.
 
     Each entry's shape is tested inline and every prerequisite's type in
-    one pass at the end.  If any test fails, the whole list goes back
+    one pass at the end, which is cheaper than one test per rule (see the
+    module docstring).  If any test fails, the whole list goes back
     through :func:`_rule_from_dict`, which raises the first error in list
     order.
     """
@@ -302,7 +309,13 @@ class LoadedScenario:
 
 
 def _token_row(row: Any, alphabet: Mapping[str, str], where: str) -> tuple[str, ...]:
-    """A strategy row whose entries are all tokens of the alphabet."""
+    """A strategy row whose entries are all tokens of the alphabet.
+
+    A list of plain strings, each in the alphabet, passes one exact-type
+    test; any other row is read entry by entry to word its first error.
+    """
+    if type(row) is list and {*map(type, row)} <= _STR_ONLY and all(map(alphabet.__contains__, row)):
+        return tuple(row)
     if not isinstance(row, list):
         raise FormatError(f"{where} must be a token list")
     for j, tok in enumerate(row):
@@ -311,11 +324,6 @@ def _token_row(row: Any, alphabet: Mapping[str, str], where: str) -> tuple[str, 
         if tok not in alphabet:
             raise FormatError(f"{where}[{j}]: unknown signal token {tok!r}")
     return tuple(row)
-
-
-def _plain_row(row: Any, alphabet: Mapping[str, str]) -> bool:
-    """True iff ``row`` is a list of plain strings, each a token of the alphabet."""
-    return type(row) is list and {*map(type, row)} <= _STR_ONLY and all(map(alphabet.__contains__, row))
 
 
 def _strategy_from_dict(data: Any, where: str, alphabet: Mapping[str, str]) -> StrategySpec:
@@ -327,17 +335,12 @@ def _strategy_from_dict(data: Any, where: str, alphabet: Mapping[str, str]) -> S
     if kind == "scripted":
         rows = _need(data, "rows", dict, f"{where}: strategy")
         fixed = {
-            target: tuple(row)
-            if _plain_row(row, alphabet)
-            else _token_row(row, alphabet, f"{where}: strategy.rows[{target!r}]")
-            for target, row in rows.items()
+            target: _token_row(row, alphabet, f"{where}: strategy.rows[{target!r}]") for target, row in rows.items()
         }
         return StrategySpec(kind="scripted", rows=fixed)
     if kind == "broadcast":
-        row = data.get("row")
-        if not _plain_row(row, alphabet):
-            row = _token_row(_need(data, "row", list, f"{where}: strategy"), alphabet, f"{where}: strategy.row")
-        return StrategySpec(kind="broadcast", row=tuple(row))
+        row = _token_row(_need(data, "row", list, f"{where}: strategy"), alphabet, f"{where}: strategy.row")
+        return StrategySpec(kind="broadcast", row=row)
     raise FormatError(f"{where}: unknown strategy kind {kind!r}")
 
 
@@ -353,41 +356,30 @@ def _finite(value: Any, field: str, where: str) -> float:
     raise FormatError(f"{where}: field {field!r} needs finite numbers, got {value!r}")
 
 
-def _signal_from_dict(entry: Any, i: int, index: Mapping[str, int], where: str) -> tuple[str, str]:
-    """``signals[i]`` as its ``(token, concept)`` pair, read through the general checks, which word its error."""
-    if not isinstance(entry, dict):
-        raise FormatError(f"{where}: signals[{i}] must be an object")
-    token = _need(entry, "token", str, f"{where}: signals[{i}]")
-    if token == _NULL_TOKEN:
-        raise FormatError(f"{where}: signals[{i}]: token {_NULL_TOKEN!r} is reserved for the null observation")
-    target = _need(entry, "target", str, f"{where}: signals[{i}]")
-    if target not in index:
-        raise FormatError(f"{where}: signals[{i}]: unknown concept {target!r}")
-    return token, target
-
-
 def _signals_from_list(
     raw_signals: list, index: Mapping[str, int], where: str
 ) -> tuple[tuple[str, ...], tuple[str, ...]]:
     """The tokens, and the concepts they teach, that ``raw_signals`` lists as ``{"token": str, "target": str}``.
 
-    Each entry is tested inline.  If any test fails, the whole list goes
-    back through :func:`_signal_from_dict`, which raises the first error
-    in list order.
+    Each entry is tested inline by exact type; one that fails the test is
+    read through the general checks on the spot, which word its error.
     """
     tokens, concepts = [], []
-    for entry in raw_signals:
-        if type(entry) is not dict:
-            break
-        token, target = entry.get("token"), entry.get("target")
+    for i, entry in enumerate(raw_signals):
+        token, target = (entry.get("token"), entry.get("target")) if type(entry) is dict else (None, None)
         if type(token) is not str or type(target) is not str or token == _NULL_TOKEN or target not in index:
-            break
+            at = f"{where}: signals[{i}]"
+            if not isinstance(entry, dict):
+                raise FormatError(f"{at} must be an object")
+            token = _need(entry, "token", str, at)
+            if token == _NULL_TOKEN:
+                raise FormatError(f"{at}: token {_NULL_TOKEN!r} is reserved for the null observation")
+            target = _need(entry, "target", str, at)
+            if target not in index:
+                raise FormatError(f"{at}: unknown concept {target!r}")
         tokens.append(token)
         concepts.append(target)
-    else:
-        return tuple(tokens), tuple(concepts)
-    pairs = [_signal_from_dict(entry, i, index, where) for i, entry in enumerate(raw_signals)]
-    return tuple(token for token, _ in pairs), tuple(concept for _, concept in pairs)
+    return tuple(tokens), tuple(concepts)
 
 
 def load_scenario_bundle(path: str | Path) -> LoadedScenario:
@@ -468,13 +460,13 @@ def _parsed_from_json(text: str) -> Optional[str]:
 class _StateText:
     """Each round's state as its sorted labels, each spelled by ``label_text``, joined by ``sep``.
 
-    Called on one episode's states in round order.  A state that is the
-    last state's set object reuses its text.  One that adds a single plain
-    ``str`` label to it gets that label's text spliced in at the label's
-    ``bisect`` position, at an offset summed from the text lengths kept;
-    any other state is sorted afresh.  A state that is not a ``frozenset``
-    of plain ``str`` labels gets None, and :func:`dump_traces` takes the
-    general route.
+    Called on one episode's states in round order, it keeps the last
+    state's sorted labels and, in the same order, their texts.  A state
+    that is the last state's set object reuses its text.  One that adds a
+    single plain ``str`` label to it gets that label and its text
+    ``bisect``-inserted, and the texts joined; any other state is sorted
+    afresh.  A state that is not a ``frozenset`` of plain ``str`` labels
+    gets None, and :func:`dump_traces` takes the general route.
     """
 
     def __init__(self, label_text: Callable[[str], str], sep: str) -> None:
@@ -483,7 +475,7 @@ class _StateText:
         self.state: Optional[frozenset] = None
         self.text = ""
         self.labels: list[str] = []  # sorted
-        self.lengths: list[int] = []  # of each label's text
+        self.texts: list[str] = []  # of each label, in the same order
 
     def __call__(self, state: Any) -> Optional[str]:
         if type(state) is not frozenset:
@@ -491,36 +483,23 @@ class _StateText:
         last = self.state
         if state is last:
             return self.text
+        label = None
         if last is not None and len(state) == len(last) + 1:
             added = state - last  # one label exactly when ``last`` is a subset
             if len(added) == 1:
                 (label,) = added
-                if type(label) is str:
-                    self._insert(label)
-                    self.state = state
-                    return self.text
-        if not {*map(type, state)} <= _STR_ONLY:
+        if type(label) is str:
+            i = bisect.bisect(self.labels, label)
+            self.labels.insert(i, label)
+            self.texts.insert(i, self.label_text(label))
+        elif {*map(type, state)} <= _STR_ONLY:
+            self.labels = sorted(state)
+            self.texts = list(map(self.label_text, self.labels))
+        else:
             return None
-        self.labels = sorted(state)
-        texts = list(map(self.label_text, self.labels))
-        self.lengths = list(map(len, texts))
-        self.text = self.sep.join(texts)
+        self.text = self.sep.join(self.texts)
         self.state = state
         return self.text
-
-    def _insert(self, label: str) -> None:
-        i = bisect.bisect(self.labels, label)
-        piece = self.label_text(label)
-        text, sep = self.text, self.sep
-        if not self.labels:
-            self.text = piece
-        elif i == len(self.labels):
-            self.text = "".join((text, sep, piece))
-        else:
-            at = sum(self.lengths[:i]) + i * len(sep)
-            self.text = "".join((text[:at], piece, sep, text[at:]))
-        self.labels.insert(i, label)
-        self.lengths.insert(i, len(piece))
 
 
 def trace_to_dict(trace: EpisodeTrace, digest: str = "") -> dict[str, Any]:
@@ -558,9 +537,11 @@ def dump_traces(trace_or_traces: EpisodeTrace | Sequence[EpisodeTrace], digest: 
     over the traces for a sequence.  When the digest and every field have
     the exact types :func:`run_episode` gives them, the fixed layout is
     written straight from the traces, its strings and floats spelled with
-    ``dump_json``'s own pieces and its states by :class:`_StateText`.
-    Otherwise, and on a parsed ``_null_``, the whole call goes through
-    ``dump_json`` and ``trace_to_dict``, which raise what they raise.
+    ``dump_json``'s own pieces and its states by :class:`_StateText`,
+    which grows each round's sorted labels and their texts from the last
+    round's and joins the texts.  Otherwise, and on a parsed ``_null_``,
+    the whole call goes through ``dump_json`` and ``trace_to_dict``, which
+    raise what they raise.
     """
     single = isinstance(trace_or_traces, EpisodeTrace)
     traces = (trace_or_traces,) if single else trace_or_traces

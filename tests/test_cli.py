@@ -275,6 +275,17 @@ class TestReach:
         states = json.loads(out)["states"]
         assert ["a", "b", "o"] in states and ["a|b", "o"] in states
 
+    def test_csv_out_of_a_label_utf8_cannot_spell_writes_no_file(self, capsys, tmp_path):
+        path, out_path = tmp_path / "m.mind", tmp_path / "f.csv"
+        path.write_text(json.dumps({"concepts": ["\ud800"], "axioms": ["\ud800"], "rules": []}), encoding="utf-8")
+        argv = ["reach", "--mind", str(path), "--format", "csv", "--out", str(out_path)]
+        code, out, err = _run(capsys, *argv)
+        assert (code, out, out_path.exists()) == (1, "", False)
+        assert err.startswith(f"error: cannot write {out_path}: ")
+        out_path.write_bytes(b"kept\n")
+        assert _run(capsys, *argv)[:2] == (1, "")
+        assert out_path.read_bytes() == b"kept\n"
+
     def test_json_of_labels_needing_escapes_is_json_dumps(self, capsys, tmp_path):
         labels = ["o", 'q"z', "x\\y", "é", "日本", "\U0001f600", "a,b"]
         mind = {

@@ -20,6 +20,7 @@ from noesis import (
     understanding_horizon,
     write_trace,
 )
+from noesis.cli import run_cli
 from noesis.fileio import dump_json, trace_from_dict, trace_to_dict
 from noesis.teaching import EpisodeTrace, Round
 
@@ -63,6 +64,7 @@ class TestLoadMind:
             ({"rules": [{"prereqs": [["a"]], "target": "b"}]}, r"rules\[0\]: field 'prereqs'"),
             ({"rules": [{"prereqs": ["a"], "target": "b"}, {"prereqs": [1], "target": "b"}]},
              r"rules\[1\]: field 'prereqs'"),
+            ({"rules": [{"prereqs": [1], "target": "b"}, "b"]}, r"rules\[0\]: field 'prereqs'"),
         ],
     )
     def test_non_string_labels_named(self, tmp_path, change, field):
@@ -71,6 +73,15 @@ class TestLoadMind:
         path.write_text(json.dumps({**data, **change}))
         with pytest.raises(FormatError, match=field):
             load_mind(path)
+
+    def test_non_utf8_file_named(self, tmp_path, capsys):
+        path = tmp_path / "bad.mind"
+        path.write_bytes(b'{"concepts": ["a", "b\xff"], "axioms": ["a"], "rules": []}')
+        with pytest.raises(FormatError) as caught:
+            load_mind(path)
+        assert str(caught.value).startswith(f"{path}: ")
+        assert run_cli(["closure", "--mind", str(path)]) == 1
+        assert capsys.readouterr().err.startswith(f"error: {path}: ")
 
 
 def _star_with(tmp_path, fixtures_dir, **fields):
@@ -128,6 +139,23 @@ class TestLoadScenario:
         path = tmp_path / "s.scenario"
         path.write_text(json.dumps(data))
         with pytest.raises(FormatError, match=r"signals\[5\]: unknown concept 'x'"):
+            load_scenario_bundle(path)
+
+    @pytest.mark.parametrize(
+        "extra, error",
+        [
+            ([{"token": "z_x", "target": "x"}, "z_y"], r"signals\[5\]: unknown concept 'x'$"),
+            ([{"token": "_null_", "target": "b"}, 3], r"signals\[5\]: token '_null_' is reserved"),
+            ([{"target": "b"}, "z_y"], r"signals\[5\]: missing field 'token'$"),
+            ([{"token": "z_y", "target": ["b"]}, "z_y"], r"signals\[5\]: field 'target' must be str$"),
+            ([{"token": "z_y", "target": "b"}, "z_y"], r"signals\[6\] must be an object$"),
+        ],
+        ids=["unknown concept", "null token", "no token", "non-string target", "not an object"],
+    )
+    def test_signal_errors_named_in_list_order(self, tmp_path, fixtures_dir, extra, error):
+        data = json.loads((fixtures_dir / "star.scenario").read_text())
+        path = _star_with(tmp_path, fixtures_dir, signals=data["signals"] + extra)
+        with pytest.raises(FormatError, match=error):
             load_scenario_bundle(path)
 
     def test_unknown_strategy_kind(self, tmp_path, fixtures_dir):
@@ -191,6 +219,10 @@ class TestLoadScenario:
                 r"strategy\.rows\['d1'\]\[0\]: unknown signal token 'nope'",
             ),
             ({"kind": "scripted", "rows": {"d1": "z_b"}}, r"strategy\.rows\['d1'\] must be a token list"),
+            (
+                {"kind": "scripted", "rows": {"d1": ["nope"], "d2": "z_b"}},
+                r"strategy\.rows\['d1'\]\[0\]: unknown signal token 'nope'",
+            ),
         ],
     )
     def test_strategy_rows_checked_against_alphabet(self, tmp_path, fixtures_dir, strategy, field):
